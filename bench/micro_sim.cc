@@ -6,15 +6,12 @@
 // metrics to BENCH_sim.json (CI compares them against a checked-in
 // baseline, tools/check_perf.py):
 //
-//   1. Re-rate workload — the hierarchical-mesh AllReduce of Fig. 6, run
-//      solo and as a 4-job co-run sharing the cluster (the contended
-//      NVSwitch-style regime the incremental walk targets), each with the
-//      incremental re-rate walk and with the --naive-rerate reference
-//      walk. Asserts the walks agree on every makespan to 1e-9 relative
-//      tolerance (deferred integration reassociates fp sums — see
-//      fluid.h — so agreement is fp-tight, not bit-exact; measured
-//      divergence is ~1e-14) and that the incremental walk issues >= 3x
-//      fewer RecomputeFlow calls on the co-run and >= 2x solo.
+//   1. Re-rate workload — the hierarchical-mesh AllReduce of Fig. 6 as a
+//      4-job co-run sharing the cluster (the contended NVSwitch-style
+//      regime the incremental walk targets). Reports RecomputeFlow calls
+//      and binding-test walk visits per flow; check_perf.py pins the
+//      counters exactly. That the walk's timing is right is
+//      tests/test_fluid_reference.cc's job, on this same co-run.
 //   2. Event-loop throughput — repeated Executes of the same plan;
 //      events/sec is the headline regression metric.
 //   3. Registry overhead — interleaved Executes with the global metrics
@@ -28,15 +25,13 @@
 //      smaller machines the assert is skipped but the JSON still records
 //      the measured speedup).
 //
-// Flags: --jobs=N (sweep parallelism; default all cores), --naive-rerate
-// (run workloads 1/2 on the reference walk only — the baseline the
-// speedup numbers are measured against), --require-sweep-assert (fail if
-// the sweep wall-clock bar would be skipped — CI passes this so a runner
-// downgrade can't silently disable the assertion), --out=PATH (default
-// BENCH_sim.json in the current directory — CI runs from the repo root).
+// Flags: --jobs=N (sweep parallelism; default all cores),
+// --require-sweep-assert (fail if the sweep wall-clock bar would be
+// skipped — CI passes this so a runner downgrade can't silently disable
+// the assertion), --out=PATH (default BENCH_sim.json in the current
+// directory — CI runs from the repo root).
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -73,8 +68,8 @@ double NowUs() {
 }
 
 // Order-sensitive FNV-1a over the deterministic content of a report: any
-// divergence between the serial and parallel sweep — or between the naive
-// and incremental re-rate walks — lands in a different hash.
+// divergence between the serial and parallel sweep lands in a different
+// hash.
 void HashMix(std::uint64_t& h, double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -101,25 +96,10 @@ std::uint64_t HashReport(const CollectiveReport& r) {
   return h;
 }
 
-// Relative divergence between two timestamps; 0 when both are 0.
-double RelErr(double a, double b) {
-  const double mag = std::max(std::fabs(a), std::fabs(b));
-  return mag > 0 ? std::fabs(a - b) / mag : 0.0;
-}
-
-// The deferred flush reassociates floating-point integration sums, so the
-// two walks agree to fp tolerance, not bit-exactly. Measured divergence on
-// these workloads is ~1e-14; the bar leaves five orders of headroom.
-constexpr double kTimingTolerance = 1e-9;
-
 struct RerateMetrics {
-  FluidNetwork::Stats incremental;
-  FluidNetwork::Stats naive;
+  FluidNetwork::Stats stats;
   double rerates_per_flow = 0;
-  double rerates_per_flow_naive = 0;
-  double reduction = 0;        // 4-job co-run (the acceptance bar)
-  double reduction_solo = 0;   // single job
-  double timing_relerr = 0;    // worst makespan divergence observed
+  double visits_per_flow = 0;
 };
 
 RerateMetrics RerateWorkload() {
@@ -127,27 +107,6 @@ RerateMetrics RerateWorkload() {
   const CostModel cost;
   const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
   const PreparedPlan plan = PrepareOrDie(algo, topo, BackendKind::kResCCL);
-
-  RerateMetrics m;
-
-  // Solo run: the collective alone on the cluster.
-  RunRequest request;
-  request.launch.buffer = Size::MiB(64);
-  const CollectiveReport incr = Execute(*plan, request);
-  request.naive_rerate = true;
-  const CollectiveReport naive = Execute(*plan, request);
-
-  m.timing_relerr = RelErr(incr.elapsed.us(), naive.elapsed.us());
-  Check(m.timing_relerr <= kTimingTolerance,
-        "incremental and naive re-rate walks must agree on the solo "
-        "makespan to 1e-9 relative tolerance");
-  Check(incr.sim.fluid.flows_started == naive.sim.fluid.flows_started,
-        "both walks must start the same flows");
-  Check(incr.sim.fluid.flows_started > 0, "workload must start flows");
-  m.reduction_solo = static_cast<double>(naive.sim.fluid.recompute_calls) /
-                     static_cast<double>(incr.sim.fluid.recompute_calls);
-  Check(m.reduction_solo >= 2.0,
-        "incremental walk must issue >= 2x fewer RecomputeFlow calls solo");
 
   // 4-job co-run: four copies of the collective merged into one machine
   // (runtime/multi_job.h's AppendProgram), contending for the same links —
@@ -159,40 +118,17 @@ RerateMetrics RerateWorkload() {
   SimProgram merged;
   constexpr int kCoJobs = 4;
   for (int j = 0; j < kCoJobs; ++j) AppendProgram(merged, lowered.program);
+  SimMachine machine(topo, cost);
 
-  auto co_run = [&](bool naive_rerate) {
-    SimMachine machine(topo, cost, naive_rerate);
-    return machine.Run(merged);
-  };
-  const SimRunReport co_incr = co_run(false);
-  const SimRunReport co_naive = co_run(true);
-
-  const double co_relerr = RelErr(co_incr.makespan.us(), co_naive.makespan.us());
-  m.timing_relerr = std::max(m.timing_relerr, co_relerr);
-  Check(co_relerr <= kTimingTolerance,
-        "incremental and naive re-rate walks must agree on the co-run "
-        "makespan to 1e-9 relative tolerance");
-
-  m.incremental = co_incr.fluid;
-  m.naive = co_naive.fluid;
-  Check(m.incremental.flows_started == m.naive.flows_started,
-        "both walks must start the same flows in the co-run");
-  const auto flows = static_cast<double>(m.incremental.flows_started);
-  m.rerates_per_flow =
-      static_cast<double>(m.incremental.recompute_calls) / flows;
-  m.rerates_per_flow_naive =
-      static_cast<double>(m.naive.recompute_calls) / flows;
-  m.reduction = static_cast<double>(m.naive.recompute_calls) /
-                static_cast<double>(m.incremental.recompute_calls);
-
-  // The acceptance bar: >= 3x fewer RecomputeFlow calls than the
-  // reference walk on the contended hierarchical-allreduce workload.
-  Check(m.reduction >= 3.0,
-        "incremental walk must issue >= 3x fewer RecomputeFlow calls on "
-        "the 4-job co-run");
+  RerateMetrics m;
+  m.stats = machine.Run(merged).fluid;
+  Check(m.stats.flows_started > 0, "workload must start flows");
+  const auto flows = static_cast<double>(m.stats.flows_started);
+  m.rerates_per_flow = static_cast<double>(m.stats.recompute_calls) / flows;
+  m.visits_per_flow = static_cast<double>(m.stats.walk_visits) / flows;
   // The arena must actually recycle (this workload churns through far
   // more flows than are ever concurrently active).
-  Check(m.incremental.flows_recycled > 0,
+  Check(m.stats.flows_recycled > 0,
         "flow arena must recycle completed entries");
   return m;
 }
@@ -201,11 +137,9 @@ struct ThroughputMetrics {
   std::uint64_t events = 0;
   double wall_us = 0;
   double events_per_sec = 0;
-  double events_per_sec_naive = 0;
-  double speedup_vs_naive = 0;
 };
 
-ThroughputMetrics ThroughputWorkload(bool naive_only) {
+ThroughputMetrics ThroughputWorkload() {
   const Topology topo(presets::A100(2, 8));
   const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
   const PreparedPlan plan = PrepareOrDie(algo, topo, BackendKind::kResCCL);
@@ -216,43 +150,24 @@ ThroughputMetrics ThroughputWorkload(bool naive_only) {
   // one-time builds).
   ExecContext ctx;
   constexpr int kReps = 24;
+  RunRequest request;
+  request.launch.buffer = Size::MiB(64);
+  (void)ctx.Execute(plan, request);  // warm-up: build machine + lowering
   // Each rep is timed on its own and the *fastest* rep is the metric: every
   // rep does identical deterministic work, so the minimum is the run least
   // disturbed by the host (scheduler preemption, a neighboring CI job) and
   // converges where a mean would wander ±20% on a shared box. wall_us
   // reports min-rep time scaled to kReps for comparability.
-  auto measure = [&](bool naive, std::uint64_t& events_out) {
-    RunRequest request;
-    request.launch.buffer = Size::MiB(64);
-    request.naive_rerate = naive;
-    std::uint64_t events = 0;
-    (void)ctx.Execute(plan, request);  // warm-up: build machine + lowering
-    double best_us = 0;
-    for (int i = 0; i < kReps; ++i) {
-      const double t0 = NowUs();
-      events += ctx.Execute(plan, request).sim.events;
-      const double rep_us = NowUs() - t0;
-      if (best_us == 0 || rep_us < best_us) best_us = rep_us;
-    }
-    events_out = events;
-    return best_us * kReps;
-  };
-
   ThroughputMetrics m;
-  std::uint64_t naive_events = 0;
-  const double naive_us = measure(true, naive_events);
-  m.events_per_sec_naive =
-      static_cast<double>(naive_events) / (naive_us / 1e6);
-  if (naive_only) {
-    m.events = naive_events;
-    m.wall_us = naive_us;
-    m.events_per_sec = m.events_per_sec_naive;
-    m.speedup_vs_naive = 1.0;
-    return m;
+  double best_us = 0;
+  for (int i = 0; i < kReps; ++i) {
+    const double t0 = NowUs();
+    m.events += ctx.Execute(plan, request).sim.events;
+    const double rep_us = NowUs() - t0;
+    if (best_us == 0 || rep_us < best_us) best_us = rep_us;
   }
-  m.wall_us = measure(false, m.events);
+  m.wall_us = best_us * kReps;
   m.events_per_sec = static_cast<double>(m.events) / (m.wall_us / 1e6);
-  m.speedup_vs_naive = m.events_per_sec / m.events_per_sec_naive;
   return m;
 }
 
@@ -381,29 +296,21 @@ void WriteJson(const char* path, const RerateMetrics& rr,
   std::fprintf(f, "  \"bench\": \"micro_sim\",\n");
   std::fprintf(f, "  \"nproc\": %d,\n", ThreadPool::HardwareJobs());
   std::fprintf(f, "  \"rerate\": {\n");
-  std::fprintf(f, "    \"flows\": %" PRIu64 ",\n", rr.incremental.flows_started);
+  std::fprintf(f, "    \"flows\": %" PRIu64 ",\n", rr.stats.flows_started);
   std::fprintf(f, "    \"recompute_calls\": %" PRIu64 ",\n",
-               rr.incremental.recompute_calls);
-  std::fprintf(f, "    \"recompute_calls_naive\": %" PRIu64 ",\n",
-               rr.naive.recompute_calls);
+               rr.stats.recompute_calls);
+  std::fprintf(f, "    \"walk_visits\": %" PRIu64 ",\n", rr.stats.walk_visits);
   std::fprintf(f, "    \"rerates_per_flow\": %.4f,\n", rr.rerates_per_flow);
-  std::fprintf(f, "    \"rerates_per_flow_naive\": %.4f,\n",
-               rr.rerates_per_flow_naive);
-  std::fprintf(f, "    \"reduction\": %.4f,\n", rr.reduction);
-  std::fprintf(f, "    \"reduction_solo\": %.4f,\n", rr.reduction_solo);
-  std::fprintf(f, "    \"timing_relerr\": %.3e,\n", rr.timing_relerr);
+  std::fprintf(f, "    \"visits_per_flow\": %.4f,\n", rr.visits_per_flow);
   std::fprintf(f, "    \"rate_unchanged_skips\": %" PRIu64 ",\n",
-               rr.incremental.rate_unchanged_skips);
+               rr.stats.rate_unchanged_skips);
   std::fprintf(f, "    \"flows_recycled\": %" PRIu64 "\n",
-               rr.incremental.flows_recycled);
+               rr.stats.flows_recycled);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"throughput\": {\n");
   std::fprintf(f, "    \"events\": %" PRIu64 ",\n", tp.events);
   std::fprintf(f, "    \"wall_us\": %.1f,\n", tp.wall_us);
-  std::fprintf(f, "    \"events_per_sec\": %.1f,\n", tp.events_per_sec);
-  std::fprintf(f, "    \"events_per_sec_naive\": %.1f,\n",
-               tp.events_per_sec_naive);
-  std::fprintf(f, "    \"speedup_vs_naive\": %.4f\n", tp.speedup_vs_naive);
+  std::fprintf(f, "    \"events_per_sec\": %.1f\n", tp.events_per_sec);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"obs\": {\n");
   std::fprintf(f, "    \"events_per_sec_disabled\": %.1f,\n",
@@ -430,12 +337,10 @@ void WriteJson(const char* path, const RerateMetrics& rr,
 
 int main(int argc, char** argv) {
   const char* out = "BENCH_sim.json";
-  bool naive_only = false;
   bool require_sweep_assert = false;
   int jobs = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) out = argv[i] + 6;
-    if (std::strcmp(argv[i], "--naive-rerate") == 0) naive_only = true;
     if (std::strcmp(argv[i], "--require-sweep-assert") == 0) {
       require_sweep_assert = true;
     }
@@ -444,21 +349,17 @@ int main(int argc, char** argv) {
   if (jobs <= 0) jobs = ThreadPool::HardwareJobs();
 
   PrintHeader("micro — simulator hot-path throughput",
-              "perf-regression harness (not a paper figure)",
-              naive_only ? "MODE: --naive-rerate reference walk" : "");
+              "perf-regression harness (not a paper figure)", "");
 
   const RerateMetrics rr = RerateWorkload();
-  std::printf("re-rate (4-job co-run): %.2f recomputes/flow incremental, "
-              "%.2f naive (%.2fx reduction; %.2fx solo), %" PRIu64
-              " unchanged-rate skips, %" PRIu64
-              " recycled flow entries, timing relerr %.1e\n",
-              rr.rerates_per_flow, rr.rerates_per_flow_naive, rr.reduction,
-              rr.reduction_solo, rr.incremental.rate_unchanged_skips,
-              rr.incremental.flows_recycled, rr.timing_relerr);
+  std::printf("re-rate (4-job co-run): %" PRIu64
+              " flows, %.2f recomputes/flow, %.2f walk visits/flow, %" PRIu64
+              " unchanged-rate skips, %" PRIu64 " recycled flow entries\n",
+              rr.stats.flows_started, rr.rerates_per_flow, rr.visits_per_flow,
+              rr.stats.rate_unchanged_skips, rr.stats.flows_recycled);
 
-  const ThroughputMetrics tp = ThroughputWorkload(naive_only);
-  std::printf("event loop: %.0f events/sec (%.2fx vs naive walk)\n",
-              tp.events_per_sec, tp.speedup_vs_naive);
+  const ThroughputMetrics tp = ThroughputWorkload();
+  std::printf("event loop: %.0f events/sec\n", tp.events_per_sec);
 
   const ObsMetrics ob = ObsWorkload();
   std::printf("obs registry: %.0f events/sec disabled, %.0f enabled "

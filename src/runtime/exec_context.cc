@@ -67,16 +67,14 @@ const CollectiveReport& ExecContext::Execute(const PreparedPlan& prepared,
   }
   const LoweredProgram& lowered = *lowered_;
 
-  // --- Machine reuse: rebuilt only on topology / re-rate mode change. ---
+  // --- Machine reuse: rebuilt only on topology change. ---
   // The machine references cost_ by address; refresh its value first so a
   // reused machine sees this request's model.
   cost_ = request.cost;
-  if (!machine_ || machine_topo_ != &topo ||
-      machine_naive_ != request.naive_rerate) {
+  if (!machine_ || machine_topo_ != &topo) {
     machine_.reset();  // drop any reference to a previous topology first
-    machine_.emplace(topo, cost_, request.naive_rerate);
+    machine_.emplace(topo, cost_);
     machine_topo_ = &topo;
-    machine_naive_ = request.naive_rerate;
   }
   machine_->set_observe(request.observe);
 

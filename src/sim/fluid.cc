@@ -20,9 +20,6 @@ void FluidNetwork::FlowSoA::PushDefault() {
   visit_stamp.push_back(0);
   active.push_back(0);
   on_complete.emplace_back();
-#if defined(RESCCL_FLUID_ORACLE)
-  oracle.emplace_back();
-#endif
 }
 
 void FluidNetwork::FlowSoA::Clear() {
@@ -36,34 +33,21 @@ void FluidNetwork::FlowSoA::Clear() {
   visit_stamp.clear();
   active.clear();
   on_complete.clear();
-#if defined(RESCCL_FLUID_ORACLE)
-  oracle.clear();
-#endif
 }
 
 FluidNetwork::FluidNetwork(const Topology& topo, const CostModel& cost,
-                           EventQueue& queue, const FaultPlan* faults,
-                           bool naive_rerate)
-    : topo_(topo),
-      cost_(cost),
-      queue_(queue),
-      faults_(faults),
-      naive_rerate_(naive_rerate) {
+                           EventQueue& queue, const FaultPlan* faults)
+    : topo_(topo), cost_(cost), queue_(queue), faults_(faults) {
   const std::size_t n = topo_.resources().size();
   resource_active_.assign(n, 0);
-  if (naive_rerate_) {
-    resource_flows_.assign(n, {});
-  } else {
-    resource_buckets_.resize(n);
-  }
+  resource_buckets_.resize(n);
   usage_.assign(n, {});
   resource_busy_since_.assign(n, SimTime::Zero());
   share_cache_z_.assign(n, -1);
   share_cache_val_.assign(n, 0.0);
   mark_stamp_.assign(n, 0);
   mark_index_.assign(n, 0);
-  // Deferred re-rates flush just before the clock advances (the naive
-  // reference walk runs inline and never defers, so its hook is a no-op).
+  // Deferred re-rates flush just before the clock advances.
   queue_.SetAdvanceHook([this] { return FlushDeferred(); });
 }
 
@@ -73,15 +57,17 @@ void FluidNetwork::Reset(const FaultPlan* faults) {
   faults_ = faults;
   if (active_count_ != 0) {
     // Dirty teardown (the previous run deadlocked mid-flight): the bucket
-    // tables and naive membership lists still hold members, so rebuild
-    // them the slow way. The clean-completion path below leaves them
-    // naturally empty with every slot parked on its free list.
+    // tables still hold members, so rebuild them the slow way. The
+    // clean-completion path leaves every bucket empty and its key erased.
     for (ResourceBuckets& rb : resource_buckets_) {
       rb.buckets.clear();
-      rb.free.clear();
       rb.by_key.Clear();
     }
-    for (std::vector<FlowIndex>& list : resource_flows_) list.clear();
+  }
+  // Rewind to slot 0 so the next run assigns slots as a fresh network would.
+  for (ResourceBuckets& rb : resource_buckets_) {
+    rb.end = 0;
+    rb.free.clear();
   }
   flows_.Clear();
   arena_.Reset();
@@ -95,7 +81,6 @@ void FluidNetwork::Reset(const FaultPlan* faults) {
   ++mark_epoch_;  // invalidates every mark_stamp_ entry wholesale
   recompute_seq_ = 0;
   batch_start_seq_ = 0;
-  walk_depth_ = 0;
   in_flush_ = false;
   active_count_ = 0;
   rate_log_enabled_ = false;
@@ -127,41 +112,24 @@ FlowId FluidNetwork::StartFlow(const Path& path, std::int64_t bytes,
   flows_.on_complete[index] = std::move(on_complete);
   flows_.active[index] = 1;
   ++stats_.flows_started;
-#if defined(RESCCL_FLUID_ORACLE)
-  flows_.oracle[index].resources.assign(path.resources.begin(),
-                                        path.resources.end());
-  flows_.oracle[index].bucket_refs.clear();
-#endif
 
   const std::span<const ResourceId> res = PathOf(index);
   UpdateResourceCounts(res, +1, now);
   for (ResourceId r : res) {
-    if (naive_rerate_) {
-      resource_flows_[static_cast<std::size_t>(r.value)].push_back(index);
-    }
     usage_[static_cast<std::size_t>(r.value)].bytes += bytes;
   }
-  if (!naive_rerate_) InsertIntoBuckets(index);
+  InsertIntoBuckets(index);
   ++active_count_;
-  const FlowId id(static_cast<std::int32_t>(index));
-  if (naive_rerate_) {
-    // Seed behavior: walk every resource inline; the new flow is rated per
-    // incidence and its peers slow down immediately. The walk copies the
-    // list before re-rating anything, so passing a view into the
-    // (recyclable) arena span is safe.
-    RecomputeAffected(res, now);
-  } else {
-    // Deferred: the new flow carries no rate until the flush just before
-    // the clock advances — exact, because no simulated time passes in
-    // between. UpdateResourceCounts above already marked its resources
-    // dirty; force-list it too, since a never-rated flow has no rate for
-    // the flush's binding test to classify.
-    if (pending_marks_.empty() && pending_forced_.empty()) {
-      batch_start_seq_ = recompute_seq_;
-    }
-    pending_forced_.push_back(index);
+  // Deferred: the new flow carries no rate until the flush just before the
+  // clock advances — exact, because no simulated time passes in between.
+  // UpdateResourceCounts above already marked its resources dirty;
+  // force-list it too, since a never-rated flow has no rate for the
+  // flush's binding test to classify.
+  if (pending_marks_.empty() && pending_forced_.empty()) {
+    batch_start_seq_ = recompute_seq_;
   }
-  return id;
+  pending_forced_.push_back(index);
+  return FlowId(static_cast<std::int32_t>(index));
 }
 
 double FluidNetwork::ResourceShare(ResourceId r, int z, SimTime now) const {
@@ -201,10 +169,6 @@ double FluidNetwork::CurrentRate(FlowIndex index, SimTime now) const {
     const int z = resource_active_[static_cast<std::size_t>(r.value)];
     rate = std::min(rate, ResourceShare(r, z, now));
   }
-#if defined(RESCCL_FLUID_ORACLE)
-  RESCCL_CHECK_MSG(rate == OracleRate(index, now),
-                   "SoA rate walk diverged from the pre-SoA oracle");
-#endif
   return rate;
 }
 
@@ -224,7 +188,7 @@ void FluidNetwork::UpdateResourceCounts(std::span<const ResourceId> resources,
     const int before = resource_active_[ri];
     resource_active_[ri] += delta;
     RESCCL_CHECK(resource_active_[ri] >= 0);
-    if (!naive_rerate_) MarkResource(ri, before, resource_active_[ri]);
+    MarkResource(ri, before, resource_active_[ri]);
     if (before == 0 && delta > 0) {
       resource_busy_since_[ri] = now;
     } else if (resource_active_[ri] == 0 && delta < 0) {
@@ -249,34 +213,6 @@ void FluidNetwork::MarkResource(std::size_t ri, int z_before, int z_after) {
     pending_marks_.push_back(
         {ri, z_before, std::min(z_before, z_after), std::max(z_before, z_after)});
   }
-}
-
-void FluidNetwork::RecomputeAffected(std::span<const ResourceId> resources,
-                                     SimTime now) {
-  // Naive reference walk (the seed behavior): one full recompute per
-  // (resource, flow) incidence — a flow sharing k resources with the
-  // trigger is re-integrated k times, and every start/complete pays its own
-  // walk even when several land on the same timestamp. Kept as the
-  // perf-harness baseline; the deferred flush matches its timing to
-  // relative fp tolerance (see fluid.h). Scratch is per recursion depth
-  // (completion callbacks can start flows, nesting walks) and held in a
-  // deque so growing it never invalidates an outer walk's reference.
-  RESCCL_CHECK(naive_rerate_);
-  if (walk_scratch_.size() <= walk_depth_) walk_scratch_.emplace_back();
-  WalkScratch& scratch = walk_scratch_[walk_depth_];
-  ++walk_depth_;
-  // Copy before any re-rate: a nested completion can recycle the arena
-  // span (or grow the pool) that `resources` views into.
-  scratch.resources.assign(resources.begin(), resources.end());
-  for (ResourceId r : scratch.resources) {
-    const auto ri = static_cast<std::size_t>(r.value);
-    scratch.affected = resource_flows_[ri];  // copy: re-rates mutate it
-    stats_.walk_visits += scratch.affected.size();
-    for (FlowIndex fi : scratch.affected) {
-      if (flows_.active[fi] != 0) RecomputeFlow(fi, now, /*allow_skip=*/false);
-    }
-  }
-  --walk_depth_;
 }
 
 std::uint64_t FluidNetwork::BucketKey(double rate, bool capped) {
@@ -306,8 +242,8 @@ void FluidNetwork::InsertIntoBuckets(FlowIndex index) {
         slot = rb.free.back();
         rb.free.pop_back();
       } else {
-        slot = static_cast<std::uint32_t>(rb.buckets.size());
-        rb.buckets.emplace_back();
+        slot = rb.end++;
+        if (slot == rb.buckets.size()) rb.buckets.emplace_back();
       }
       Bucket& fresh = rb.buckets[slot];
       fresh.rate = rate;
@@ -320,15 +256,9 @@ void FluidNetwork::InsertIntoBuckets(FlowIndex index) {
     refs[k] = {slot, static_cast<std::uint32_t>(b.flows.size())};
     b.flows.push_back(index);
   }
-#if defined(RESCCL_FLUID_ORACLE)
-  flows_.oracle[index].bucket_refs.assign(refs.begin(), refs.end());
-#endif
 }
 
 void FluidNetwork::RemoveFromBuckets(FlowIndex index) {
-#if defined(RESCCL_FLUID_ORACLE)
-  OracleCheckRefs(index);
-#endif
   const PathSpanArena::Span sp = flows_.span[index];
   const std::span<const ResourceId> res = arena_.resources(sp);
   const std::span<const BucketRef> refs =
@@ -350,9 +280,6 @@ void FluidNetwork::RemoveFromBuckets(FlowIndex index) {
       for (std::size_t k2 = 0; k2 < mres.size(); ++k2) {
         if (mres[k2] == res[k]) {
           mrefs[k2].pos = pos;
-#if defined(RESCCL_FLUID_ORACLE)
-          flows_.oracle[moved].bucket_refs[k2].pos = pos;
-#endif
           break;
         }
       }
@@ -362,9 +289,6 @@ void FluidNetwork::RemoveFromBuckets(FlowIndex index) {
       rb.free.push_back(refs[k].bucket);
     }
   }
-#if defined(RESCCL_FLUID_ORACLE)
-  flows_.oracle[index].bucket_refs.clear();
-#endif
 }
 
 void FluidNetwork::BumpBucketReseq(FlowIndex index) {
@@ -454,7 +378,9 @@ bool FluidNetwork::FlushDeferred() {
       const double s_hi = ResourceShare(r, m.z_hi, now);  // smallest share
       const double s_lo =
           ResourceShare(r, m.z_lo > 0 ? m.z_lo : 1, now);  // largest share
-      for (const Bucket& b : resource_buckets_[m.ri].buckets) {
+      const ResourceBuckets& rb = resource_buckets_[m.ri];
+      for (std::uint32_t bi = 0; bi < rb.end; ++bi) {
+        const Bucket& b = rb.buckets[bi];
         ++stats_.walk_visits;
         if (b.flows.empty()) continue;  // free-listed slot
         bool maybe_changed;
@@ -516,24 +442,21 @@ void FluidNetwork::RecomputeFlow(FlowIndex index, SimTime now,
     // already been consumed and the flow must either complete or requeue.
     // The flow keeps its buckets, but their max_reseq must track the fresh
     // reseq or the next flush would misclassify it as pre-batch-rated.
-    if (!naive_rerate_) BumpBucketReseq(index);
+    BumpBucketReseq(index);
     ++stats_.rate_unchanged_skips;
     return;
   }
   if (rate_log_enabled_) LogRateChange(index, now, rate - flows_.rate[index]);
-  if (!naive_rerate_) {
-    // Refile under the new rate's bucket; an unchanged-rate wake (slot
-    // events reaching here with allow_skip=false) keeps its buckets and
-    // just propagates the fresh reseq.
-    if (rate != flows_.rate[index]) {
-      RemoveFromBuckets(index);
-      flows_.rate[index] = rate;
-      InsertIntoBuckets(index);
-    } else {
-      BumpBucketReseq(index);
-    }
+  // Refile under the new rate's bucket; an unchanged-rate wake (slot events
+  // reaching here with allow_skip=false) keeps its buckets and just
+  // propagates the fresh reseq.
+  if (rate != flows_.rate[index]) {
+    RemoveFromBuckets(index);
+    flows_.rate[index] = rate;
+    InsertIntoBuckets(index);
+  } else {
+    BumpBucketReseq(index);
   }
-  flows_.rate[index] = rate;
   const SimTime done = now + SimTime::Us(flows_.remaining[index] / rate);
   // If the residue would drain in less than one representable time
   // increment, the completion event would fire at `now` again with zero
@@ -563,34 +486,16 @@ void FluidNetwork::Complete(FlowIndex index, SimTime now) {
   flows_.rate[index] = 0.0;
   queue_.FreeSlot(flows_.slot[index]);
   const PathSpanArena::Span sp = flows_.span[index];
+  // Marks the path dirty: the flush before the next clock advance re-rates
+  // the peers this completion speeds up.
   UpdateResourceCounts(arena_.resources(sp), -1, now);
-  if (naive_rerate_) {
-    for (ResourceId r : arena_.resources(sp)) {
-      auto& list = resource_flows_[static_cast<std::size_t>(r.value)];
-      const auto it = std::find(list.begin(), list.end(), index);
-      RESCCL_CHECK(it != list.end());
-      *it = list.back();  // swap-remove: order within a list is irrelevant
-      list.pop_back();
-    }
-  } else {
-    RemoveFromBuckets(index);
-  }
+  RemoveFromBuckets(index);
   --active_count_;
   CompletionFn cb = std::move(flows_.on_complete[index]);
-  // The entry is recyclable from here on — a StartFlow nested in the walk
-  // below (via a peer's completion callback) may hand it out again — so
-  // don't touch the flow's lanes past this point.
+  // The entry is recyclable from here on — a StartFlow from the callback
+  // below may hand it out again — so don't touch the flow's lanes past
+  // this point.
   free_flows_.push_back(index);
-  if (naive_rerate_) {
-    // Peers sharing resources speed up now that this flow is gone; the
-    // naive reference walks inline. It copies the list before re-rating
-    // anything, so the view into the not-yet-released span is safe; the
-    // span itself is only released afterwards, so no nested StartFlow can
-    // alias it mid-walk.
-    RecomputeAffected(arena_.resources(sp), now);
-  }
-  // In the incremental mode UpdateResourceCounts above already marked the
-  // path dirty and the flush before the next clock advance re-rates peers.
   arena_.Release(sp);
   // Fire completion last: the callback may start new flows.
   if (cb) cb(now);
@@ -622,19 +527,11 @@ void FluidNetwork::DebugValidate() const {
     RESCCL_CHECK_MSG(arena_.SpanInBounds(sp), "active flow span out of pool");
     const std::span<const ResourceId> res = arena_.resources(sp);
     RESCCL_CHECK(!res.empty());
-    if (naive_rerate_) {
-      for (ResourceId r : res) {
-        const auto& list = resource_flows_[static_cast<std::size_t>(r.value)];
-        RESCCL_CHECK(std::find(list.begin(), list.end(),
-                               static_cast<FlowIndex>(i)) != list.end());
-      }
-      continue;
-    }
     const std::span<const BucketRef> refs = arena_.bucket_refs(sp);
     for (std::size_t k = 0; k < res.size(); ++k) {
       const ResourceBuckets& rb =
           resource_buckets_[static_cast<std::size_t>(res[k].value)];
-      RESCCL_CHECK(refs[k].bucket < rb.buckets.size());
+      RESCCL_CHECK(refs[k].bucket < rb.end);
       const Bucket& b = rb.buckets[refs[k].bucket];
       RESCCL_CHECK_MSG(refs[k].pos < b.flows.size() &&
                            b.flows[refs[k].pos] == static_cast<FlowIndex>(i),
@@ -648,36 +545,5 @@ void FluidNetwork::DebugValidate() const {
   RESCCL_CHECK_MSG(arena_.live_spans() == live,
                    "arena live-span count out of sync with active flows");
 }
-
-#if defined(RESCCL_FLUID_ORACLE)
-double FluidNetwork::OracleRate(FlowIndex index, SimTime now) const {
-  const FlowSoA::OracleFlow& of = flows_.oracle[index];
-  double rate = flows_.cap[index];
-  for (ResourceId r : of.resources) {
-    const int z = resource_active_[static_cast<std::size_t>(r.value)];
-    rate = std::min(rate, ResourceShare(r, z, now));
-  }
-  return rate;
-}
-
-void FluidNetwork::OracleCheckRefs(FlowIndex index) const {
-  const PathSpanArena::Span sp = flows_.span[index];
-  const std::span<const ResourceId> res = arena_.resources(sp);
-  const std::span<const BucketRef> refs = arena_.bucket_refs(sp);
-  const FlowSoA::OracleFlow& of = flows_.oracle[index];
-  RESCCL_CHECK_MSG(of.resources.size() == res.size(),
-                   "oracle path mirror diverged in length");
-  for (std::size_t k = 0; k < res.size(); ++k) {
-    RESCCL_CHECK_MSG(of.resources[k] == res[k],
-                     "oracle path mirror diverged in contents");
-  }
-  RESCCL_CHECK(of.bucket_refs.size() == res.size());
-  for (std::size_t k = 0; k < res.size(); ++k) {
-    RESCCL_CHECK_MSG(of.bucket_refs[k].bucket == refs[k].bucket &&
-                         of.bucket_refs[k].pos == refs[k].pos,
-                     "oracle bucket-ref mirror diverged");
-  }
-}
-#endif
 
 }  // namespace resccl

@@ -26,9 +26,10 @@
 // Skipped flows keep their queued completion events and defer integration
 // to their next re-rate; that is exact, not an approximation, because a
 // skipped flow's rate is constant over the deferred span. (Deferral does
-// reassociate the floating-point partial sums, so the incremental path
-// matches the naive reference walk to relative fp tolerance rather than
-// bit-exactly; each path on its own stays fully deterministic.) Completed
+// reassociate the floating-point partial sums, so the walk matches a solver
+// that recomputes every rate at every timestamp — the trace-replay
+// reference in tests/fluid_reference.h — to relative fp tolerance rather
+// than bit-exactly; on its own the walk is fully deterministic.) Completed
 // Flow entries and their event-queue slots recycle through free lists, so
 // arbitrarily long simulations run in bounded memory with no steady-state
 // allocation.
@@ -54,10 +55,7 @@
 // {begin, len} spans instead of per-flow heap vectors; the per-resource
 // bucket-key index is an open-addressed flat table (sim/flat_map.h); the
 // hot scalars (rate, remaining, last_update, span) are parallel arrays the
-// flush walks contiguously. With RESCCL_FLUID_ORACLE defined, every flow
-// additionally keeps the pre-SoA per-flow vectors as a mirror and the rate
-// walk cross-checks the two layouts bit-exactly — the build-time oracle
-// the arena property test runs under.
+// flush walks contiguously.
 //
 // With a FaultPlan attached, capacity(r) additionally carries the plan's
 // time-varying degradation scale; flows crossing a fault-window boundary are
@@ -66,7 +64,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -93,35 +90,24 @@ class FluidNetwork {
   // recycling a completed flow's entry is a byte copy, not a manager call.
   using CompletionFn = TrivialInplaceFunction<void(SimTime now), 48>;
 
-#if defined(RESCCL_FLUID_ORACLE)
-  static constexpr bool kOracleEnabled = true;
-#else
-  static constexpr bool kOracleEnabled = false;
-#endif
-
-  // Re-rate accounting, monotonic over the network's lifetime. The perf
-  // harness (bench/micro_sim) asserts the incremental walk's
-  // recompute_calls stay well under the naive walk's on real workloads.
+  // Re-rate accounting since construction or the last Reset. A reused
+  // network counts exactly what a fresh one would; the perf harnesses
+  // (bench/micro_sim, bench/micro_scale) pin these counters exactly.
   struct Stats {
     std::uint64_t flows_started = 0;
     std::uint64_t flows_recycled = 0;  // entries reused from the free list
     std::uint64_t recompute_calls = 0;  // RecomputeFlow invocations
-    std::uint64_t walk_visits = 0;  // O(1) binding tests: (resource, bucket)
-                                    // in the aggregated incremental walk,
-                                    // (resource, flow) in the naive walk
+    std::uint64_t walk_visits = 0;  // O(1) binding tests, one per
+                                    // (dirty resource, bucket) pair
     std::uint64_t binding_skips = 0;  // flows proven unchanged w/o recompute
     std::uint64_t rate_unchanged_skips = 0;  // recomputed, rate identical
     std::uint64_t reschedules = 0;  // completion/wake events (re)queued
   };
 
   // `faults` (optional, unowned, must outlive the network) degrades
-  // per-resource capacity over the plan's time windows. `naive_rerate`
-  // selects the reference O(flows × path-length) re-rate walk (one full
-  // recompute per shared (resource, flow) incidence, no skipping) — the
-  // seed behavior, kept as the perf-harness baseline; the incremental walk
-  // matches its timing to relative fp tolerance (see the header comment).
+  // per-resource capacity over the plan's time windows.
   FluidNetwork(const Topology& topo, const CostModel& cost, EventQueue& queue,
-               const FaultPlan* faults = nullptr, bool naive_rerate = false);
+               const FaultPlan* faults = nullptr);
   // Unregisters the advance hook; the queue must still be alive (declare
   // the network after the queue, or on the same scope below it).
   ~FluidNetwork();
@@ -205,10 +191,14 @@ class FluidNetwork {
   // Per-resource bucket table. Bucket indices are stable (a free list
   // recycles emptied slots), so BucketRefs stay valid while the table
   // grows; `by_key` maps the exact (rate bits, cap-bound) key to its
-  // bucket. Iteration for the flush scan is over the dense `buckets`
-  // vector, never the map — deterministic order, replay-stable.
+  // bucket. Slots in use are [0, end); Reset rewinds `end` to 0 and keeps
+  // the warmed Bucket storage past it, so a reused network hands out slots
+  // in the same order as a fresh one. Iteration for the flush scan is over
+  // the dense `buckets[0, end)` range, never the map — deterministic
+  // order, independent of what the network ran before.
   struct ResourceBuckets {
     std::vector<Bucket> buckets;
+    std::uint32_t end = 0;
     std::vector<std::uint32_t> free;
     FlatMap64 by_key;
   };
@@ -228,15 +218,6 @@ class FluidNetwork {
     std::vector<std::uint64_t> visit_stamp;  // epoch of last flush visit
     std::vector<std::uint8_t> active;
     std::vector<CompletionFn> on_complete;
-#if defined(RESCCL_FLUID_ORACLE)
-    // Pre-SoA mirror: the per-flow heap vectors the arena replaced. The
-    // oracle build maintains them in lockstep and cross-checks every walk.
-    struct OracleFlow {
-      std::vector<ResourceId> resources;
-      std::vector<BucketRef> bucket_refs;
-    };
-    std::vector<OracleFlow> oracle;
-#endif
 
     [[nodiscard]] std::size_t size() const { return rate.size(); }
     void PushDefault();
@@ -255,26 +236,15 @@ class FluidNetwork {
     int z_hi;
   };
 
-  // Scratch for one RecomputeAffected invocation. Held in a deque indexed
-  // by recursion depth (completion callbacks can start flows, nesting
-  // walks) so references stay stable and capacity is reused — the walk
-  // allocates nothing in steady state.
-  struct WalkScratch {
-    std::vector<ResourceId> resources;   // stable copy of the trigger path
-    std::vector<FlowIndex> affected;     // deduped flow indices to re-rate
-  };
-
   [[nodiscard]] std::span<const ResourceId> PathOf(FlowIndex index) const {
     return arena_.resources(flows_.span[index]);
   }
 
   void UpdateResourceCounts(std::span<const ResourceId> resources, int delta,
                             SimTime now);
-  // Naive reference walk only; the incremental path defers to FlushDeferred.
-  void RecomputeAffected(std::span<const ResourceId> resources, SimTime now);
-  // Aggregated incremental mode: (re)files the flow under the bucket
-  // matching its current rate on every path resource / unfiles it (on
-  // completion or before a rate change refiles it).
+  // (Re)files the flow under the bucket matching its current rate on every
+  // path resource / unfiles it (on completion or before a rate change
+  // refiles it).
   void InsertIntoBuckets(FlowIndex index);
   void RemoveFromBuckets(FlowIndex index);
   // Rate-unchanged skips still advance the flow's reseq; its buckets'
@@ -294,12 +264,6 @@ class FluidNetwork {
   [[nodiscard]] double CurrentRate(FlowIndex index, SimTime now) const;
   [[nodiscard]] SimTime NextFaultTransition(FlowIndex index,
                                             SimTime now) const;
-#if defined(RESCCL_FLUID_ORACLE)
-  // Rate recomputed over the pre-SoA mirror's own vectors; the SoA walk
-  // must match it bit-exactly (checked at every CurrentRate call).
-  [[nodiscard]] double OracleRate(FlowIndex index, SimTime now) const;
-  void OracleCheckRefs(FlowIndex index) const;
-#endif
 
   const Topology& topo_;
   const CostModel& cost_;
@@ -309,10 +273,7 @@ class FluidNetwork {
   PathSpanArena arena_;                              // path + bucket-ref CSR
   std::vector<FlowIndex> free_flows_;                // recyclable entries
   std::vector<int> resource_active_;                 // per-resource flow count
-  // Per-resource active flow ids — naive reference mode only; the
-  // aggregated incremental mode tracks membership via resource_buckets_.
-  std::vector<std::vector<FlowIndex>> resource_flows_;
-  std::vector<ResourceBuckets> resource_buckets_;    // incremental mode only
+  std::vector<ResourceBuckets> resource_buckets_;    // per-resource members
   std::vector<ResourceUsage> usage_;
   std::vector<SimTime> resource_busy_since_;
   // Last (count → share) computed per resource, valid only in the
@@ -321,11 +282,9 @@ class FluidNetwork {
   // topology is fixed for the network's lifetime.
   mutable std::vector<int> share_cache_z_;
   mutable std::vector<double> share_cache_val_;
-  std::deque<WalkScratch> walk_scratch_;
-  std::size_t walk_depth_ = 0;
   std::uint64_t visit_epoch_ = 0;
-  // Deferred re-rate state (incremental mode). pending_marks_ accumulates
-  // dirty resources for the current timestamp; mark_stamp_/mark_index_
+  // Deferred re-rate state. pending_marks_ accumulates dirty resources
+  // for the current timestamp; mark_stamp_/mark_index_
   // dedup marks per resource (epoch-guarded, no clearing pass);
   // pending_forced_ holds flows started this timestamp, which have no rate
   // yet and must be rated at flush regardless of the binding test.
@@ -341,7 +300,6 @@ class FluidNetwork {
   std::vector<FlowIndex> flush_affected_;      // flush scratch (reused)
   bool in_flush_ = false;
   int active_count_ = 0;
-  bool naive_rerate_ = false;
   bool rate_log_enabled_ = false;
   std::vector<RateDelta> rate_log_;
   Stats stats_;

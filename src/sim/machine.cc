@@ -48,9 +48,8 @@ struct SimMachine::BarrierState {
   std::vector<SimTime> parked_since;
 };
 
-SimMachine::SimMachine(const Topology& topo, const CostModel& cost,
-                       bool naive_rerate)
-    : topo_(topo), cost_(cost), naive_rerate_(naive_rerate) {}
+SimMachine::SimMachine(const Topology& topo, const CostModel& cost)
+    : topo_(topo), cost_(cost) {}
 
 SimMachine::~SimMachine() = default;
 
@@ -78,7 +77,7 @@ void SimMachine::RunInto(const SimProgram& program, const FaultPlan* faults,
   // live flows behind; FluidNetwork::Reset handles that too.)
   if (!queue_.has_value()) {
     queue_.emplace();
-    net_.emplace(topo_, cost_, *queue_, faults_, naive_rerate_);
+    net_.emplace(topo_, cost_, *queue_, faults_);
   } else {
     queue_->Reset();
     net_->Reset(faults_);

@@ -197,11 +197,7 @@ struct SimRunReport {
 
 class SimMachine {
  public:
-  // `naive_rerate` selects the fluid model's reference re-rate walk
-  // (fluid.h) — equal timing to relative fp tolerance but asymptotically
-  // slower; it exists as the perf harness baseline.
-  SimMachine(const Topology& topo, const CostModel& cost,
-             bool naive_rerate = false);
+  SimMachine(const Topology& topo, const CostModel& cost);
   ~SimMachine();  // out-of-line: members hold nested types private to the .cc
   SimMachine(const SimMachine&) = delete;
   SimMachine& operator=(const SimMachine&) = delete;
@@ -255,7 +251,6 @@ class SimMachine {
   const CostModel& cost_;
   const SimProgram* program_ = nullptr;
   const FaultPlan* faults_ = nullptr;
-  bool naive_rerate_ = false;
 
   std::optional<EventQueue> queue_;
   std::optional<FluidNetwork> net_;

@@ -1,8 +1,10 @@
 // Shared labeled algorithm-factory table for the property suites: every
 // library algorithm that runs on an arbitrary topology (20 entries). Used
-// by the fault-injection sweep (test_faults_property.cc) and the
-// observability sweep (test_obs_property.cc) so both cover the identical
-// algorithm library.
+// by the fault-injection sweep (test_faults_property.cc), the
+// observability sweep (test_obs_property.cc), the bound soundness sweep
+// (test_bounds_property.cc) and the fluid reference sweep
+// (test_fluid_reference.cc) so all cover the identical algorithm library.
+// The last two also share the topology table below.
 #pragma once
 
 #include <string>
@@ -74,6 +76,23 @@ inline std::vector<AlgoCase> AlgorithmCases() {
       {"taccl_ar", algorithms::TacclLikeAllReduce},
       {"teccl_ag", algorithms::TecclLikeAllGather},
       {"teccl_ar", algorithms::TecclLikeAllReduce},
+  };
+}
+
+struct TopoCase {
+  std::string label;
+  TopologySpec (*make)();
+};
+
+// The paper testbed shape, a single homogeneous node, and an oversubscribed
+// rail-aligned Clos — the binding resource is a NIC pool, the GPU fabric,
+// or a thinned trunk respectively.
+inline std::vector<TopoCase> TopoCases() {
+  return {
+      {"a100_2x4", [] { return presets::A100(2, 4); }},
+      {"a100_1x8", [] { return presets::A100(1, 8); }},
+      {"railclos_8x2",
+       [] { return presets::RailClos(8, 2, 2, 4, /*oversubscription=*/2.0); }},
   };
 }
 

@@ -25,23 +25,8 @@ namespace {
 using tests::AlgoCase;
 using tests::AlgorithmCases;
 using tests::JsonChecker;
-
-struct TopoCase {
-  std::string label;
-  TopologySpec (*make)();
-};
-
-// The paper testbed shape, a single homogeneous node, and an oversubscribed
-// rail-aligned Clos — the bound must hold whether the binding cut is a NIC
-// pool, the GPU fabric, or a thinned trunk.
-std::vector<TopoCase> TopoCases() {
-  return {
-      {"a100_2x4", [] { return presets::A100(2, 4); }},
-      {"a100_1x8", [] { return presets::A100(1, 8); }},
-      {"railclos_8x2",
-       [] { return presets::RailClos(8, 2, 2, 4, /*oversubscription=*/2.0); }},
-  };
-}
+using tests::TopoCase;
+using tests::TopoCases;
 
 class BoundSoundness
     : public ::testing::TestWithParam<

@@ -9,14 +9,11 @@
 //     accounting balances to the cell: pool == live cells + free cells.
 //
 //  2. FluidNetwork under a randomized flow workload: the incremental
-//     (aggregated-bucket) re-rate walk must match the naive reference walk
-//     on every completion time to 1e-9 relative tolerance (the deferred
-//     flush reassociates fp sums — see fluid.h — so agreement is fp-tight,
-//     not bit-exact), each mode on its own must be bit-identical across
-//     repeat runs, and DebugValidate must hold mid-run. Building with
-//     -DRESCCL_FLUID_ORACLE=ON (the ASan CI job) additionally cross-checks
-//     every rate walk against the pre-SoA oracle layout from inside
-//     CurrentRate.
+//     (aggregated-bucket) re-rate walk must match the trace-replay
+//     reference (fluid_reference.h) on every completion time to 1e-9
+//     relative tolerance (the deferred flush reassociates fp sums — see
+//     fluid.h — so agreement is fp-tight, not bit-exact), repeat runs must
+//     be bit-identical, and DebugValidate must hold mid-run.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -27,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fluid_reference.h"
 #include "sim/event_queue.h"
 #include "sim/fluid.h"
 #include "sim/span_arena.h"
@@ -136,14 +134,13 @@ std::vector<FlowSpec> MakeWorkload(const Topology& topo, std::uint32_t seed,
   return specs;
 }
 
-// Runs the workload in the given mode and returns per-flow completion
-// times (indexed by flow number; every flow must complete).
+// Runs the workload and returns per-flow completion times (indexed by flow
+// number; every flow must complete).
 std::vector<double> RunWorkload(const Topology& topo,
-                                const std::vector<FlowSpec>& specs,
-                                bool naive_rerate) {
+                                const std::vector<FlowSpec>& specs) {
   const CostModel cost;
   EventQueue queue;
-  FluidNetwork net(topo, cost, queue, /*faults=*/nullptr, naive_rerate);
+  FluidNetwork net(topo, cost, queue);
   std::vector<double> done_us(specs.size(), -1.0);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const FlowSpec* spec = &specs[i];
@@ -166,27 +163,30 @@ std::vector<double> RunWorkload(const Topology& topo,
   return done_us;
 }
 
-TEST(FluidNetworkProperty, IncrementalWalkMatchesNaiveAcrossRandomWorkloads) {
+TEST(FluidNetworkProperty, WalkMatchesReferenceOnRandomWorkloads) {
   const Topology topo(presets::A100(2, 8));
   constexpr int kSeeds = 20;
   constexpr int kFlows = 120;
   for (std::uint32_t seed = 0; seed < kSeeds; ++seed) {
     const std::vector<FlowSpec> specs = MakeWorkload(topo, seed, kFlows);
-    const std::vector<double> incr = RunWorkload(topo, specs, false);
-    const std::vector<double> naive = RunWorkload(topo, specs, true);
-    ASSERT_EQ(incr.size(), naive.size());
+    const std::vector<double> incr = RunWorkload(topo, specs);
+    std::vector<tests::ReferenceFlow> flows;
+    for (const FlowSpec& s : specs) {
+      flows.push_back({s.start, s.bytes, s.cap.bytes_per_us(),
+                       s.path.resources});
+    }
+    const tests::ReferenceResult ref = tests::SolveReference(topo, flows);
     for (std::size_t i = 0; i < incr.size(); ++i) {
-      const double scale = std::max(std::abs(incr[i]), std::abs(naive[i]));
-      const double relerr =
-          scale > 0 ? std::abs(incr[i] - naive[i]) / scale : 0.0;
+      const double want = ref.complete[i].us();
+      const double scale = std::max(std::abs(incr[i]), std::abs(want));
+      const double relerr = scale > 0 ? std::abs(incr[i] - want) / scale : 0.0;
       ASSERT_LE(relerr, 1e-9)
           << "seed " << seed << " flow " << i << ": incremental " << incr[i]
-          << "us vs naive " << naive[i] << "us";
+          << "us vs reference " << want << "us";
     }
-    // Determinism within a mode is exact, not merely within tolerance.
-    const std::vector<double> incr2 = RunWorkload(topo, specs, false);
-    ASSERT_EQ(incr, incr2) << "seed " << seed
-                           << ": repeat incremental run diverged";
+    // Repeat runs are exact, not merely within tolerance.
+    ASSERT_EQ(incr, RunWorkload(topo, specs))
+        << "seed " << seed << ": repeat incremental run diverged";
   }
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "fluid_reference.h"
 #include "sim/faults.h"
 #include "sim/fluid.h"
 #include "topology/topology.h"
@@ -253,63 +254,48 @@ TEST_F(FluidTest, WindowAfterCompletionHasNoEffect) {
 // --- Incremental re-rate accounting (stats()) ------------------------------
 
 // A solo flow costs exactly two RecomputeFlow calls on the incremental
-// walk: the deferred-flush rating at start and the completion wake. The
-// naive reference pays one call per (resource, flow) incidence at start —
-// the duplicate-re-rate behavior the incremental walk eliminates — plus
-// the wake.
+// walk: the deferred-flush rating at start and the completion wake. Its
+// completion matches the trace-replay reference (fluid_reference.h).
 TEST_F(FluidTest, SoloFlowRerateCounts) {
   const Path& path = topo_.PathBetween(0, 1);
-  const auto len = path.resources.size();
+  const Bandwidth cap = Bandwidth::GBps(1000);
 
   SimTime done = SimTime::Zero();
-  net_.StartFlow(path, Size::MiB(1).bytes(), Bandwidth::GBps(1000),
+  net_.StartFlow(path, Size::MiB(1).bytes(), cap,
                  [&](SimTime t) { done = t; });
   RunAll();
   EXPECT_EQ(net_.stats().recompute_calls, 2u);
   EXPECT_EQ(net_.stats().reschedules, 1u);
 
-  EventQueue naive_queue;
-  FluidNetwork naive(topo_, cost_, naive_queue, nullptr,
-                     /*naive_rerate=*/true);
-  SimTime naive_done = SimTime::Zero();
-  naive.StartFlow(path, Size::MiB(1).bytes(), Bandwidth::GBps(1000),
-                  [&](SimTime t) { naive_done = t; });
-  while (naive_queue.RunOne()) {
-  }
-  EXPECT_EQ(naive.stats().recompute_calls, len + 1);
-  EXPECT_NEAR(done.us(), naive_done.us(), naive_done.us() * 1e-9);
+  const tests::ReferenceFlow flows[] = {
+      {SimTime::Zero(), Size::MiB(1).bytes(), cap.bytes_per_us(),
+       path.resources}};
+  const SimTime want = tests::SolveReference(topo_, flows).complete[0];
+  EXPECT_NEAR(done.us(), want.us(), want.us() * 1e-9);
 }
 
-// Two flows sharing a path, distinct sizes. Incremental: one coalesced
-// flush rates both at start (2), the first completion wake (1) triggers a
-// single re-rate of the survivor at the flush (1), and the survivor's own
-// wake completes it (1) — 5 total, independent of path length. Naive: the
-// second start re-walks both flows per incidence and the first completion
-// re-rates the survivor once per shared resource — 4·len + 2.
+// Two flows sharing a path, distinct sizes: one coalesced flush rates both
+// at start (2), the first completion wake (1) triggers a single re-rate of
+// the survivor at the flush (1), and the survivor's own wake completes it
+// (1) — 5 total, independent of path length.
 TEST_F(FluidTest, SharedPathRerateCountsCoalesceAndDedup) {
   const Path& path = topo_.PathBetween(0, 1);
-  const auto len = path.resources.size();
+  const Bandwidth cap = Bandwidth::GBps(1000);
 
   SimTime done = SimTime::Zero();
-  net_.StartFlow(path, Size::MiB(1).bytes(), Bandwidth::GBps(1000),
-                 [](SimTime) {});
-  net_.StartFlow(path, Size::MiB(2).bytes(), Bandwidth::GBps(1000),
+  net_.StartFlow(path, Size::MiB(1).bytes(), cap, [](SimTime) {});
+  net_.StartFlow(path, Size::MiB(2).bytes(), cap,
                  [&](SimTime t) { done = t; });
   RunAll();
   EXPECT_EQ(net_.stats().recompute_calls, 5u);
 
-  EventQueue naive_queue;
-  FluidNetwork naive(topo_, cost_, naive_queue, nullptr,
-                     /*naive_rerate=*/true);
-  SimTime naive_done = SimTime::Zero();
-  naive.StartFlow(path, Size::MiB(1).bytes(), Bandwidth::GBps(1000),
-                  [](SimTime) {});
-  naive.StartFlow(path, Size::MiB(2).bytes(), Bandwidth::GBps(1000),
-                  [&](SimTime t) { naive_done = t; });
-  while (naive_queue.RunOne()) {
-  }
-  EXPECT_EQ(naive.stats().recompute_calls, 4 * len + 2);
-  EXPECT_NEAR(done.us(), naive_done.us(), naive_done.us() * 1e-9);
+  const tests::ReferenceFlow flows[] = {
+      {SimTime::Zero(), Size::MiB(1).bytes(), cap.bytes_per_us(),
+       path.resources},
+      {SimTime::Zero(), Size::MiB(2).bytes(), cap.bytes_per_us(),
+       path.resources}};
+  const SimTime want = tests::SolveReference(topo_, flows).complete[1];
+  EXPECT_NEAR(done.us(), want.us(), want.us() * 1e-9);
 }
 
 // Sequentially re-running flows must recycle Flow entries and event-queue

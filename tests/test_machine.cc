@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
 
+#include "algorithms/hierarchical.h"
+#include "algorithms/synthesized.h"
+#include "runtime/backend.h"
+#include "runtime/lowering.h"
 #include "sim/machine.h"
 #include "topology/topology.h"
 
@@ -193,6 +200,68 @@ TEST_F(MachineTest, ReusableAcrossRuns) {
   const SimRunReport a = machine.Run(SingleTransfer(0, 1, 1 << 20));
   const SimRunReport b = machine.Run(SingleTransfer(0, 1, 1 << 20));
   EXPECT_EQ(a.makespan, b.makespan);
+}
+
+auto StatsTuple(const FluidNetwork::Stats& s) {
+  return std::make_tuple(s.flows_started, s.flows_recycled, s.recompute_calls,
+                         s.walk_visits, s.binding_skips,
+                         s.rate_unchanged_skips, s.reschedules);
+}
+
+void ExpectSameRun(const SimRunReport& a, const SimRunReport& b) {
+  EXPECT_EQ(a.makespan.us(), b.makespan.us());
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(StatsTuple(a.fluid), StatsTuple(b.fluid));
+  EXPECT_EQ(a.queue.popped, b.queue.popped);
+  EXPECT_EQ(a.queue.skipped_stale, b.queue.skipped_stale);
+  EXPECT_EQ(a.queue.peak_heap, b.queue.peak_heap);
+  ASSERT_EQ(a.tbs.size(), b.tbs.size());
+  for (std::size_t i = 0; i < a.tbs.size(); ++i) {
+    EXPECT_EQ(a.tbs[i].busy.us(), b.tbs[i].busy.us());
+    EXPECT_EQ(a.tbs[i].sync.us(), b.tbs[i].sync.us());
+    EXPECT_EQ(a.tbs[i].finish.us(), b.tbs[i].finish.us());
+  }
+  ASSERT_EQ(a.transfers.size(), b.transfers.size());
+  for (std::size_t t = 0; t < a.transfers.size(); ++t) {
+    EXPECT_EQ(a.transfers[t].start.us(), b.transfers[t].start.us());
+    EXPECT_EQ(a.transfers[t].complete.us(), b.transfers[t].complete.us());
+  }
+  ASSERT_EQ(a.link_usage.size(), b.link_usage.size());
+  for (std::size_t r = 0; r < a.link_usage.size(); ++r) {
+    EXPECT_EQ(a.link_usage[r].bytes, b.link_usage[r].bytes);
+    EXPECT_EQ(a.link_usage[r].active.us(), b.link_usage[r].active.us());
+  }
+}
+
+// A reused machine runs every program exactly as a fresh one would — same
+// timing and the same event and re-rate counters, whatever it ran before.
+// The cells are the 2x8 replay workload's (three plans × four sizes), run
+// in mixed order on one warm machine.
+TEST(MachineReuse, WarmMachineMatchesFreshAcrossShapes) {
+  const Topology topo(presets::A100(2, 8));
+  const CostModel cost;
+  std::vector<SimProgram> programs;
+  for (const Algorithm& algo : {algorithms::HierarchicalMeshAllReduce(topo),
+                                algorithms::HierarchicalMeshAllGather(topo),
+                                algorithms::TacclLikeAllReduce(topo)}) {
+    const Result<PreparedPlan> prepared =
+        Prepare(algo, topo, BackendKind::kResCCL);
+    ASSERT_TRUE(prepared.ok());
+    for (const int mib : {8, 32, 128, 512}) {
+      LaunchConfig launch;
+      launch.buffer = Size::MiB(mib);
+      programs.push_back(Lower(prepared.value()->plan, cost, launch,
+                               topo.spec().channels_per_peer)
+                             .program);
+    }
+  }
+  SimMachine warm(topo, cost);
+  for (std::size_t k = 0; k < programs.size(); ++k) {
+    const std::size_t i = k * 5 % programs.size();  // 5 is coprime to 12
+    SCOPED_TRACE("cell " + std::to_string(i));
+    SimMachine fresh(topo, cost);
+    ExpectSameRun(warm.Run(programs[i]), fresh.Run(programs[i]));
+  }
 }
 
 }  // namespace
