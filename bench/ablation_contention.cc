@@ -1,8 +1,14 @@
 // Ablation: multi-job network contention (§4.4's "Network contention"
 // discussion). Two identical AllReduce jobs share the cluster; the table
 // reports each backend's isolated completion, co-run completion, and the
-// effective bandwidth retained under sharing. ResCCL's connection-limited
-// schedules keep the fabric out of the superlinear contention regime.
+// effective bandwidth retained under sharing (the merged report's algo_bw
+// over both buffers). ResCCL's connection-limited schedules keep the fabric
+// out of the superlinear contention regime.
+//
+// Self-checking: exits non-zero if any job's data fails to verify or any
+// job co-runs faster than it runs alone.
+#include <cstdio>
+
 #include "algorithms/hierarchical.h"
 #include "bench/bench_util.h"
 #include "runtime/multi_job.h"
@@ -19,6 +25,7 @@ int main() {
   const Topology topo(presets::A100(2, 8));
   TextTable table({"Backend", "isolated ms", "co-run ms", "slowdown",
                    "co-run agg GB/s"});
+  int failures = 0;
   for (BackendKind kind : {BackendKind::kNcclLike, BackendKind::kMscclLike,
                            BackendKind::kResCCL}) {
     JobSpec job;
@@ -33,14 +40,20 @@ int main() {
     job2.name = "ar2";
 
     const CoRunReport report = RunConcurrently({job, job2}, topo);
+    for (const JobOutcome& outcome : report.jobs) {
+      if (!outcome.verified || outcome.slowdown < 1.0 - 1e-9) {
+        std::fprintf(stderr, "FAIL: %s job %s: verified=%d slowdown=%.12f\n",
+                     BackendName(kind), outcome.name.c_str(),
+                     outcome.verified ? 1 : 0, outcome.slowdown);
+        ++failures;
+      }
+    }
     const JobOutcome& a = report.jobs[0];
-    const double agg_gbps =
-        2.0 * static_cast<double>(Size::MiB(256).bytes()) / 1e3 /
-        report.makespan.us();
     table.AddRow({BackendName(kind), Fixed(a.isolated.ms(), 2),
-                  Fixed(report.makespan.ms(), 2), Fixed(a.slowdown, 2) + "x",
-                  Fixed(agg_gbps, 1)});
+                  Fixed(report.merged.elapsed.ms(), 2),
+                  Fixed(a.slowdown, 2) + "x",
+                  Fixed(report.merged.algo_bw.gbps(), 1)});
   }
   std::printf("%s", table.ToString().c_str());
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -13,11 +13,11 @@
 //   1. A solo verified Execute — the 1024-rank composed AllReduce is not
 //      just simulated, the data engine replays it and checks every rank's
 //      result. Events/sec from this run is the throughput headline.
-//   2. A 4-job co-run (four copies of the lowered program merged into one
-//      machine, runtime/multi_job.h) — the contended regime the flow
-//      aggregation targets: dirty resources touch many flows at once, so
-//      the walk's cost per flow is what decides whether 1024 ranks are
-//      affordable. Reports re-rates and walk visits per flow.
+//   2. A 4-job co-run (four copies of the plan merged into one machine by
+//      an ExecContext co-run) — the contended regime the flow aggregation
+//      targets: dirty resources touch many flows at once, so the walk's
+//      cost per flow is what decides whether 1024 ranks are affordable.
+//      Reports re-rates and walk visits per flow.
 //
 // Self-checks:
 //   * The solo run completes with verified data at every size.
@@ -46,9 +46,6 @@
 #include "algorithms/composition.h"
 #include "bench/bench_util.h"
 #include "runtime/exec_context.h"
-#include "runtime/lowering.h"
-#include "runtime/multi_job.h"
-#include "sim/machine.h"
 
 using namespace resccl;
 using namespace resccl::bench;
@@ -98,7 +95,6 @@ struct ScalePoint {
 ScalePoint MeasureSize(int nodes, int racks) {
   const Topology topo(presets::RailClos(nodes, /*gpus_per_node=*/8,
                                         /*nics_per_node=*/4, racks));
-  const CostModel cost;
   ScalePoint p;
   p.ranks = topo.nranks();
   p.nodes = nodes;
@@ -141,13 +137,10 @@ ScalePoint MeasureSize(int nodes, int racks) {
   p.events_per_sec =
       p.wall_us > 0 ? static_cast<double>(p.events) / (p.wall_us / 1e6) : 0;
 
-  // Contended co-run: kCoJobs copies of the lowered program merged into
-  // one machine.
-  const LoweredProgram lowered = Lower(plan->plan, cost, request.launch);
-  SimProgram merged;
-  for (int j = 0; j < kCoJobs; ++j) AppendProgram(merged, lowered.program);
-  SimMachine machine(topo, cost);
-  p.co = machine.Run(merged).fluid;
+  // Contended co-run: kCoJobs copies of the plan merged into one machine.
+  const std::vector<ExecJob> jobs(kCoJobs, ExecJob{plan, request.launch});
+  ExecContext co;
+  p.co = co.Execute(jobs, request).sim.fluid;
   const auto flows = static_cast<double>(p.co.flows_started);
   p.rerates_per_flow = static_cast<double>(p.co.recompute_calls) / flows;
   p.visits_per_flow = static_cast<double>(p.co.walk_visits) / flows;

@@ -43,9 +43,6 @@
 #include "bench/bench_util.h"
 #include "obs/metrics.h"
 #include "runtime/exec_context.h"
-#include "runtime/lowering.h"
-#include "runtime/multi_job.h"
-#include "sim/machine.h"
 
 using namespace resccl;
 using namespace resccl::bench;
@@ -104,24 +101,21 @@ struct RerateMetrics {
 
 RerateMetrics RerateWorkload() {
   const Topology topo(presets::A100(2, 8));
-  const CostModel cost;
   const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
   const PreparedPlan plan = PrepareOrDie(algo, topo, BackendKind::kResCCL);
 
   // 4-job co-run: four copies of the collective merged into one machine
-  // (runtime/multi_job.h's AppendProgram), contending for the same links —
-  // the busy-resource regime §4.4 targets. Here dirty resources touch many
+  // (an ExecContext co-run), contending for the same links — the
+  // busy-resource regime §4.4 targets. Here dirty resources touch many
   // flows at once and the binding test pays off hardest.
   LaunchConfig launch;
   launch.buffer = Size::MiB(64);
-  const LoweredProgram lowered = Lower(plan->plan, cost, launch);
-  SimProgram merged;
   constexpr int kCoJobs = 4;
-  for (int j = 0; j < kCoJobs; ++j) AppendProgram(merged, lowered.program);
-  SimMachine machine(topo, cost);
+  const std::vector<ExecJob> jobs(kCoJobs, ExecJob{plan, launch});
+  ExecContext ctx;
 
   RerateMetrics m;
-  m.stats = machine.Run(merged).fluid;
+  m.stats = ctx.Execute(jobs, RunRequest{}).sim.fluid;
   Check(m.stats.flows_started > 0, "workload must start flows");
   const auto flows = static_cast<double>(m.stats.flows_started);
   m.rerates_per_flow = static_cast<double>(m.stats.recompute_calls) / flows;

@@ -116,7 +116,7 @@ void PublishCoRun(MetricsRegistry& reg, const CoRunReport& report) {
   reg.counter("multi_job.runs").Increment();
   reg.counter("multi_job.jobs")
       .Add(static_cast<double>(report.jobs.size()));
-  reg.gauge("multi_job.last_makespan_us").Set(report.makespan.us());
+  reg.gauge("multi_job.last_makespan_us").Set(report.merged.elapsed.us());
   for (const JobOutcome& job : report.jobs) {
     reg.histogram("multi_job.slowdown", SlowdownBounds())
         .Observe(job.slowdown);

@@ -107,6 +107,21 @@ struct FaultImpact {
   double worst_rank_idle = 0.0;    // sync / finish over that rank's TBs
 };
 
+// One job of an Execute, which runs N >= 1 jobs as one merged program
+// (runtime/exec_context.h): its ranges of sim.tbs/sim.transfers/lowered.
+struct JobView {
+  std::size_t tb_begin = 0, tb_count = 0;
+  std::size_t transfer_begin = 0, transfer_count = 0;
+  SimTime finish;  // latest finish over the job's TBs
+  Protocol protocol = Protocol::kSimple;  // after kAuto resolution
+  bool verified = false;  // only meaningful when RunRequest.verify
+};
+
+// With one job every field describes that job. With N > 1: sim, elapsed,
+// links, rails, fault and lowered describe the merged run; algo_bw is all
+// jobs' buffer bytes over elapsed; total_tbs and max_tbs_per_rank count all
+// jobs' TBs; verified means every job verified (verify_error holds the
+// first failure); the remaining scalars are job 0's.
 struct CollectiveReport {
   std::string backend;
   std::string algorithm;
@@ -129,9 +144,10 @@ struct CollectiveReport {
   double prepare_us = 0;        // wall-clock spent preparing for this call
   bool verified = false;     // only meaningful when RunRequest.verify
   std::string verify_error;
+  std::vector<JobView> jobs;  // one per job, in call order
   // The lowered program this report was simulated from; populated only
   // when RunRequest.observe, so callers can run the critical-path analyzer
-  // or export a trace without re-lowering.
+  // or export a trace without re-lowering (a co-run's: the merged program).
   std::shared_ptr<const LoweredProgram> lowered;
 };
 

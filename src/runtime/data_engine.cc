@@ -12,11 +12,11 @@ namespace resccl {
 
 VerifyResult VerifyLoweredExecution(const CompiledCollective& compiled,
                                     const LoweredProgram& lowered,
-                                    const SimRunReport& report,
+                                    std::span<const TransferStats> transfers,
                                     int elems_per_chunk) {
   const int nmb = lowered.nmicrobatches;
   const int nranks = compiled.algo.nranks;
-  RESCCL_CHECK(report.transfers.size() == lowered.invocation_of.size());
+  RESCCL_CHECK(transfers.size() == lowered.invocation_of.size());
 
   // One buffer set per micro-batch; they are independent data slices.
   std::vector<BufferSet> buffers;
@@ -29,11 +29,11 @@ VerifyResult VerifyLoweredExecution(const CompiledCollective& compiled,
 
   // Apply transfers in simulated completion order (stable on declaration
   // index for deterministic handling of simultaneous completions).
-  std::vector<std::size_t> order(report.transfers.size());
+  std::vector<std::size_t> order(transfers.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
                                                    std::size_t b) {
-    return report.transfers[a].complete < report.transfers[b].complete;
+    return transfers[a].complete < transfers[b].complete;
   });
 
   for (std::size_t i : order) {

@@ -12,6 +12,7 @@
 // concurrent readers; concurrent same-slot reductions commute.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "core/compiler.h"
@@ -25,8 +26,14 @@ struct VerifyResult {
   std::string error;
 };
 
+// `transfers[i]` is the outcome of `lowered`'s transfer i (alone or co-run).
 [[nodiscard]] VerifyResult VerifyLoweredExecution(
     const CompiledCollective& compiled, const LoweredProgram& lowered,
-    const SimRunReport& report, int elems_per_chunk = 2);
+    std::span<const TransferStats> transfers, int elems_per_chunk = 2);
+[[nodiscard]] inline VerifyResult VerifyLoweredExecution(
+    const CompiledCollective& compiled, const LoweredProgram& lowered,
+    const SimRunReport& report, int elems = 2) {
+  return VerifyLoweredExecution(compiled, lowered, report.transfers, elems);
+}
 
 }  // namespace resccl

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <type_traits>
+#include <utility>
 
 #include "common/check.h"
 #include "obs/publish.h"
@@ -12,9 +14,7 @@ namespace resccl {
 namespace {
 
 // Cache keys are raw byte snapshots: both structs are flat value types, so
-// bytewise equality is exact equality (modulo padding, which std::array
-// value-initialization zeroes and memcpy copies consistently from the same
-// source object layout).
+// bytewise equality is exact equality (padding is copied consistently).
 static_assert(std::is_trivially_copyable_v<LaunchConfig>);
 static_assert(std::is_trivially_copyable_v<CostModel>);
 
@@ -24,52 +24,97 @@ void SnapshotBytes(const T& value, std::array<std::byte, N>& out) {
   std::memcpy(out.data(), &value, sizeof(T));
 }
 
+// Appends `job` to a co-run's `merged` program, rebasing its indices so jobs
+// interact only through the network; invocation_of keeps indexing its plan.
+void AppendJob(LoweredProgram& merged, const LoweredProgram& job) {
+  SimProgram& out = merged.program;
+  const int transfer_base = static_cast<int>(out.transfers.size());
+  const int barrier_base = static_cast<int>(out.barrier_parties.size());
+  for (SimTransferDecl decl : job.program.transfers) {
+    for (int& d : decl.deps) d += transfer_base;
+    out.transfers.push_back(std::move(decl));
+  }
+  for (SimTb tb : job.program.tbs) {
+    for (SimInstr& instr : tb.program) {
+      if (instr.transfer >= 0) instr.transfer += transfer_base;
+      if (instr.barrier >= 0) instr.barrier += barrier_base;
+    }
+    out.tbs.push_back(std::move(tb));
+  }
+  out.barrier_parties.insert(out.barrier_parties.end(),
+                             job.program.barrier_parties.begin(),
+                             job.program.barrier_parties.end());
+  merged.invocation_of.insert(merged.invocation_of.end(),
+                              job.invocation_of.begin(),
+                              job.invocation_of.end());
+}
+
 }  // namespace
 
-const CollectiveReport& ExecContext::Execute(const PreparedPlan& prepared,
+const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
                                              const RunRequest& request) {
-  RESCCL_CHECK(prepared != nullptr);
-  RESCCL_CHECK(prepared->topo != nullptr);
-  const PreparedCollective& pc = *prepared;
-  const Topology& topo = *pc.topo;
-  const CompiledCollective& cc = pc.plan;
-
-  // Retain before touching the caches: `prepared` was alive while the old
-  // plan was still held, so its address cannot be a recycled copy of the
-  // old one — pointer identity below is trustworthy.
-  if (plan_ != prepared) plan_ = prepared;
-
-  // Resolve kAuto BEFORE snapshotting the cache key: the key must hold the
-  // concrete protocol so an auto request and an explicit request for the
-  // same resolved protocol share one entry, and two auto requests that
-  // resolve differently (different buffers) never alias. The resolution
-  // itself is pure in (topo, cost, launch, nchunks), all of which are
-  // covered by the key (topo via plan identity).
-  const bool protocol_auto = request.launch.protocol == Protocol::kAuto;
-  LaunchConfig launch = request.launch;
-  launch.protocol =
-      ResolveProtocol(topo, request.cost, launch, cc.algo.nchunks);
-
-  // --- Lowered-program cache: (plan identity, launch bytes, cost bytes). ---
-  LaunchKey launch_key;
-  CostKey cost_key;
-  SnapshotBytes(launch, launch_key);
-  SnapshotBytes(request.cost, cost_key);
-  if (!lowered_) lowered_ = std::make_shared<LoweredProgram>();
-  if (!lowered_valid_ || lowered_for_ != &pc || launch_key != launch_key_ ||
-      cost_key != cost_key_) {
-    LowerInto(cc, request.cost, launch, *lowered_,
-              topo.spec().channels_per_peer);
-    lowered_for_ = &pc;
-    launch_key_ = launch_key;
-    cost_key_ = cost_key;
-    lowered_valid_ = true;
+  if (jobs.empty()) throw std::invalid_argument("Execute needs a job");
+  const std::size_t njobs = jobs.size();
+  if (slots_.size() < njobs) slots_.resize(njobs);
+  report_.jobs.resize(njobs);
+  for (const ExecJob& job : jobs) {
+    RESCCL_CHECK(job.plan != nullptr && job.plan->topo != nullptr);
+    if (job.plan->topo != jobs[0].plan->topo &&
+        job.plan->topo->spec() != jobs[0].plan->topo->spec()) {
+      throw std::invalid_argument("co-run jobs target different fabrics");
+    }
   }
-  const LoweredProgram& lowered = *lowered_;
+  for (std::size_t j = 0; j < njobs; ++j) {
+    const PreparedPlan& prepared = jobs[j].plan;
+    const Topology& topo = *prepared->topo;
+    Slot& slot = slots_[j];
 
-  // --- Machine reuse: rebuilt only on topology change. ---
-  // The machine references cost_ by address; refresh its value first so a
-  // reused machine sees this request's model.
+    // Resolve kAuto BEFORE snapshotting the cache key, so auto and explicit
+    // requests resolving to one protocol share an entry and autos resolving
+    // differently never alias. Resolution is pure in (topo, cost, launch,
+    // nchunks), all covered by the key (topo via plan identity).
+    LaunchConfig launch = jobs[j].launch;
+    launch.protocol = ResolveProtocol(topo, request.cost, launch,
+                                      prepared->plan.algo.nchunks);
+    report_.jobs[j].protocol = launch.protocol;
+
+    // --- Lowered-program cache: (plan identity, launch bytes, cost bytes).
+    // The slot still holds its previous plan, which was alive when
+    // `prepared` was allocated, so a new plan cannot reuse its address.
+    LaunchKey launch_key;
+    CostKey cost_key;
+    SnapshotBytes(launch, launch_key);
+    SnapshotBytes(request.cost, cost_key);
+    if (!slot.valid || slot.plan != prepared || launch_key != slot.launch_key ||
+        cost_key != slot.cost_key) {
+      slot.valid = false;
+      LowerInto(prepared->plan, request.cost, launch, *slot.lowered,
+                topo.spec().channels_per_peer);
+      slot.plan = prepared;
+      slot.launch_key = launch_key;
+      slot.cost_key = cost_key;
+      slot.valid = true;
+      merged_jobs_ = 0;
+    }
+  }
+  const Slot& first = slots_[0];
+  const PreparedCollective& pc = *first.plan;
+  const Topology& topo = *pc.topo;
+
+  // --- Merged program (N > 1): rebuilt only when a slot re-lowered. ---
+  if (njobs > 1 && merged_jobs_ != njobs) {
+    merged_->program = {};
+    merged_->invocation_of.clear();
+    for (std::size_t j = 0; j < njobs; ++j) {
+      AppendJob(*merged_, *slots_[j].lowered);
+    }
+    merged_jobs_ = njobs;
+  }
+  const std::shared_ptr<LoweredProgram>& lowered =
+      njobs > 1 ? merged_ : first.lowered;
+
+  // --- Machine reuse: rebuilt only on topology change. It references cost_
+  // by address, so refresh the value first for a reused machine.
   cost_ = request.cost;
   if (!machine_ || machine_topo_ != &topo) {
     machine_.reset();  // drop any reference to a previous topology first
@@ -79,70 +124,96 @@ const CollectiveReport& ExecContext::Execute(const PreparedPlan& prepared,
   machine_->set_observe(request.observe);
 
   const bool faulted = !request.faults.empty();
-  machine_->RunInto(lowered.program, faulted ? &request.faults : nullptr,
+  machine_->RunInto(lowered->program, faulted ? &request.faults : nullptr,
                     report_.sim);
-  report_.lowered.reset();
-  if (request.observe) report_.lowered = lowered_;
+  report_.lowered = request.observe ? lowered : nullptr;
+
+  // Per-job views; each job verifies its own range of the merged transfers.
+  rank_tbs_.assign(static_cast<std::size_t>(topo.nranks()), 0);
+  report_.verified = request.verify;
+  report_.verify_error.clear();
+  Size bytes;
+  std::size_t tb_end = 0;
+  std::size_t transfer_end = 0;
+  for (std::size_t j = 0; j < njobs; ++j) {
+    const LoweredProgram& job = *slots_[j].lowered;
+    JobView& view = report_.jobs[j];
+    view.tb_begin = tb_end;
+    view.tb_count = job.program.tbs.size();
+    view.transfer_begin = transfer_end;
+    view.transfer_count = job.program.transfers.size();
+    tb_end += view.tb_count;
+    transfer_end += view.transfer_count;
+    view.finish = SimTime::Zero();
+    for (std::size_t i = view.tb_begin; i < tb_end; ++i) {
+      const TbStats& tb = report_.sim.tbs[i];
+      view.finish = std::max(view.finish, tb.finish);
+      ++rank_tbs_[static_cast<std::size_t>(tb.rank)];
+    }
+    bytes = bytes + jobs[j].launch.buffer;
+    view.verified = false;
+    if (!request.verify) continue;
+    const VerifyResult v = VerifyLoweredExecution(
+        slots_[j].plan->plan, job,
+        std::span<const TransferStats>(report_.sim.transfers)
+            .subspan(view.transfer_begin, view.transfer_count),
+        request.verify_elems);
+    view.verified = v.ok;
+    if (!v.ok && report_.verified) report_.verify_error = v.error;
+    report_.verified = report_.verified && v.ok;
+  }
 
   report_.fault = {};
   if (faulted) {
-    // Replay the identical lowered program on an unperturbed fabric; the
-    // gap is the schedule's (in)ability to absorb the faults. The replay
-    // reuses the same machine (observe off — only the makespan matters).
+    // Replay the identical lowered program on an unperturbed fabric (same
+    // machine, observe off): the gap is what the schedule failed to absorb.
     machine_->set_observe(false);
-    machine_->RunInto(lowered.program, nullptr, clean_sim_);
+    machine_->RunInto(lowered->program, nullptr, clean_sim_);
     FaultImpact& impact = report_.fault;
     impact.faulted = true;
     impact.clean_makespan = clean_sim_.makespan;
     impact.slowdown_vs_clean = clean_sim_.makespan > SimTime::Zero()
                                    ? report_.sim.makespan / clean_sim_.makespan
                                    : 1.0;
-    // Per-rank aggregation to find the straggling rank.
-    const int nranks = cc.algo.nranks;
-    const auto n = static_cast<std::size_t>(nranks);
-    rank_finish_.assign(n, SimTime::Zero());
-    rank_stall_.assign(n, SimTime::Zero());
-    rank_sync_.assign(n, SimTime::Zero());
-    rank_lifetime_.assign(n, SimTime::Zero());
+    // The straggling rank: the lowest-numbered rank owning a latest TB.
     for (const TbStats& tb : report_.sim.tbs) {
-      const auto r = static_cast<std::size_t>(tb.rank);
-      rank_finish_[r] = std::max(rank_finish_[r], tb.finish);
-      rank_stall_[r] += tb.fault_stall;
-      rank_sync_[r] += tb.sync;
-      rank_lifetime_[r] += tb.finish;
       impact.total_stall += tb.fault_stall;
-    }
-    for (Rank r = 0; r < nranks; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
       if (impact.worst_rank == kInvalidRank ||
-          rank_finish_[ri] > impact.worst_rank_finish) {
-        impact.worst_rank = r;
-        impact.worst_rank_finish = rank_finish_[ri];
-        impact.worst_rank_stall = rank_stall_[ri];
-        impact.worst_rank_idle = rank_lifetime_[ri] > SimTime::Zero()
-                                     ? rank_sync_[ri] / rank_lifetime_[ri]
-                                     : 0.0;
+          tb.finish > impact.worst_rank_finish ||
+          (tb.finish == impact.worst_rank_finish &&
+           tb.rank < impact.worst_rank)) {
+        impact.worst_rank = tb.rank;
+        impact.worst_rank_finish = tb.finish;
       }
     }
+    SimTime sync;
+    SimTime lifetime;
+    for (const TbStats& tb : report_.sim.tbs) {
+      if (tb.rank != impact.worst_rank) continue;
+      impact.worst_rank_stall += tb.fault_stall;
+      sync += tb.sync;
+      lifetime += tb.finish;
+    }
+    impact.worst_rank_idle =
+        lifetime > SimTime::Zero() ? sync / lifetime : 0.0;
   }
 
   report_.backend = pc.backend;
-  report_.algorithm = cc.algo.name;
+  report_.algorithm = pc.plan.algo.name;
   report_.elapsed = report_.sim.makespan;
-  report_.algo_bw = AlgoBandwidth(launch.buffer, report_.elapsed);
-  report_.protocol = launch.protocol;
-  report_.protocol_auto = protocol_auto;
-  report_.nmicrobatches = lowered.nmicrobatches;
-  report_.total_tbs = cc.tbs.total_tbs();
-  report_.max_tbs_per_rank = cc.tbs.MaxTbsPerRank(cc.algo.nranks);
-  report_.compile = cc.stats;
+  report_.algo_bw = AlgoBandwidth(bytes, report_.elapsed);
+  report_.protocol = report_.jobs[0].protocol;
+  report_.protocol_auto = jobs[0].launch.protocol == Protocol::kAuto;
+  report_.nmicrobatches = first.lowered->nmicrobatches;
+  report_.total_tbs = static_cast<int>(tb_end);
+  report_.max_tbs_per_rank =
+      *std::max_element(rank_tbs_.begin(), rank_tbs_.end());
+  report_.compile = pc.plan.stats;
   report_.plan_cache_hit = false;
   report_.prepare_us = pc.prepare_us;
 
-  // Link utilization over resources that carried data, read from the
-  // report's always-recorded per-resource totals (the same numbers the
-  // observability timelines reconcile against). NIC links additionally
-  // aggregate into per-rail rows so rail skew is visible at a glance.
+  // Link utilization over resources that carried data, from the report's
+  // always-recorded per-resource totals; NIC links also aggregate per rail.
   report_.links = {};
   report_.rails.resize(static_cast<std::size_t>(topo.spec().nics_per_node));
   for (std::size_t i = 0; i < report_.rails.size(); ++i) {
@@ -176,17 +247,7 @@ const CollectiveReport& ExecContext::Execute(const PreparedPlan& prepared,
   for (RailUtilization& row : report_.rails) {
     if (row.carriers > 0) row.avg_busy_frac /= row.carriers;
   }
-
-  report_.verified = false;
-  report_.verify_error.clear();
-  if (request.verify) {
-    const VerifyResult v =
-        VerifyLoweredExecution(cc, lowered, report_.sim, request.verify_elems);
-    report_.verified = v.ok;
-    report_.verify_error = v.error;
-  }
-  // One relaxed atomic load when the global registry is disabled (the
-  // default) — the publication body never runs.
+  // One relaxed atomic load when the global registry is disabled (default).
   obs::PublishCollectiveReport(obs::MetricsRegistry::Global(), report_);
   return report_;
 }

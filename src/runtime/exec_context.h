@@ -1,26 +1,25 @@
-// ExecContext: the allocation-free Execute path.
+// ExecContext: the one Execute path.
 //
-// The free Execute (backend.h) builds everything per call — lowered program,
-// simulation machine, report vectors. That is the right shape for one-shot
-// runs, but a steady-state driver (benchmarks, the scheduling service, any
-// caller replaying one prepared plan with varying faults) pays the same
-// allocations on every call for state that is identical or shape-stable
-// across calls. ExecContext hoists that state into a reusable object:
+// Every Execute runs here: the free Execute (backend.h) in a throwaway
+// context, Communicator in its own, RunConcurrently (multi_job.h) as a
+// co-run. A context simulates N prepared plans, each with its own launch, as
+// one merged program on one machine — faults, observe mode and verification
+// alike for any N; N = 1, the common case, runs the plan's own program.
+// State a steady-state driver would otherwise rebuild per call is hoisted:
 //
-//   lowered program   cached per (plan, launch bytes, cost bytes); re-lowered
-//                     in place (LowerInto) only when the key changes.
-//   SimMachine        reused across calls (its queue and fluid network Reset
-//                     instead of reconstructing); rebuilt only when the
-//                     topology changes.
-//   CollectiveReport  a member whose vectors keep their capacity; every
-//                     field is reassigned per run.
+//   lowered programs  one slot per job, cached per (plan, launch bytes, cost
+//                     bytes); re-lowered in place (LowerInto) on key change.
+//   merged program    N > 1: the slots' programs, index-rebased and joined;
+//                     rebuilt only when a slot re-lowers or N changes.
+//   SimMachine        reused, Reset rather than rebuilt, until the topology
+//                     changes.
+//   CollectiveReport  a member whose vectors keep their capacity.
 //
-// After a warm-up call, Execute with observe off and an unchanged key
-// performs no heap allocation end-to-end (tests/test_alloc_free.cc holds
-// this under a counting allocator).
+// After a warm-up call, Execute with observe off and unchanged keys makes
+// no heap allocation, for one plan or a co-run (tests/test_alloc_free.cc).
 //
 // Not thread-safe: one ExecContext per thread. The returned report reference
-// — including report().lowered when observe is set — is valid until the next
+// — including its `lowered` when observe is set — is valid until the next
 // Execute on this context or its destruction.
 #pragma once
 
@@ -28,12 +27,19 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "runtime/backend.h"
 #include "sim/machine.h"
 
 namespace resccl {
+
+// One job of a co-run: a prepared plan and the launch it runs with.
+struct ExecJob {
+  PreparedPlan plan;
+  LaunchConfig launch;
+};
 
 class ExecContext {
  public:
@@ -42,46 +48,49 @@ class ExecContext {
   ExecContext& operator=(const ExecContext&) = delete;
 
   // Simulates (and optionally verifies) one request against a prepared
-  // artifact — same semantics as the free Execute (backend.h), which
-  // delegates here. The plan is retained, so the pointer-keyed lowering
-  // cache can never confuse a recycled allocation for a cache hit.
+  // artifact — same semantics as the free Execute (backend.h).
   const CollectiveReport& Execute(const PreparedPlan& prepared,
-                                  const RunRequest& request);
+                                  const RunRequest& request) {
+    const ExecJob job{prepared, request.launch};
+    return Execute(std::span<const ExecJob>(&job, 1), request);
+  }
 
-  // The last Execute's report (same object Execute returns).
-  [[nodiscard]] const CollectiveReport& report() const { return report_; }
+  // Co-runs `jobs` as one merged program from t = 0, each job with its own
+  // launch; `request.launch` is unused. Field meanings for N > 1 are in
+  // backend.h. Throws std::invalid_argument if `jobs` is empty or its plans
+  // target different fabrics — compared by value, so equal topologies from
+  // different Prepare calls (a PlanCache hit next to a miss) co-run fine.
+  const CollectiveReport& Execute(std::span<const ExecJob> jobs,
+                                  const RunRequest& request);
 
  private:
   using LaunchKey = std::array<std::byte, sizeof(LaunchConfig)>;
   using CostKey = std::array<std::byte, sizeof(CostModel)>;
 
-  // Retained artifact: guarantees `lowered_for_` and `machine_topo_` below
-  // can never dangle or alias a recycled allocation between calls.
-  PreparedPlan plan_;
+  // One job's lowering cache. `plan` is retained so pointer identity stays
+  // trustworthy and the machine's topology reference never dangles;
+  // `lowered` is shared so observe-mode reports hand it out without a copy.
+  struct Slot {
+    PreparedPlan plan;
+    std::shared_ptr<LoweredProgram> lowered =
+        std::make_shared<LoweredProgram>();
+    LaunchKey launch_key{};
+    CostKey cost_key{};
+    bool valid = false;
+  };
+  std::vector<Slot> slots_;
+  std::shared_ptr<LoweredProgram> merged_ =
+      std::make_shared<LoweredProgram>();
+  std::size_t merged_jobs_ = 0;  // job count merged_ was built from; 0: stale
 
-  // Lowered-program cache. Shared so observe-mode reports can hand the
-  // program out (CollectiveReport::lowered) without copying; the cached
-  // program is only mutated by the next re-lower, at which point the
-  // previous report is stale by contract anyway.
-  std::shared_ptr<LoweredProgram> lowered_;
-  const PreparedCollective* lowered_for_ = nullptr;
-  LaunchKey launch_key_{};
-  CostKey cost_key_{};
-  bool lowered_valid_ = false;
-
-  // Machine reuse. The machine holds `const CostModel&`, so it references
-  // this member (stable address, value refreshed each call) rather than the
-  // caller's transient RunRequest.
+  // The machine holds `const CostModel&`: it references this member (stable
+  // address, value refreshed each call), not the caller's RunRequest.
   CostModel cost_;
   std::optional<SimMachine> machine_;
   const Topology* machine_topo_ = nullptr;
 
-  // Faulted-replay scratch (clean rerun + per-rank aggregation).
-  SimRunReport clean_sim_;
-  std::vector<SimTime> rank_finish_;
-  std::vector<SimTime> rank_stall_;
-  std::vector<SimTime> rank_sync_;
-  std::vector<SimTime> rank_lifetime_;
+  std::vector<int> rank_tbs_;  // per-rank TB count scratch
+  SimRunReport clean_sim_;     // a faulted run's clean replay
 
   CollectiveReport report_;
 };

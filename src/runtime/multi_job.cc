@@ -4,151 +4,65 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/check.h"
 #include "common/thread_pool.h"
 #include "obs/publish.h"
-#include "runtime/data_engine.h"
-#include "runtime/lowering.h"
-#include "sim/machine.h"
+#include "runtime/exec_context.h"
 
 namespace resccl {
-
-namespace {
-
-struct PreparedJob {
-  PreparedPlan prepared;
-  LoweredProgram lowered;
-  bool plan_cache_hit = false;
-  double prepare_us = 0;
-  // Slices of the merged program owned by this job.
-  std::size_t transfer_begin = 0;
-  std::size_t transfer_count = 0;
-  std::size_t tb_begin = 0;
-  std::size_t tb_count = 0;
-};
-
-void Append(SimProgram& merged, PreparedJob& job) {
-  job.transfer_begin = merged.transfers.size();
-  job.transfer_count = job.lowered.program.transfers.size();
-  job.tb_count = job.lowered.program.tbs.size();
-  job.tb_begin = AppendProgram(merged, job.lowered.program);
-}
-
-SimTime JobCompletion(const SimRunReport& report, const PreparedJob& job) {
-  SimTime finish = SimTime::Zero();
-  for (std::size_t i = job.tb_begin; i < job.tb_begin + job.tb_count; ++i) {
-    finish = std::max(finish, report.tbs[i].finish);
-  }
-  return finish;
-}
-
-// Extracts the job's slice of the merged report so the data engine can
-// verify it with job-local indices.
-SimRunReport SliceReport(const SimRunReport& merged, const PreparedJob& job) {
-  SimRunReport out;
-  out.makespan = JobCompletion(merged, job);
-  out.transfers.assign(
-      merged.transfers.begin() + static_cast<std::ptrdiff_t>(job.transfer_begin),
-      merged.transfers.begin() +
-          static_cast<std::ptrdiff_t>(job.transfer_begin + job.transfer_count));
-  out.tbs.assign(merged.tbs.begin() + static_cast<std::ptrdiff_t>(job.tb_begin),
-                 merged.tbs.begin() +
-                     static_cast<std::ptrdiff_t>(job.tb_begin + job.tb_count));
-  return out;
-}
-
-}  // namespace
-
-std::size_t AppendProgram(SimProgram& merged, const SimProgram& job) {
-  const int transfer_base = static_cast<int>(merged.transfers.size());
-  const int barrier_base = static_cast<int>(merged.barrier_parties.size());
-  const std::size_t tb_begin = merged.tbs.size();
-
-  for (SimTransferDecl decl : job.transfers) {
-    for (int& d : decl.deps) d += transfer_base;
-    merged.transfers.push_back(std::move(decl));
-  }
-  for (SimTb tb : job.tbs) {
-    for (SimInstr& instr : tb.program) {
-      if (instr.transfer >= 0) instr.transfer += transfer_base;
-      if (instr.barrier >= 0) instr.barrier += barrier_base;
-    }
-    merged.tbs.push_back(std::move(tb));
-  }
-  for (int parties : job.barrier_parties) {
-    merged.barrier_parties.push_back(parties);
-  }
-  return tb_begin;
-}
 
 CoRunReport RunConcurrently(const std::vector<JobSpec>& jobs,
                             const Topology& topo, const CostModel& cost,
                             PlanCache* cache, int sim_jobs) {
-  RESCCL_CHECK_MSG(!jobs.empty(), "need at least one job");
+  if (jobs.empty()) throw std::invalid_argument("need at least one job");
 
   auto shared_topo = std::make_shared<const Topology>(topo);
-  std::vector<PreparedJob> prepared;
-  prepared.reserve(jobs.size());
-  SimProgram merged;
-  for (const JobSpec& spec : jobs) {
-    PreparedJob job;
+  CoRunReport report;
+  report.jobs.resize(jobs.size());
+  std::vector<ExecJob> plans(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const JobSpec& spec = jobs[j];
+    JobOutcome& outcome = report.jobs[j];
+    const auto reject = [&spec](const Status& status) {
+      throw std::invalid_argument("job '" + spec.name +
+                                  "': " + status.ToString());
+    };
     if (cache != nullptr) {
-      Result<PlanCache::Lookup> got =
-          cache->GetOrPrepare(spec.algorithm, shared_topo, spec.options,
-                              spec.name);
-      if (!got.ok()) {
-        throw std::invalid_argument("job '" + spec.name +
-                                    "': " + got.status().ToString());
-      }
-      job.prepared = got.value().plan;
-      job.plan_cache_hit = got.value().hit;
-      job.prepare_us = got.value().prepare_us;
+      Result<PlanCache::Lookup> got = cache->GetOrPrepare(
+          spec.algorithm, shared_topo, spec.options, spec.name);
+      if (!got.ok()) reject(got.status());
+      plans[j].plan = got.value().plan;
+      outcome.plan_cache_hit = got.value().hit;
+      outcome.prepare_us = got.value().prepare_us;
     } else {
       Result<PreparedPlan> got =
           Prepare(spec.algorithm, shared_topo, spec.options, spec.name);
-      if (!got.ok()) {
-        throw std::invalid_argument("job '" + spec.name +
-                                    "': " + got.status().ToString());
-      }
-      job.prepared = std::move(got).value();
-      job.prepare_us = job.prepared->prepare_us;
+      if (!got.ok()) reject(got.status());
+      plans[j].plan = std::move(got).value();
+      outcome.prepare_us = plans[j].plan->prepare_us;
     }
-    LaunchConfig launch = spec.launch;
-    launch.protocol =
-        ResolveProtocol(topo, cost, launch, spec.algorithm.nchunks);
-    job.lowered = Lower(job.prepared->plan, cost, launch,
-                        topo.spec().channels_per_peer);
-    Append(merged, job);
-    prepared.push_back(std::move(job));
+    outcome.name = spec.name;
+    plans[j].launch = spec.launch;
   }
 
-  SimMachine machine(topo, cost);
-  const SimRunReport co = machine.Run(merged);
+  RunRequest request;
+  request.cost = cost;
+  request.verify = true;
+  ExecContext ctx;
+  report.merged = ctx.Execute(plans, request);
 
-  // The isolated baselines and data-engine verifications touch only
-  // job-local state (each spins up its own SimMachine / host buffers), so
-  // they fan out over the pool; outcomes land by job index and the report
-  // is assembled serially below — bit-identical to the serial path.
-  CoRunReport report;
-  report.makespan = co.makespan;
-  report.jobs.resize(prepared.size());
-  ParallelFor(ThreadPool::ResolveJobs(sim_jobs), prepared.size(),
+  // The isolated baselines touch only job-local state (an ExecContext each),
+  // so they fan out over the pool; outcomes land by job index.
+  ParallelFor(ThreadPool::ResolveJobs(sim_jobs), plans.size(),
               [&](std::size_t j) {
-                const PreparedJob& job = prepared[j];
                 JobOutcome& outcome = report.jobs[j];
-                outcome.name = jobs[j].name;
-                outcome.co_run = JobCompletion(co, job);
-                outcome.plan_cache_hit = job.plan_cache_hit;
-                outcome.prepare_us = job.prepare_us;
-
-                const SimRunReport slice = SliceReport(co, job);
-                outcome.verified =
-                    VerifyLoweredExecution(job.prepared->plan, job.lowered,
-                                           slice)
-                        .ok;
-
-                SimMachine alone(topo, cost);
-                outcome.isolated = alone.Run(job.lowered.program).makespan;
+                outcome.co_run = report.merged.jobs[j].finish;
+                outcome.verified = report.merged.jobs[j].verified;
+                RunRequest alone_request;
+                alone_request.launch = plans[j].launch;
+                alone_request.cost = cost;
+                ExecContext alone;
+                outcome.isolated =
+                    alone.Execute(plans[j].plan, alone_request).elapsed;
                 outcome.slowdown = outcome.isolated > SimTime::Zero()
                                        ? outcome.co_run / outcome.isolated
                                        : 0.0;

@@ -4,9 +4,9 @@
 // connections per link makes collectives degrade gracefully under
 // intra-job *and* cross-job network contention. This module makes that
 // measurable: several independent collectives (separate communicators,
-// separate TBs) are lowered individually and merged into one simulated
-// machine run, sharing the physical cluster. Per-job completion times are
-// reported next to each job's isolated runtime.
+// separate TBs) share the cluster as one ExecContext co-run (exec_context.h,
+// which also takes faults and observe mode), and each job's completion time
+// is reported next to its isolated runtime.
 //
 // Jobs prepare through an optional shared PlanCache: co-scheduled jobs (and
 // repeated co-run experiments) running the same (algorithm, options) share
@@ -39,32 +39,21 @@ struct JobOutcome {
 };
 
 struct CoRunReport {
-  SimTime makespan;
   std::vector<JobOutcome> jobs;
+  CollectiveReport merged;  // the co-run's own report; makespan is `elapsed`
 };
-
-// Appends `job`'s program to `merged`, rebasing transfer, dependency, and
-// barrier indices so both programs run in one SimMachine without
-// interacting except through shared network resources. Returns the index
-// of `job`'s first TB in `merged` (its TBs occupy [returned,
-// returned + job.tbs.size())), which is how callers recover per-job
-// completion times from the merged report. This is the co-run merge
-// RunConcurrently uses; it is exposed so benchmarks (bench/micro_sim) can
-// build contended multi-job workloads without the prepare/verify scaffold.
-std::size_t AppendProgram(SimProgram& merged, const SimProgram& job);
 
 // Runs all jobs concurrently on `topo` (kick-off at t=0). Every job is also
 // run in isolation for the slowdown baseline, and each job's data movement
 // is verified through the data engine. When `cache` is given, all jobs
 // prepare through it (one compile per distinct plan across jobs and calls).
-// Throws on compile errors.
+// Throws std::invalid_argument on an empty job list or a compile error.
 //
-// `sim_jobs` parallelizes the per-job isolated-baseline simulations and
-// data-engine verifications over the shared thread pool — they touch only
-// job-local state, and outcomes are collected by job index, so any value
+// `sim_jobs` parallelizes the isolated baselines (an ExecContext each) over
+// the shared thread pool; outcomes are collected by job index, so any value
 // is bit-identical to the serial path. 0 (the default) resolves through
-// RESCCL_JOBS and falls back to serial. (The co-run itself is one merged
-// simulation and stays single-threaded by design.)
+// RESCCL_JOBS and falls back to serial. The co-run and each baseline publish
+// as Executes of their own.
 [[nodiscard]] CoRunReport RunConcurrently(const std::vector<JobSpec>& jobs,
                                           const Topology& topo,
                                           const CostModel& cost = {},

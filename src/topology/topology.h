@@ -130,6 +130,8 @@ struct TopologySpec {
   // far more gracefully than NICs. Kept separate so oversubscribed-tier
   // studies degrade trunks by capacity, not by a NIC-shaped γ.
   double trunk_gamma = 0.02;
+  // Topologies build deterministically, so equal specs are equal fabrics.
+  friend bool operator==(const TopologySpec&, const TopologySpec&) = default;
 };
 
 class Topology {

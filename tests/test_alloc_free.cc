@@ -4,9 +4,11 @@
 // ExecContext re-running the same prepared plan (verify off, observe off)
 // performs zero heap allocations end-to-end: lowered program, machine,
 // event-queue entries, fluid flow state, and report vectors are all
-// recycled. This binary holds that bar mechanically: the global operator
-// new/delete are replaced with counting versions, and the test asserts the
-// allocation counter does not move across repeated Executes.
+// recycled. The same holds for a repeated co-run of several plans, whose
+// merged program is cached too. This binary holds that bar mechanically:
+// the global operator new/delete are replaced with counting versions, and
+// the test asserts the allocation counter does not move across repeated
+// Executes.
 //
 // The counting allocator lives in this dedicated binary (not a shared test
 // util) so no other test pays for it and the override provably covers every
@@ -128,6 +130,41 @@ TEST(AllocFreeTest, SteadyStateExecuteIsAllocationFree) {
   }
   EXPECT_EQ(g_allocations - before, 0u)
       << "steady-state Execute allocated " << (g_allocations - before)
+      << " time(s) across " << kReps << " replays";
+}
+
+TEST(AllocFreeTest, SteadyStateCoRunIsAllocationFree) {
+  // Two different plans co-running: the merged program must be cached and
+  // rebuilt only when a job re-lowers, not assembled on every call.
+  const Topology topo(presets::A100(2, 8));
+  std::vector<ExecJob> jobs;
+  for (const Algorithm& algo : {algorithms::RingAllReduce(topo.nranks()),
+                                algorithms::RingAllGather(topo.nranks())}) {
+    Result<PreparedPlan> prepared = Prepare(algo, topo, BackendKind::kResCCL);
+    ASSERT_TRUE(prepared.ok());
+    ExecJob job;
+    job.plan = std::move(prepared).value();
+    job.launch.buffer = Size::MiB(16);
+    jobs.push_back(std::move(job));
+  }
+  const RunRequest request;
+
+  ExecContext ctx;
+  const CollectiveReport& warm = ctx.Execute(jobs, request);
+  const double makespan_us = warm.sim.makespan.us();
+  ASSERT_GT(makespan_us, 0.0);
+  ASSERT_EQ(warm.jobs.size(), 2u);
+  (void)ctx.Execute(jobs, request);
+
+  const std::uint64_t before = g_allocations;
+  constexpr int kReps = 5;
+  for (int i = 0; i < kReps; ++i) {
+    const CollectiveReport& report = ctx.Execute(jobs, request);
+    ASSERT_DOUBLE_EQ(report.sim.makespan.us(), makespan_us);
+    ASSERT_GT(report.sim.events, 0u);
+  }
+  EXPECT_EQ(g_allocations - before, 0u)
+      << "steady-state co-run allocated " << (g_allocations - before)
       << " time(s) across " << kReps << " replays";
 }
 

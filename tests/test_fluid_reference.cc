@@ -22,8 +22,8 @@
 #include "common/check.h"
 #include "fluid_reference.h"
 #include "runtime/backend.h"
+#include "runtime/exec_context.h"
 #include "runtime/lowering.h"
-#include "runtime/multi_job.h"
 #include "sim/faults.h"
 #include "sim/machine.h"
 
@@ -37,11 +37,10 @@ using tests::TopoCases;
 
 constexpr double kTolerance = 1e-9;
 
-// Runs `program` on `machine` and checks the run against the reference.
-void ExpectMatchesReference(SimMachine& machine, const Topology& topo,
-                            const SimProgram& program, const FaultPlan* faults,
+// Checks `run`, a run of `program` under `faults`, against the reference.
+void ExpectMatchesReference(const Topology& topo, const SimProgram& program,
+                            const SimRunReport& run, const FaultPlan* faults,
                             const std::string& label) {
-  const SimRunReport run = machine.Run(program, faults);
   const std::vector<tests::ReferenceFlow> flows =
       tests::FlowsOf(topo, program, run);
   const tests::ReferenceResult ref =
@@ -91,9 +90,13 @@ TEST_P(FluidReference, CleanAndFaultedRunsMatchReference) {
   const FaultPlan half = FaultPlan::Make(1001, 0.5, topo);
   const FaultPlan full = FaultPlan::Make(1002, 1.0, topo);
   SimMachine machine(topo, cost);
-  ExpectMatchesReference(machine, topo, lowered.program, nullptr, "clean");
-  ExpectMatchesReference(machine, topo, lowered.program, &half, "faults 0.5");
-  ExpectMatchesReference(machine, topo, lowered.program, &full, "faults 1.0");
+  const auto check = [&](const FaultPlan* faults, const std::string& label) {
+    ExpectMatchesReference(topo, lowered.program,
+                           machine.Run(lowered.program, faults), faults, label);
+  };
+  check(nullptr, "clean");
+  check(&half, "faults 0.5");
+  check(&full, "faults 1.0");
 }
 
 std::string FluidReferenceName(
@@ -112,31 +115,34 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::ValuesIn(TopoCases())),
     FluidReferenceName);
 
-// Four copies of `algo`'s 64 MiB program merged into one machine.
-SimProgram FourJobCoRun(const Algorithm& algo, const Topology& topo) {
+// Co-runs four copies of `algo`'s 64 MiB plan in one ExecContext and checks
+// the merged run against the reference.
+void ExpectFourJobCoRunMatchesReference(const Algorithm& algo,
+                                        const Topology& topo,
+                                        const FaultPlan* faults,
+                                        const std::string& label) {
   const Result<PreparedPlan> prepared =
       Prepare(algo, topo, BackendKind::kResCCL);
   RESCCL_CHECK(prepared.ok());
   LaunchConfig launch;
   launch.buffer = Size::MiB(64);
-  const LoweredProgram lowered =
-      Lower(prepared.value()->plan, CostModel{}, launch,
-            topo.spec().channels_per_peer);
-  SimProgram merged;
-  for (int j = 0; j < 4; ++j) AppendProgram(merged, lowered.program);
-  return merged;
+  const std::vector<ExecJob> jobs(4, ExecJob{prepared.value(), launch});
+  RunRequest request;
+  request.observe = true;  // the report then carries the merged program
+  if (faults != nullptr) request.faults = *faults;
+  ExecContext ctx;
+  const CollectiveReport& report = ctx.Execute(jobs, request);
+  ExpectMatchesReference(topo, report.lowered->program, report.sim, faults,
+                         label);
 }
 
 // bench/micro_sim's re-rate workload.
 TEST(FluidReferenceCoRun, HierarchicalAllReduceOnA100) {
   const Topology topo(presets::A100(2, 8));
-  const SimProgram merged =
-      FourJobCoRun(algorithms::HierarchicalMeshAllReduce(topo), topo);
+  const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
   const FaultPlan faults = FaultPlan::Make(1001, 0.5, topo);
-  const CostModel cost;
-  SimMachine machine(topo, cost);
-  ExpectMatchesReference(machine, topo, merged, nullptr, "clean");
-  ExpectMatchesReference(machine, topo, merged, &faults, "faults 0.5");
+  ExpectFourJobCoRunMatchesReference(algo, topo, nullptr, "clean");
+  ExpectFourJobCoRunMatchesReference(algo, topo, &faults, "faults 0.5");
 }
 
 // bench/micro_scale's 64-rank point. Clean only: the reference re-rates
@@ -145,11 +151,8 @@ TEST(FluidReferenceCoRun, ComposedAllReduceOn64RankRailClos) {
   const Topology topo(presets::RailClos(8, 8, 4, 2));
   algorithms::CompositionSpec spec;
   spec.chunks = 64;
-  const SimProgram merged =
-      FourJobCoRun(algorithms::ComposedAllReduce(topo, spec), topo);
-  const CostModel cost;
-  SimMachine machine(topo, cost);
-  ExpectMatchesReference(machine, topo, merged, nullptr, "clean");
+  ExpectFourJobCoRunMatchesReference(
+      algorithms::ComposedAllReduce(topo, spec), topo, nullptr, "clean");
 }
 
 }  // namespace

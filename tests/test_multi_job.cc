@@ -3,11 +3,17 @@
 // the stage/instance baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "algorithms/hierarchical.h"
 #include "algorithms/ring.h"
 #include "core/dot.h"
 #include "core/hpds.h"
+#include "obs/critical_path.h"
+#include "runtime/exec_context.h"
 #include "runtime/multi_job.h"
+#include "sim/faults.h"
 #include "topology/topology.h"
 
 namespace resccl {
@@ -39,7 +45,7 @@ TEST(MultiJobTest, TwoJobsShareTheClusterCorrectly) {
     // degrade worse than full serialization.
     EXPECT_GE(job.slowdown, 0.999) << job.name;
     EXPECT_LE(job.slowdown, 2.6) << job.name;
-    EXPECT_LE(job.co_run, report.makespan);
+    EXPECT_LE(job.co_run, report.merged.elapsed);
   }
 }
 
@@ -73,7 +79,7 @@ TEST(MultiJobTest, ResCCLStaysFasterUnderContention) {
     for (const JobOutcome& job : report.jobs) {
       EXPECT_TRUE(job.verified);
     }
-    return report.makespan;
+    return report.merged.elapsed;
   };
   EXPECT_LT(co_completion(BackendKind::kResCCL),
             co_completion(BackendKind::kMscclLike));
@@ -103,12 +109,140 @@ TEST(MultiJobTest, JobsShareAPlanCache) {
   EXPECT_TRUE(second.jobs[0].plan_cache_hit);
   EXPECT_TRUE(second.jobs[1].plan_cache_hit);
   EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(second.makespan, first.makespan);
+  EXPECT_EQ(second.merged.elapsed, first.merged.elapsed);
+}
+
+TEST(MultiJobTest, MixedHitAndMissCoRunRuns) {
+  // A cache hit carries the topology object of the call that compiled it,
+  // a miss the current call's: equal fabrics behind different pointers.
+  const Topology topo(presets::A100(2, 4));
+  const JobSpec ar = MakeJob("ar", algorithms::HierarchicalMeshAllReduce(topo),
+                             BackendKind::kResCCL, Size::MiB(32));
+  const JobSpec ag = MakeJob("ag", algorithms::HierarchicalMeshAllGather(topo),
+                             BackendKind::kResCCL, Size::MiB(32));
+  PlanCache cache;
+  (void)RunConcurrently({ar}, topo, {}, &cache);
+  const CoRunReport report = RunConcurrently({ar, ag}, topo, {}, &cache);
+  ASSERT_EQ(report.jobs.size(), 2u);
+  EXPECT_TRUE(report.jobs[0].plan_cache_hit);
+  EXPECT_FALSE(report.jobs[1].plan_cache_hit);
+  for (const JobOutcome& job : report.jobs) {
+    EXPECT_TRUE(job.verified) << job.name;
+    EXPECT_GE(job.slowdown, 1.0 - 1e-9) << job.name;
+  }
+}
+
+TEST(MultiJobTest, OneJobCoRunMatchesExecute) {
+  const Topology topo(presets::A100(2, 4));
+  const JobSpec spec =
+      MakeJob("solo", algorithms::HierarchicalMeshAllReduce(topo),
+              BackendKind::kResCCL, Size::MiB(32));
+  PlanCache cache;
+  const CoRunReport co = RunConcurrently({spec}, topo, {}, &cache);
+  Result<PlanCache::Lookup> got =
+      cache.GetOrPrepare(spec.algorithm, std::make_shared<const Topology>(topo),
+                         spec.options, spec.name);
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(got.value().hit);
+
+  RunRequest request;
+  request.launch = spec.launch;
+  ExecContext ctx;
+  const CollectiveReport& solo = ctx.Execute(got.value().plan, request);
+  const CollectiveReport& merged = co.merged;
+  EXPECT_EQ(merged.sim.makespan, solo.sim.makespan);
+  EXPECT_EQ(merged.sim.events, solo.sim.events);
+  ASSERT_EQ(merged.sim.link_usage.size(), solo.sim.link_usage.size());
+  for (std::size_t i = 0; i < solo.sim.link_usage.size(); ++i) {
+    EXPECT_EQ(merged.sim.link_usage[i].bytes, solo.sim.link_usage[i].bytes);
+    EXPECT_EQ(merged.sim.link_usage[i].active, solo.sim.link_usage[i].active);
+  }
+  ASSERT_EQ(merged.jobs.size(), 1u);
+  EXPECT_EQ(merged.jobs[0].finish, solo.sim.makespan);
+  EXPECT_EQ(co.jobs[0].co_run, solo.sim.makespan);
+  EXPECT_EQ(co.jobs[0].isolated, solo.sim.makespan);
+}
+
+// Two different collectives prepared once on `topo`, as co-run jobs.
+std::vector<ExecJob> TwoJobs(const Topology& topo, Size buffer) {
+  std::vector<ExecJob> jobs;
+  for (const Algorithm& algo : {algorithms::HierarchicalMeshAllReduce(topo),
+                                algorithms::HierarchicalMeshAllGather(topo)}) {
+    ExecJob job;
+    job.plan = Prepare(algo, topo, BackendKind::kResCCL).value();
+    job.launch.buffer = buffer;
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+TEST(MultiJobTest, FaultedCoRunVerifiesEveryJob) {
+  const Topology topo(presets::A100(2, 4));
+  const std::vector<ExecJob> jobs = TwoJobs(topo, Size::MiB(32));
+  RunRequest request;
+  request.verify = true;
+  request.faults = FaultPlan::Make(7, 0.8, topo);
+  ASSERT_FALSE(request.faults.empty());
+
+  ExecContext ctx;
+  const CollectiveReport& report = ctx.Execute(jobs, request);
+  EXPECT_TRUE(report.verified) << report.verify_error;
+  ASSERT_EQ(report.jobs.size(), 2u);
+  for (const JobView& job : report.jobs) EXPECT_TRUE(job.verified);
+  EXPECT_TRUE(report.fault.faulted);
+  EXPECT_GE(report.sim.makespan, report.fault.clean_makespan);
+}
+
+TEST(MultiJobTest, ObservedCoRunExplainsItsMakespan) {
+  const Topology topo(presets::A100(2, 4));
+  std::vector<ExecJob> jobs = TwoJobs(topo, Size::KiB(256));
+  jobs[0].launch.protocol = Protocol::kAuto;
+  jobs[1].launch.protocol = Protocol::kLL;
+  RunRequest request;
+  request.observe = true;
+
+  ExecContext ctx;
+  const CollectiveReport& report = ctx.Execute(jobs, request);
+  ASSERT_NE(report.lowered, nullptr);
+  const obs::CriticalPathReport path =
+      obs::AnalyzeCriticalPath(report.lowered->program, report.sim);
+  const double makespan = report.sim.makespan.us();
+  EXPECT_NEAR(path.critical_tb_buckets.Total().us(), makespan,
+              1e-9 * makespan);
+  EXPECT_NEAR(path.path_buckets.Total().us(), makespan, 1e-9 * makespan);
+  EXPECT_GT(report.links.carriers, 0);
+
+  ASSERT_EQ(report.jobs.size(), 2u);
+  EXPECT_EQ(report.jobs[0].protocol,
+            ResolveProtocol(topo, request.cost, jobs[0].launch,
+                            jobs[0].plan->plan.algo.nchunks));
+  EXPECT_NE(report.jobs[0].protocol, Protocol::kAuto);
+  EXPECT_TRUE(report.protocol_auto);  // job 0's request
+  EXPECT_EQ(report.jobs[1].protocol, Protocol::kLL);
+  EXPECT_EQ(report.jobs[1].tb_begin, report.jobs[0].tb_count);
+  EXPECT_EQ(report.jobs[1].transfer_begin, report.jobs[0].transfer_count);
+  EXPECT_EQ(std::max(report.jobs[0].finish, report.jobs[1].finish),
+            report.sim.makespan);
+}
+
+TEST(MultiJobTest, RejectsPlansOnDifferentFabrics) {
+  const Topology two_nodes(presets::A100(2, 4));
+  const Topology one_node(presets::A100(1, 8));
+  ASSERT_EQ(two_nodes.nranks(), one_node.nranks());
+  std::vector<ExecJob> jobs = TwoJobs(two_nodes, Size::MiB(16));
+  jobs[1].plan =
+      Prepare(algorithms::HierarchicalMeshAllGather(one_node), one_node,
+              BackendKind::kResCCL)
+          .value();
+  ExecContext ctx;
+  EXPECT_THROW((void)ctx.Execute(jobs, RunRequest{}), std::invalid_argument);
+  EXPECT_THROW((void)ctx.Execute(std::span<const ExecJob>(), RunRequest{}),
+               std::invalid_argument);
 }
 
 TEST(MultiJobTest, RejectsEmptyAndBadJobs) {
   const Topology topo(presets::A100(2, 4));
-  EXPECT_THROW((void)RunConcurrently({}, topo), std::logic_error);
+  EXPECT_THROW((void)RunConcurrently({}, topo), std::invalid_argument);
   Algorithm wrong = algorithms::RingAllGather(4);  // 4 ranks on 8-GPU topo
   EXPECT_THROW((void)RunConcurrently({MakeJob("bad", wrong,
                                               BackendKind::kResCCL,

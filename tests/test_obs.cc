@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "obs/publish.h"
 #include "obs/timeline.h"
 #include "runtime/backend.h"
+#include "runtime/multi_job.h"
 #include "runtime/trace.h"
 #include "sim/machine.h"
 #include "topology/topology.h"
@@ -170,6 +173,76 @@ TEST(MetricsPublishTest, ExecutePublishesStableNames) {
   off.Enable(false);
   obs::PublishCollectiveReport(off, report);
   EXPECT_DOUBLE_EQ(off.counter("run.count").value(), 0.0);
+}
+
+// Metric names in a registry snapshot that start with `prefix`.
+std::set<std::string> NamesWithPrefix(const std::string& json,
+                                      const std::string& prefix) {
+  std::set<std::string> names;
+  const std::string needle = "\"" + prefix;
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1)) {
+    const std::size_t end = json.find('"', at + 1);
+    names.insert(json.substr(at + 1, end - at - 1));
+  }
+  return names;
+}
+
+// Pins the co-run rows of docs/observability.md: one merged Execute plus
+// one isolated Execute per job publish run.*, then PublishCoRun adds
+// multi_job.* and the plan-cache counters.
+TEST(MetricsPublishTest, CoRunPublishesDocumentedSamples) {
+  const Topology topo(presets::A100(2, 4));
+  std::vector<JobSpec> jobs(2);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    jobs[j].name = "job" + std::to_string(j);
+    jobs[j].algorithm = algorithms::HierarchicalMeshAllReduce(topo);
+    jobs[j].options = DefaultCompileOptions(BackendKind::kResCCL);
+    jobs[j].launch.buffer = Size::MiB(4);
+  }
+  PlanCache cache;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  reg.Reset();
+  reg.Enable(true);
+  // Serial baselines, so the run.last_* gauges come from the last job's.
+  const CoRunReport report = RunConcurrently(jobs, topo, {}, &cache, 1);
+  reg.Enable(false);
+
+  const std::string json = reg.ToJson();
+  EXPECT_EQ(NamesWithPrefix(json, "run."),
+            (std::set<std::string>{"run.algo_bw_gbps", "run.count",
+                                   "run.last_algo_bw_gbps",
+                                   "run.last_makespan_us", "run.makespan_us",
+                                   "run.microbatches", "run.sim_us",
+                                   "run.tbs"}));
+  EXPECT_EQ(NamesWithPrefix(json, "multi_job."),
+            (std::set<std::string>{"multi_job.jobs",
+                                   "multi_job.last_makespan_us",
+                                   "multi_job.runs", "multi_job.slowdown"}));
+
+  EXPECT_DOUBLE_EQ(reg.counter("run.count").value(), 3.0);
+  EXPECT_EQ(reg.histogram("run.makespan_us", {}).count(), 3u);
+  EXPECT_EQ(reg.histogram("run.algo_bw_gbps", {}).count(), 3u);
+  double sim_us = report.merged.elapsed.us();
+  for (const JobOutcome& job : report.jobs) sim_us += job.isolated.us();
+  EXPECT_DOUBLE_EQ(reg.counter("run.sim_us").value(), sim_us);
+  EXPECT_DOUBLE_EQ(reg.gauge("run.last_makespan_us").value(),
+                   report.jobs[1].isolated.us());
+  // Identical jobs: the merged run counts both jobs' TBs, each baseline one.
+  EXPECT_DOUBLE_EQ(reg.counter("run.tbs").value(),
+                   2.0 * report.merged.total_tbs);
+  EXPECT_DOUBLE_EQ(reg.counter("run.microbatches").value(),
+                   3.0 * report.merged.nmicrobatches);
+  EXPECT_DOUBLE_EQ(reg.counter("sim.protocol.Simple").value(), 3.0);
+
+  EXPECT_DOUBLE_EQ(reg.counter("multi_job.runs").value(), 1.0);
+  EXPECT_DOUBLE_EQ(reg.counter("multi_job.jobs").value(), 2.0);
+  EXPECT_DOUBLE_EQ(reg.gauge("multi_job.last_makespan_us").value(),
+                   report.merged.elapsed.us());
+  EXPECT_EQ(reg.histogram("multi_job.slowdown", {}).count(), 2u);
+  EXPECT_DOUBLE_EQ(reg.counter("plan_cache.miss_runs").value(), 1.0);
+  EXPECT_DOUBLE_EQ(reg.counter("plan_cache.hit_runs").value(), 1.0);
+  reg.Reset();
 }
 
 // One small observed collective; the trace tests mutate copies of its
