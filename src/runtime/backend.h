@@ -94,8 +94,12 @@ struct RailUtilization {
 
 // Outcome of a faulted Execute (RunRequest.faults non-empty): the same
 // lowered program is also run clean so the report can state how much the
-// schedule absorbed. Worst-rank fields describe the straggling rank — the
-// rank whose last TB finishes latest.
+// schedule absorbed. The clean run happens once per lowering-cache entry of
+// the executing context (runtime/exec_context.h): a Communicator or a reused
+// ExecContext replays it only after a re-lower or a change of co-run job
+// count; the one-shot Execute, a throwaway context, replays on every call.
+// Worst-rank fields describe the straggling rank — the rank whose last TB
+// finishes latest.
 struct FaultImpact {
   bool faulted = false;
   SimTime clean_makespan;          // same plan + launch, no faults
@@ -187,7 +191,9 @@ using PreparedPlan = std::shared_ptr<const PreparedCollective>;
 // `plan_cache_hit` stays false — callers that memoize plans (Communicator,
 // PlanCache users) overwrite both with this-call values. A non-empty
 // `request.faults` perturbs this run only (the artifact is untouched) and
-// fills `report.fault` with the faulted-vs-clean comparison.
+// fills `report.fault` with the faulted-vs-clean comparison. Throws
+// std::invalid_argument if `request.faults` names a resource the plan's
+// fabric lacks (a plan sampled for another topology).
 [[nodiscard]] CollectiveReport Execute(const PreparedCollective& prepared,
                                        const RunRequest& request);
 

@@ -64,6 +64,14 @@ const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
       throw std::invalid_argument("co-run jobs target different fabrics");
     }
   }
+  // A fault plan naming a resource this fabric lacks was sampled for
+  // another one; reject it like a co-run fabric mismatch.
+  const std::size_t nresources = jobs[0].plan->topo->resources().size();
+  for (const FaultPlan::LinkFault& fault : request.faults.link_faults()) {
+    if (static_cast<std::size_t>(fault.resource.value) >= nresources) {
+      throw std::invalid_argument("fault plan names a link the fabric lacks");
+    }
+  }
   for (std::size_t j = 0; j < njobs; ++j) {
     const PreparedPlan& prepared = jobs[j].plan;
     const Topology& topo = *prepared->topo;
@@ -95,6 +103,7 @@ const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
       slot.cost_key = cost_key;
       slot.valid = true;
       merged_jobs_ = 0;
+      clean_jobs_ = 0;
     }
   }
   const Slot& first = slots_[0];
@@ -167,8 +176,13 @@ const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
   if (faulted) {
     // Replay the identical lowered program on an unperturbed fabric (same
     // machine, observe off): the gap is what the schedule failed to absorb.
-    machine_->set_observe(false);
-    machine_->RunInto(lowered->program, nullptr, clean_sim_);
+    // Its makespan is a function of the slots' keys alone, so the replay
+    // runs only when a slot re-lowered or N changed since the last one.
+    if (clean_jobs_ != njobs) {
+      machine_->set_observe(false);
+      machine_->RunInto(lowered->program, nullptr, clean_sim_);
+      clean_jobs_ = njobs;
+    }
     FaultImpact& impact = report_.fault;
     impact.faulted = true;
     impact.clean_makespan = clean_sim_.makespan;

@@ -13,6 +13,9 @@
 //                     rebuilt only when a slot re-lowers or N changes.
 //   SimMachine        reused, Reset rather than rebuilt, until the topology
 //                     changes.
+//   clean makespan    a faulted run's clean replay, memoized: replayed only
+//                     when a slot re-lowers or N changes, so a context pays
+//                     it once per lowering-cache entry, not once per call.
 //   CollectiveReport  a member whose vectors keep their capacity.
 //
 // After a warm-up call, Execute with observe off and unchanged keys makes
@@ -57,9 +60,10 @@ class ExecContext {
 
   // Co-runs `jobs` as one merged program from t = 0, each job with its own
   // launch; `request.launch` is unused. Field meanings for N > 1 are in
-  // backend.h. Throws std::invalid_argument if `jobs` is empty or its plans
+  // backend.h. Throws std::invalid_argument if `jobs` is empty, its plans
   // target different fabrics — compared by value, so equal topologies from
-  // different Prepare calls (a PlanCache hit next to a miss) co-run fine.
+  // different Prepare calls (a PlanCache hit next to a miss) co-run fine —
+  // or `request.faults` names a resource that fabric lacks.
   const CollectiveReport& Execute(std::span<const ExecJob> jobs,
                                   const RunRequest& request);
 
@@ -89,8 +93,9 @@ class ExecContext {
   std::optional<SimMachine> machine_;
   const Topology* machine_topo_ = nullptr;
 
-  std::vector<int> rank_tbs_;  // per-rank TB count scratch
-  SimRunReport clean_sim_;     // a faulted run's clean replay
+  std::vector<int> rank_tbs_;   // per-rank TB count scratch
+  SimRunReport clean_sim_;      // a faulted run's clean replay
+  std::size_t clean_jobs_ = 0;  // job count clean_sim_ replayed; 0: stale
 
   CollectiveReport report_;
 };

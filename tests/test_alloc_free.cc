@@ -5,10 +5,11 @@
 // performs zero heap allocations end-to-end: lowered program, machine,
 // event-queue entries, fluid flow state, and report vectors are all
 // recycled. The same holds for a repeated co-run of several plans, whose
-// merged program is cached too. This binary holds that bar mechanically:
-// the global operator new/delete are replaced with counting versions, and
-// the test asserts the allocation counter does not move across repeated
-// Executes.
+// merged program is cached too, and for faulted replays, whose clean
+// replay's makespan is memoized per lowering-cache entry. This binary holds
+// that bar mechanically: the global operator new/delete are replaced with
+// counting versions, and the test asserts the allocation counter does not
+// move across repeated Executes.
 //
 // The counting allocator lives in this dedicated binary (not a shared test
 // util) so no other test pays for it and the override provably covers every
@@ -24,6 +25,7 @@
 #include "algorithms/ring.h"
 #include "runtime/backend.h"
 #include "runtime/exec_context.h"
+#include "sim/faults.h"
 #include "topology/topology.h"
 
 namespace {
@@ -165,6 +167,49 @@ TEST(AllocFreeTest, SteadyStateCoRunIsAllocationFree) {
   }
   EXPECT_EQ(g_allocations - before, 0u)
       << "steady-state co-run allocated " << (g_allocations - before)
+      << " time(s) across " << kReps << " replays";
+}
+
+TEST(AllocFreeTest, SteadyStateFaultedReplayIsAllocationFree) {
+  // One slot replayed under rotating fault plans: fault windows, stalls and
+  // the memoized clean replay must all reuse warm state.
+  const Topology topo(presets::A100(2, 8));
+  const Algorithm algo = algorithms::RingAllReduce(topo.nranks());
+  Result<PreparedPlan> prepared = Prepare(algo, topo, BackendKind::kResCCL);
+  ASSERT_TRUE(prepared.ok());
+  const PreparedPlan plan = std::move(prepared).value();
+
+  // Built up front: a RunRequest copy would allocate its FaultPlan.
+  std::vector<RunRequest> requests(3);
+  for (int k = 0; k < 3; ++k) {
+    RunRequest& request = requests[static_cast<std::size_t>(k)];
+    request.launch.buffer = Size::MiB(16);
+    request.faults = FaultPlan::Make(static_cast<std::uint64_t>(k + 1),
+                                     0.25 * (k + 1), topo);
+    ASSERT_FALSE(request.faults.empty());
+  }
+
+  ExecContext ctx;
+  std::vector<double> makespan_us;
+  for (int pass = 0; pass < 2; ++pass) {
+    makespan_us.clear();
+    for (const RunRequest& request : requests) {
+      const CollectiveReport& warm = ctx.Execute(plan, request);
+      ASSERT_TRUE(warm.fault.faulted);
+      makespan_us.push_back(warm.sim.makespan.us());
+    }
+  }
+
+  const std::uint64_t before = g_allocations;
+  constexpr int kReps = 30;
+  for (int i = 0; i < kReps; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i) % requests.size();
+    const CollectiveReport& report = ctx.Execute(plan, requests[k]);
+    ASSERT_DOUBLE_EQ(report.sim.makespan.us(), makespan_us[k]);
+    ASSERT_TRUE(report.fault.faulted);
+  }
+  EXPECT_EQ(g_allocations - before, 0u)
+      << "steady-state faulted Execute allocated " << (g_allocations - before)
       << " time(s) across " << kReps << " replays";
 }
 

@@ -3,15 +3,23 @@
 //   * faults change timing, never data — VerifyLoweredExecution still holds;
 //   * a faulted run is never faster than the clean replay of the same plan;
 //   * the same seed reproduces a bit-identical SimRunReport.
+// A reused ExecContext memoizes the clean replay; its reports must equal a
+// fresh context's through every change that invalidates the memo. Fault
+// plans naming resources the fabric lacks are rejected.
 // The base seed is overridable via RESCCL_FAULT_SEED so CI can sweep
 // distinct seed families without a rebuild.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "algorithms/hierarchical.h"
+#include "algorithms/ring.h"
 #include "algo_cases.h"
 #include "runtime/backend.h"
+#include "runtime/exec_context.h"
 #include "sim/faults.h"
 #include "topology/topology.h"
 
@@ -50,6 +58,22 @@ void ExpectIdenticalReports(const SimRunReport& a, const SimRunReport& b) {
     EXPECT_EQ(a.stalls[i].start.us(), b.stalls[i].start.us());
     EXPECT_EQ(a.stalls[i].duration.us(), b.stalls[i].duration.us());
   }
+}
+
+PreparedPlan PrepareResCCL(const Algorithm& algo, const Topology& topo) {
+  return Prepare(algo, topo, BackendKind::kResCCL).value();
+}
+
+// Field-exact equality of two faulted-vs-clean comparisons.
+void ExpectIdenticalImpact(const FaultImpact& a, const FaultImpact& b) {
+  EXPECT_EQ(a.faulted, b.faulted);
+  EXPECT_EQ(a.clean_makespan.us(), b.clean_makespan.us());
+  EXPECT_EQ(a.slowdown_vs_clean, b.slowdown_vs_clean);
+  EXPECT_EQ(a.total_stall.us(), b.total_stall.us());
+  EXPECT_EQ(a.worst_rank, b.worst_rank);
+  EXPECT_EQ(a.worst_rank_finish.us(), b.worst_rank_finish.us());
+  EXPECT_EQ(a.worst_rank_stall.us(), b.worst_rank_stall.us());
+  EXPECT_EQ(a.worst_rank_idle, b.worst_rank_idle);
 }
 
 class FaultProperty
@@ -204,6 +228,127 @@ TEST(FaultPlanTest, CapacityScaleRespectsWindows) {
             20.0);
   EXPECT_TRUE(plan.NextTransitionAfter(ResourceId(0), SimTime::Us(20))
                   .is_infinite());
+}
+
+// One ExecContext runs every change that must re-run its memoized clean
+// replay, and a few that must not. Each call's report must equal a fresh
+// context's bit for bit: the one-shot Execute for one job, a new ExecContext
+// for a co-run. Where the memo must be stale, the fresh clean makespan also
+// differs from the previous faulted call's, so a memo that misses that
+// invalidation cannot pass.
+TEST(FaultMemoTest, ReusedContextMatchesFreshThroughEveryInvalidation) {
+  const Topology topo(presets::A100(2, 4));
+  const PreparedPlan a =
+      PrepareResCCL(algorithms::RingAllReduce(topo.nranks()), topo);
+  const PreparedPlan b =
+      PrepareResCCL(algorithms::HierarchicalMeshAllReduce(topo), topo);
+
+  RunRequest small;
+  small.launch.buffer = Size::MiB(4);
+  small.launch.chunk = Size::KiB(128);
+  RunRequest big = small;
+  big.launch.buffer = Size::MiB(8);
+  RunRequest costly = big;
+  costly.cost.primitive_launch = SimTime::Us(2.0);
+  RunRequest ll = costly;
+  ll.launch.protocol = Protocol::kLL;
+
+  std::vector<FaultPlan> faults;
+  const std::uint64_t base = BaseSeed();
+  for (int i = 0; i < 3; ++i) {
+    const std::uint64_t seed = base * 1000003 + static_cast<std::uint64_t>(i);
+    faults.push_back(FaultPlan::Make(seed, 0.25 * (i + 1), topo));
+  }
+  const auto faulted = [&](RunRequest request, int k) {
+    request.faults = faults[static_cast<std::size_t>(k)];
+    return request;
+  };
+
+  // One call: its jobs (a co-run when more than one), its request, and
+  // whether the memo must be stale on it.
+  struct Step {
+    std::string label;
+    std::vector<ExecJob> jobs;
+    RunRequest request;
+    bool stale;
+  };
+  const auto one = [](const PreparedPlan& plan, const RunRequest& request) {
+    return std::vector<ExecJob>{{plan, request.launch}};
+  };
+  const std::vector<ExecJob> corun = {{a, small.launch}, {b, big.launch}};
+  const std::vector<Step> steps = {
+      {"A, fault plan 0", one(a, small), faulted(small, 0), true},
+      {"A, fault plan 1", one(a, small), faulted(small, 1), false},
+      {"A, fault plan 2", one(a, small), faulted(small, 2), false},
+      {"buffer change", one(a, big), faulted(big, 0), true},
+      {"cost change", one(a, costly), faulted(costly, 0), true},
+      {"Simple to LL", one(a, ll), faulted(ll, 1), true},
+      {"plan B", one(b, ll), faulted(ll, 1), true},
+      {"clean B", one(b, ll), ll, false},
+      {"B after a clean call", one(b, ll), faulted(ll, 2), false},
+      {"clean A re-lowers", one(a, small), small, false},
+      {"A after a clean re-lower", one(a, small), faulted(small, 2), true},
+      {"co-run A+B", corun, faulted(small, 0), true},
+      {"A alone", one(a, small), faulted(small, 1), true},
+      {"co-run A+B again", corun, faulted(small, 2), true},
+  };
+
+  ExecContext ctx;
+  SimTime last_clean;  // the previous faulted call's clean makespan
+  for (const Step& step : steps) {
+    SCOPED_TRACE(step.label);
+    const CollectiveReport& got = ctx.Execute(step.jobs, step.request);
+    ExecContext fresh_ctx;
+    const CollectiveReport want =
+        step.jobs.size() == 1 ? Execute(*step.jobs[0].plan, step.request)
+                              : fresh_ctx.Execute(step.jobs, step.request);
+    EXPECT_EQ(got.sim.makespan.us(), want.sim.makespan.us());
+    ExpectIdenticalImpact(got.fault, want.fault);
+    if (!want.fault.faulted) continue;
+    if (step.stale) {
+      EXPECT_NE(want.fault.clean_makespan.us(), last_clean.us());
+    } else {
+      EXPECT_EQ(want.fault.clean_makespan.us(), last_clean.us());
+    }
+    last_clean = want.fault.clean_makespan;
+  }
+}
+
+// A FaultPlan is tied to the fabric it was sampled for. One naming a
+// resource id the plan's topology lacks is rejected, on the one-shot path
+// and on a reused context, and the context still serves valid requests.
+TEST(FaultPlanTest, ForeignResourcesAreRejected) {
+  const Topology topo(presets::A100(2, 8));
+  const PreparedPlan plan =
+      PrepareResCCL(algorithms::RingAllReduce(topo.nranks()), topo);
+  RunRequest valid;
+  valid.launch.buffer = Size::MiB(4);
+  valid.faults = FaultPlan::Make(5, 1.0, topo);
+
+  // Sampled for a fabric with twice the resources.
+  const Topology bigger(presets::A100(4, 8));
+  ASSERT_GT(bigger.resources().size(), topo.resources().size());
+  RunRequest foreign = valid;
+  foreign.faults = FaultPlan::Make(5, 1.0, bigger);
+
+  // A hand-built fault far past the last resource.
+  RunRequest far = valid;
+  far.faults = FaultPlan();
+  FaultPlan::LinkFault fault;
+  fault.resource = ResourceId(1'000'000);
+  fault.capacity_scale = 0.5;
+  far.faults.AddLinkFault(fault);
+
+  ExecContext ctx;
+  (void)ctx.Execute(plan, valid);
+  for (const RunRequest* bad : {&foreign, &far}) {
+    EXPECT_THROW((void)Execute(*plan, *bad), std::invalid_argument);
+    EXPECT_THROW((void)ctx.Execute(plan, *bad), std::invalid_argument);
+    const CollectiveReport want = Execute(*plan, valid);
+    const CollectiveReport& got = ctx.Execute(plan, valid);
+    EXPECT_EQ(got.sim.makespan.us(), want.sim.makespan.us());
+    ExpectIdenticalImpact(got.fault, want.fault);
+  }
 }
 
 }  // namespace

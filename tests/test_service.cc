@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "obs/metrics.h"
 #include "service/service.h"
 #include "service/workload.h"
+#include "sim/faults.h"
 #include "topology/topology.h"
 
 namespace resccl::service {
@@ -249,6 +251,24 @@ TEST(ServiceTest, CompileFailureBecomesFailedOutcome) {
   }
   EXPECT_EQ(failed, 1);
   EXPECT_EQ(served, 1);
+  EXPECT_EQ(svc.stats().failed, 1u);
+}
+
+TEST(ServiceTest, ForeignFaultPlanBecomesFailedOutcome) {
+  auto topo = SmallTopo();
+  SchedulingService svc(topo, ServiceConfig{});
+  Request bad = SmallRequest(*topo);
+  // Sampled for a larger fabric: names links this one lacks, so Execute
+  // throws and the service records the request as failed.
+  bad.run.faults = FaultPlan::Make(5, 1.0, Topology(presets::A100(4, 8)));
+  (void)svc.Submit(bad);
+  svc.RunUntilQuiescent();
+
+  const std::vector<Response> out = svc.Drain();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].outcome, Outcome::kFailed);
+  EXPECT_NE(out[0].error.find("fabric lacks"), std::string::npos)
+      << out[0].error;
   EXPECT_EQ(svc.stats().failed, 1u);
 }
 

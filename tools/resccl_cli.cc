@@ -71,6 +71,7 @@
 #include "obs/publish.h"
 #include "obs/timeline.h"
 #include "runtime/communicator.h"
+#include "runtime/exec_context.h"
 #include "runtime/selector.h"
 #include "runtime/trace.h"
 #include "service/service.h"
@@ -277,33 +278,16 @@ int CmdRun(const Args& args) {
   RunRequest request = MakeRequest(args);
   request.faults = MakeFaults(args, topo);
 
-  if (args.Has("trace")) {
-    // Trace needs the intermediate artifacts; run the pipeline by hand.
-    auto compiled = Compile(algo, topo, DefaultCompileOptions(backend));
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "%s\n", compiled.status().ToString().c_str());
-      return 1;
-    }
-    const LoweredProgram lowered =
-        Lower(compiled.value(), request.cost, request.launch);
-    SimMachine machine(topo, request.cost);
-    const SimRunReport report =
-        machine.Run(lowered.program,
-                    request.faults.empty() ? nullptr : &request.faults);
-    std::ofstream out(args.Get("trace", "trace.json"));
-    out << ExportChromeTrace(compiled.value(), lowered, report);
-    std::printf("trace written to %s (makespan %.3f ms)\n",
-                args.Get("trace", "trace.json").c_str(), report.makespan.ms());
-    return 0;
-  }
-
-  const Result<CollectiveReport> r =
-      RunCollective(algo, topo, backend, request);
-  if (!r.ok()) {
-    std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
+  const Result<PreparedPlan> prepared = Prepare(algo, topo, backend);
+  if (!prepared.ok()) {
+    std::fprintf(stderr, "%s\n", prepared.status().ToString().c_str());
     return 1;
   }
-  const CollectiveReport& rep = r.value();
+  // The trace maps transfers back to tasks through the lowered program,
+  // which observe mode hands out in the report.
+  request.observe = args.Has("trace");
+  ExecContext ctx;
+  const CollectiveReport& rep = ctx.Execute(prepared.value(), request);
   std::printf("%s on %s (%s backend, %s%s, %d MiB/rank)\n",
               rep.algorithm.c_str(), topo.spec().name.c_str(),
               rep.backend.c_str(), ProtocolName(rep.protocol),
@@ -332,6 +316,12 @@ int CmdRun(const Args& args) {
                 rep.fault.worst_rank, rep.fault.worst_rank_finish.ms(),
                 rep.fault.worst_rank_stall.ms(),
                 rep.fault.worst_rank_idle * 100);
+  }
+  if (args.Has("trace")) {
+    const std::string path = args.Get("trace", "trace.json");
+    std::ofstream out(path);
+    out << ExportChromeTrace(prepared.value()->plan, *rep.lowered, rep.sim);
+    std::printf("  trace               : %s\n", path.c_str());
   }
   if (request.verify) {
     std::printf("  verification        : %s%s\n",
