@@ -21,9 +21,8 @@ bool ApproxEq(SimTime a, SimTime b) {
 
 // The machine's own span vocabulary (sim/machine.h): one contiguous span of
 // a TB's lifetime, zero-length spans not stored, the stored spans tiling
-// [0, finish] exactly. When the run was observed the report carries these
-// prebuilt (the machine emits them incrementally per event); BuildSegments
-// below reconstructs the identical streams by replay for unobserved runs.
+// [0, finish] exactly. The machine emits them incrementally per event when
+// the run is observed.
 using Segment = SimRunReport::TimelineSegment;
 using SegKind = SimRunReport::TimelineSegment::Kind;
 
@@ -58,71 +57,6 @@ InflightSplit SplitSpan(const TransferStats& ts, SimTime upto) {
   out.bw = std::min(out.bw, d);
   out.cont = d - out.bw;
   return out;
-}
-
-std::vector<std::vector<Segment>> BuildSegments(const SimProgram& program,
-                                                const SimRunReport& report) {
-  const std::size_t ntbs = program.tbs.size();
-  std::vector<std::vector<Segment>> segments(ntbs);
-
-  // Per-TB event records, each already in per-TB chronological order: a TB
-  // is sequential, and both stalls and barrier waits are appended at
-  // monotonically non-decreasing simulated times.
-  std::vector<std::vector<const SimRunReport::StallSlice*>> stalls(ntbs);
-  for (const SimRunReport::StallSlice& s : report.stalls) {
-    stalls[static_cast<std::size_t>(s.tb)].push_back(&s);
-  }
-  std::vector<std::vector<const SimRunReport::BarrierWait*>> waits(ntbs);
-  for (const SimRunReport::BarrierWait& w : report.barrier_waits) {
-    waits[static_cast<std::size_t>(w.tb)].push_back(&w);
-  }
-
-  for (std::size_t tb = 0; tb < ntbs; ++tb) {
-    std::vector<Segment>& out = segments[tb];
-    const auto emit = [&out](SegKind kind, SimTime begin, SimTime end,
-                             int transfer, int barrier, bool is_send) {
-      RESCCL_CHECK_MSG(end >= begin, "segment runs backwards");
-      if (end > begin) {
-        out.push_back({kind, is_send, transfer, barrier, begin, end});
-      }
-    };
-
-    SimTime cursor = SimTime::Zero();
-    std::size_t stall_i = 0;
-    std::size_t wait_i = 0;
-    for (const SimInstr& instr : program.tbs[tb].program) {
-      if (stall_i < stalls[tb].size() &&
-          stalls[tb][stall_i]->start == cursor) {
-        const SimRunReport::StallSlice& s = *stalls[tb][stall_i++];
-        emit(SegKind::kStall, s.start, s.start + s.duration, -1, -1, false);
-        cursor = s.start + s.duration;
-      }
-      if (instr.kind == SimInstr::Kind::kBarrier) {
-        RESCCL_CHECK_MSG(wait_i < waits[tb].size(),
-                         "report is missing a barrier wait record");
-        const SimRunReport::BarrierWait& w = *waits[tb][wait_i++];
-        RESCCL_CHECK_MSG(w.barrier == instr.barrier,
-                         "barrier wait records out of order");
-        emit(SegKind::kOverhead, cursor, w.park, -1, -1, false);
-        emit(SegKind::kSync, w.park, w.release, -1, instr.barrier, false);
-        cursor = w.release;
-        continue;
-      }
-      const bool is_send = instr.kind == SimInstr::Kind::kSendSide;
-      const auto tid = static_cast<std::size_t>(instr.transfer);
-      const TransferStats& ts = report.transfers[tid];
-      const SimTime arrival = is_send ? ts.send_arrival : ts.recv_arrival;
-      emit(SegKind::kOverhead, cursor, arrival, instr.transfer, -1, is_send);
-      emit(SegKind::kSync, arrival, ts.start, instr.transfer, -1, is_send);
-      emit(SegKind::kInflight, ts.start, ts.complete, instr.transfer, -1,
-           is_send);
-      cursor = ts.complete;
-    }
-    RESCCL_CHECK_MSG(
-        ApproxEq(cursor, report.tbs[tb].finish),
-        "reconstructed timeline does not reach the TB's finish time");
-  }
-  return segments;
 }
 
 // The rightmost stored segment of `segs` containing `t` from the left
@@ -175,6 +109,8 @@ CriticalPathReport AnalyzeCriticalPath(const SimProgram& program,
   RESCCL_CHECK_MSG(report.tbs.size() == program.tbs.size() &&
                        report.transfers.size() == program.transfers.size(),
                    "report does not match program");
+  RESCCL_CHECK_MSG(report.segments.size() == program.tbs.size(),
+                   "critical-path analysis needs RunRequest.observe");
   CriticalPathReport out;
   out.makespan = report.makespan;
 
@@ -218,26 +154,14 @@ CriticalPathReport AnalyzeCriticalPath(const SimProgram& program,
                    "critical-TB buckets do not sum to the makespan");
   if (critical < 0) return out;  // empty program
 
-  // --- View 2: critical-chain walk. --------------------------------------
-  // Prefer the machine's incrementally recorded streams (observe mode):
-  // same contract, no replay. Fall back to reconstruction when the run was
-  // not observed (or the report predates segment recording).
-  std::vector<std::vector<Segment>> built;
-  const std::vector<std::vector<Segment>>* segments_p = nullptr;
-  if (report.segments.size() == program.tbs.size()) {
-    for (std::size_t tb = 0; tb < program.tbs.size(); ++tb) {
-      const std::vector<Segment>& s = report.segments[tb];
-      RESCCL_CHECK_MSG(
-          ApproxEq(s.empty() ? SimTime::Zero() : s.back().end,
-                   report.tbs[tb].finish),
-          "recorded timeline does not reach the TB's finish time");
-    }
-    segments_p = &report.segments;
-  } else {
-    built = BuildSegments(program, report);
-    segments_p = &built;
+  // --- View 2: critical-chain walk over the recorded timelines. ---------
+  const std::vector<std::vector<Segment>>& segments = report.segments;
+  for (std::size_t tb = 0; tb < program.tbs.size(); ++tb) {
+    const std::vector<Segment>& s = segments[tb];
+    const SimTime end = s.empty() ? SimTime::Zero() : s.back().end;
+    RESCCL_CHECK_MSG(ApproxEq(end, report.tbs[tb].finish),
+                     "recorded timeline does not reach the TB's finish time");
   }
-  const std::vector<std::vector<Segment>>& segments = *segments_p;
   std::size_t total_segments = 0;
   for (const auto& s : segments) total_segments += s.size();
 

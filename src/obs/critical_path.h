@@ -32,7 +32,8 @@
 //     chain_complete is false). Both views sum to the makespan within
 //     1e-9 relative — asserted by AnalyzeCriticalPath itself.
 //
-// Works on any SimProgram/SimRunReport pair, including multi-job merges.
+// Works on any observed SimProgram/SimRunReport pair, including multi-job
+// merges.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +96,9 @@ struct CriticalPathReport {
 };
 
 // Throws (RESCCL_CHECK) if the report is inconsistent with the program —
-// both must come from the same Run.
+// both must come from the same Run — or if the run was not observed: the
+// chain walk reads the per-TB timelines the machine records only under
+// RunRequest.observe (SimRunReport::segments), and never replays them.
 [[nodiscard]] CriticalPathReport AnalyzeCriticalPath(
     const SimProgram& program, const SimRunReport& report);
 

@@ -67,9 +67,10 @@ struct RunRequest {
   // are reused across fault scenarios.
   FaultPlan faults;
   // Record observability extras for this run: the per-resource rate log
-  // (SimRunReport::link_rates, feeding obs/timeline.h) and the lowered
-  // program in the report (CollectiveReport::lowered, feeding
-  // obs/critical_path.h and trace export). Never changes any simulated
+  // (SimRunReport::link_rates, feeding obs/timeline.h), the per-TB
+  // timelines (SimRunReport::segments) and the lowered program
+  // (CollectiveReport::lowered), both required by obs/critical_path.h;
+  // the program also feeds trace export. Never changes any simulated
   // result — it only adds recording.
   bool observe = false;
 };

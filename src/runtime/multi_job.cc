@@ -15,32 +15,25 @@ CoRunReport RunConcurrently(const std::vector<JobSpec>& jobs,
                             PlanCache* cache, int sim_jobs) {
   if (jobs.empty()) throw std::invalid_argument("need at least one job");
 
+  PlanCache local;
+  if (cache == nullptr) cache = &local;
   auto shared_topo = std::make_shared<const Topology>(topo);
   CoRunReport report;
   report.jobs.resize(jobs.size());
   std::vector<ExecJob> plans(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const JobSpec& spec = jobs[j];
-    JobOutcome& outcome = report.jobs[j];
-    const auto reject = [&spec](const Status& status) {
+    Result<PlanCache::Lookup> got = cache->GetOrPrepare(
+        spec.algorithm, shared_topo, spec.options, spec.name);
+    if (!got.ok()) {
       throw std::invalid_argument("job '" + spec.name +
-                                  "': " + status.ToString());
-    };
-    if (cache != nullptr) {
-      Result<PlanCache::Lookup> got = cache->GetOrPrepare(
-          spec.algorithm, shared_topo, spec.options, spec.name);
-      if (!got.ok()) reject(got.status());
-      plans[j].plan = got.value().plan;
-      outcome.plan_cache_hit = got.value().hit;
-      outcome.prepare_us = got.value().prepare_us;
-    } else {
-      Result<PreparedPlan> got =
-          Prepare(spec.algorithm, shared_topo, spec.options, spec.name);
-      if (!got.ok()) reject(got.status());
-      plans[j].plan = std::move(got).value();
-      outcome.prepare_us = plans[j].plan->prepare_us;
+                                  "': " + got.status().ToString());
     }
+    JobOutcome& outcome = report.jobs[j];
     outcome.name = spec.name;
+    outcome.plan_cache_hit = got.value().hit;
+    outcome.prepare_us = got.value().prepare_us;
+    plans[j].plan = std::move(got).value().plan;
     plans[j].launch = spec.launch;
   }
 

@@ -8,9 +8,9 @@
 // which also takes faults and observe mode), and each job's completion time
 // is reported next to its isolated runtime.
 //
-// Jobs prepare through an optional shared PlanCache: co-scheduled jobs (and
-// repeated co-run experiments) running the same (algorithm, options) share
-// one compiled artifact instead of compiling per job.
+// Jobs prepare through a PlanCache — the caller's, shared across calls, or
+// a call-local one — so co-scheduled jobs running the same (algorithm,
+// options) share one compiled artifact instead of compiling per job.
 #pragma once
 
 #include <string>
@@ -34,8 +34,10 @@ struct JobOutcome {
   SimTime isolated;      // completion time alone on the cluster
   double slowdown = 0;   // co_run / isolated
   bool verified = false;
-  bool plan_cache_hit = false;  // plan came from `cache` without compiling
-  double prepare_us = 0;        // prepare cost charged to this job
+  // True when this job's plan needed no compile: it was already cached, or
+  // an earlier job in the same call compiled it.
+  bool plan_cache_hit = false;
+  double prepare_us = 0;  // wall-clock this job spent obtaining its plan
 };
 
 struct CoRunReport {
@@ -45,8 +47,9 @@ struct CoRunReport {
 
 // Runs all jobs concurrently on `topo` (kick-off at t=0). Every job is also
 // run in isolation for the slowdown baseline, and each job's data movement
-// is verified through the data engine. When `cache` is given, all jobs
-// prepare through it (one compile per distinct plan across jobs and calls).
+// is verified through the data engine. All jobs prepare through `cache`
+// (one compile per distinct plan across jobs and calls); a null `cache`
+// means a call-local one (one compile per distinct plan within the call).
 // Throws std::invalid_argument on an empty job list or a compile error.
 //
 // `sim_jobs` parallelizes the isolated baselines (an ExecContext each) over

@@ -24,20 +24,7 @@ double ElapsedUs(std::chrono::steady_clock::time_point start) {
 PlanCache::PlanCache() : PlanCache(Config()) {}
 
 PlanCache::PlanCache(Config config) : config_(std::move(config)) {
-  if (config_.shards == 0) config_.shards = 1;
   if (config_.capacity == 0) config_.capacity = 1;
-  if (config_.shards > config_.capacity) config_.shards = config_.capacity;
-  per_shard_capacity_ =
-      (config_.capacity + config_.shards - 1) / config_.shards;
-  shards_.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-PlanCache::Shard& PlanCache::ShardFor(const Fingerprint& key) {
-  return *shards_[static_cast<std::size_t>(FingerprintHash{}(key)) %
-                  shards_.size()];
 }
 
 std::string PlanCache::DiskPath(const Fingerprint& key) const {
@@ -64,9 +51,8 @@ PreparedPlan PlanCache::TryLoadFromDisk(const Fingerprint& key,
   // edited-on-disk plan that would deadlock or race is recompiled instead.
   if (const AnalysisReport verdict = AnalyzePlan(plan.value(), topo.get());
       !verdict.clean()) {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.counters.disk_rejects;
+    std::lock_guard<std::mutex> lock(mu_);
+    ++counters_.disk_rejects;
     return nullptr;
   }
   auto prepared = std::make_shared<PreparedCollective>();
@@ -95,21 +81,20 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
   RESCCL_CHECK(topo != nullptr);
   const auto t0 = std::chrono::steady_clock::now();
   const Fingerprint key = FingerprintOf(algo, topo->spec(), options);
-  Shard& shard = ShardFor(key);
 
   std::shared_ptr<InFlight> flight;
   bool leader = false;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-      ++shard.counters.hits;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+      ++counters_.hits;
       return Lookup{it->second.plan, true, false, ElapsedUs(t0)};
     }
     // Single-flight: the first thread missing a key leads the compile;
     // later threads join its flight and wait instead of compiling again.
-    auto [fit, inserted] = shard.inflight.try_emplace(key, nullptr);
+    auto [fit, inserted] = inflight_.try_emplace(key, nullptr);
     if (inserted) {
       fit->second = std::make_shared<InFlight>();
       leader = true;
@@ -122,19 +107,19 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
     flight->cv.wait(lock, [&] { return flight->done; });
     if (flight->plan == nullptr) return flight->error;
     {
-      std::lock_guard<std::mutex> shard_lock(shard.mu);
-      ++shard.counters.coalesced;
+      std::lock_guard<std::mutex> cache_lock(mu_);
+      ++counters_.coalesced;
     }
     return Lookup{flight->plan, true, true, ElapsedUs(t0)};
   }
 
-  // Leader path, outside the shard lock: disk restore, then full Prepare.
+  // Leader path, outside the cache lock: disk restore, then full Prepare.
   // Whatever happens — plan, error, or exception — the flight must resolve,
   // or followers would wait forever.
   const auto resolve = [&](PreparedPlan plan, Status error) {
     {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.inflight.erase(key);
+      std::lock_guard<std::mutex> lock(mu_);
+      inflight_.erase(key);
     }
     std::lock_guard<std::mutex> lock(flight->mu);
     flight->done = true;
@@ -147,8 +132,8 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
     if (!config_.persist_dir.empty()) {
       if (PreparedPlan loaded = TryLoadFromDisk(key, topo, backend_name)) {
         {
-          std::lock_guard<std::mutex> lock(shard.mu);
-          ++shard.counters.disk_hits;
+          std::lock_guard<std::mutex> lock(mu_);
+          ++counters_.disk_hits;
         }
         Put(key, loaded);
         resolve(loaded, Status::Ok());
@@ -163,8 +148,8 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
       return prepared.status();
     }
     {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      ++shard.counters.misses;
+      std::lock_guard<std::mutex> lock(mu_);
+      ++counters_.misses;
     }
     if (!config_.persist_dir.empty()) Persist(key, *prepared.value());
     Put(key, prepared.value());
@@ -177,64 +162,46 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
 }
 
 PreparedPlan PlanCache::Get(const Fingerprint& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return nullptr;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it == map_.end()) return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
   return it->second.plan;
 }
 
 void PlanCache::Put(const Fingerprint& key, PreparedPlan plan) {
   RESCCL_CHECK(plan != nullptr);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  if (it != map_.end()) {
     it->second.plan = std::move(plan);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return;
   }
-  shard.lru.push_front(key);
-  shard.map.emplace(key, Entry{std::move(plan), shard.lru.begin()});
-  ++shard.counters.insertions;
-  while (shard.map.size() > per_shard_capacity_) {
-    shard.map.erase(shard.lru.back());
-    shard.lru.pop_back();
-    ++shard.counters.evictions;
+  lru_.push_front(key);
+  map_.emplace(key, Entry{std::move(plan), lru_.begin()});
+  ++counters_.insertions;
+  while (map_.size() > config_.capacity) {
+    map_.erase(lru_.back());
+    lru_.pop_back();
+    ++counters_.evictions;
   }
 }
 
 PlanCache::Stats PlanCache::stats() const {
-  Stats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total.hits += shard->counters.hits;
-    total.disk_hits += shard->counters.disk_hits;
-    total.misses += shard->counters.misses;
-    total.coalesced += shard->counters.coalesced;
-    total.insertions += shard->counters.insertions;
-    total.evictions += shard->counters.evictions;
-    total.disk_rejects += shard->counters.disk_rejects;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return counters_;
 }
 
 std::size_t PlanCache::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    n += shard->map.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 void PlanCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->map.clear();
-    shard->lru.clear();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  map_.clear();
+  lru_.clear();
 }
 
 }  // namespace resccl

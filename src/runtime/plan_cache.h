@@ -1,16 +1,16 @@
 // Thread-safe compiled-plan cache.
 //
 // The offline workflow (§4.1, §5.3) amortizes one compile over an entire
-// training job. PlanCache is the in-process realization: a mutex-sharded
-// LRU map from the deterministic input fingerprint (core/fingerprint.h) to
-// the immutable PreparedCollective artifact. Repeated traffic — a
-// Communicator re-running AllReduce, the selector sweeping message sizes,
-// several co-scheduled jobs compiling the same algorithm — pays the compile
-// once and replays the shared artifact thereafter.
+// training job. PlanCache is the in-process realization: an LRU map from
+// the deterministic input fingerprint (core/fingerprint.h) to the immutable
+// PreparedCollective artifact. Repeated traffic — a Communicator re-running
+// AllReduce, the selector sweeping message sizes, several co-scheduled jobs
+// compiling the same algorithm — pays the compile once and replays the
+// shared artifact thereafter.
 //
-// Concurrency model: keys are distributed over independent shards, each
-// guarded by one mutex held only for map/LRU bookkeeping. Compilation runs
-// outside any lock, so a miss never blocks hits on other keys. Concurrent
+// Concurrency model: one mutex guards the LRU map, the in-flight table and
+// the counters, and is held only for that bookkeeping. Compilation runs
+// outside the lock, so a miss never blocks hits on other keys. Concurrent
 // misses on the *same* key single-flight: the first thread becomes the
 // leader and compiles; followers block on that compile and share its
 // artifact (Stats.coalesced, Lookup.coalesced) — exactly one Prepare per
@@ -36,7 +36,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "core/fingerprint.h"
 #include "runtime/backend.h"
@@ -46,8 +45,7 @@ namespace resccl {
 class PlanCache {
  public:
   struct Config {
-    std::size_t capacity = 64;  // total entries, split across shards
-    std::size_t shards = 4;     // independent mutex-protected LRU shards
+    std::size_t capacity = 64;  // live entries before LRU eviction
     std::string persist_dir;    // non-empty: write-through/read via plan_io
   };
 
@@ -96,7 +94,7 @@ class PlanCache {
   [[nodiscard]] PreparedPlan Get(const Fingerprint& key);
   void Put(const Fingerprint& key, PreparedPlan plan);
 
-  [[nodiscard]] Stats stats() const;       // aggregated across shards
+  [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t size() const;  // live entries
   void Clear();                            // drops entries, keeps counters
 
@@ -109,7 +107,7 @@ class PlanCache {
   };
   // One in-flight Prepare: the leader publishes plan-or-error under `mu`
   // and notifies; followers hold a shared_ptr and wait, so the entry stays
-  // alive even after the leader unlinks it from the shard.
+  // alive even after the leader unlinks it from the cache.
   struct InFlight {
     std::mutex mu;
     std::condition_variable cv;
@@ -117,16 +115,6 @@ class PlanCache {
     PreparedPlan plan;  // null on compile failure
     Status error;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Fingerprint> lru;  // front = most recently used
-    std::unordered_map<Fingerprint, Entry, FingerprintHash> map;
-    std::unordered_map<Fingerprint, std::shared_ptr<InFlight>, FingerprintHash>
-        inflight;
-    Stats counters;
-  };
-
-  [[nodiscard]] Shard& ShardFor(const Fingerprint& key);
   [[nodiscard]] std::string DiskPath(const Fingerprint& key) const;
   // Best-effort restore of `key` from persist_dir; nullptr on any failure.
   [[nodiscard]] PreparedPlan TryLoadFromDisk(
@@ -135,8 +123,12 @@ class PlanCache {
   void Persist(const Fingerprint& key, const PreparedCollective& prepared);
 
   Config config_;
-  std::size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  std::list<Fingerprint> lru_;  // front = most recently used
+  std::unordered_map<Fingerprint, Entry, FingerprintHash> map_;
+  std::unordered_map<Fingerprint, std::shared_ptr<InFlight>, FingerprintHash>
+      inflight_;
+  Stats counters_;
 };
 
 }  // namespace resccl

@@ -25,36 +25,26 @@ struct PreparedCandidate {
   bool plan_cache_hit = false;  // served without compiling
 };
 
-// Prepares every candidate exactly once, through `cache` when given.
+// Prepares every candidate exactly once through `cache`, or through a
+// call-local cache when none is given.
 std::vector<PreparedCandidate> PrepareCandidates(
     const std::vector<Algorithm>& candidates, const Topology& topo,
     BackendKind backend, PlanCache* cache, PrepareStats& stats) {
+  PlanCache local;
+  if (cache == nullptr) cache = &local;
   const CompileOptions options = DefaultCompileOptions(backend);
   auto shared_topo = std::make_shared<const Topology>(topo);
   std::vector<PreparedCandidate> prepared;
   prepared.reserve(candidates.size());
   for (const Algorithm& algo : candidates) {
-    PreparedCandidate c;
-    if (cache != nullptr) {
-      Result<PlanCache::Lookup> got =
-          cache->GetOrPrepare(algo, shared_topo, options, BackendName(backend));
-      if (!got.ok()) {
-        throw std::invalid_argument("candidate '" + algo.name +
-                                    "' failed: " + got.status().ToString());
-      }
-      c.plan = got.value().plan;
-      c.prepare_us = got.value().prepare_us;
-      c.plan_cache_hit = got.value().hit;
-    } else {
-      Result<PreparedPlan> got =
-          Prepare(algo, shared_topo, options, BackendName(backend));
-      if (!got.ok()) {
-        throw std::invalid_argument("candidate '" + algo.name +
-                                    "' failed: " + got.status().ToString());
-      }
-      c.plan = std::move(got).value();
-      c.prepare_us = c.plan->prepare_us;
+    Result<PlanCache::Lookup> got =
+        cache->GetOrPrepare(algo, shared_topo, options, BackendName(backend));
+    if (!got.ok()) {
+      throw std::invalid_argument("candidate '" + algo.name +
+                                  "' failed: " + got.status().ToString());
     }
+    const PlanCache::Lookup& lookup = got.value();
+    PreparedCandidate c{lookup.plan, lookup.prepare_us, lookup.hit};
     if (c.plan_cache_hit) {
       ++stats.cache_hits;
     } else {

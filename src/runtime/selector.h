@@ -8,10 +8,11 @@
 // crossovers.
 //
 // Selection follows the Prepare/Execute split: every candidate is prepared
-// exactly once (through a PlanCache when one is supplied) and the prepared
-// artifact is re-executed for each message size — SelectAlgorithmSweep pays
-// one compile per candidate no matter how many sizes it scores. The
-// PrepareStats in each result expose that amortization.
+// exactly once through a PlanCache (the caller's, or a call-local one when
+// none is supplied) and the prepared artifact is re-executed for each
+// message size — SelectAlgorithmSweep pays one compile per candidate no
+// matter how many sizes it scores. The PrepareStats in each result expose
+// that amortization.
 #pragma once
 
 #include <string>
@@ -62,8 +63,9 @@ struct SelectionResult {
                                                          const Topology& topo);
 
 // Simulates every candidate and returns the fastest. Plans are prepared
-// through `cache` when given (so repeated selections share compiles), or
-// freshly otherwise. Throws std::invalid_argument if no candidate applies.
+// through `cache` (so repeated selections share compiles); a null `cache`
+// means a call-local one. Throws std::invalid_argument if no candidate
+// applies.
 //
 // `jobs` parallelizes the candidate simulations over the shared thread
 // pool (common/thread_pool.h): every (candidate, size) cell is an

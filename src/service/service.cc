@@ -228,7 +228,7 @@ std::uint64_t SchedulingService::Submit(Request req) {
   const std::lock_guard<std::mutex> lock(mu_);
   const double arrival =
       config_.deterministic ? virtual_now_us_ : WallNowUs();
-  return SubmitInternal(std::move(req), arrival, /*explicit_arrival=*/false);
+  return SubmitInternal(std::move(req), arrival);
 }
 
 std::uint64_t SchedulingService::SubmitAt(Request req, double arrival_us) {
@@ -238,11 +238,11 @@ std::uint64_t SchedulingService::SubmitAt(Request req, double arrival_us) {
   RESCCL_CHECK_MSG(arrival_us <= virtual_now_us_,
                    "arrival " << arrival_us << "us is ahead of the virtual "
                    "clock; AdvanceTo it first");
-  return SubmitInternal(std::move(req), arrival_us, /*explicit_arrival=*/true);
+  return SubmitInternal(std::move(req), arrival_us);
 }
 
-std::uint64_t SchedulingService::SubmitInternal(Request req, double arrival_us,
-                                                bool /*explicit_arrival*/) {
+std::uint64_t SchedulingService::SubmitInternal(Request req,
+                                                double arrival_us) {
   // Callers hold mu_.
   Pending p;
   p.id = ++next_id_;

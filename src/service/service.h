@@ -1,8 +1,8 @@
 // Multi-tenant collective-scheduling service.
 //
-// The compile-once/execute-many split (backend.h), the sharded plan cache,
-// and the metrics registry make ResCCL a fast library; this module makes
-// it a *server*: a long-running SchedulingService that admits thousands of
+// The compile-once/execute-many split (backend.h), the plan cache, and the
+// metrics registry make ResCCL a fast library; this module makes it a
+// *server*: a long-running SchedulingService that admits thousands of
 // concurrent collective requests from many tenants against one shared plan
 // cache and one simulator pool, and degrades gracefully under overload.
 //
@@ -232,8 +232,7 @@ class SchedulingService {
                           CollectiveReport report, double queue_wait_us);
   void RecordFailedLocked(Pending p, std::string error, double queue_wait_us);
   void PublishDepthLocked();
-  std::uint64_t SubmitInternal(Request req, double arrival_us,
-                               bool explicit_arrival);
+  std::uint64_t SubmitInternal(Request req, double arrival_us);
   // Live mode: move queued work into flight while capacity remains.
   void DispatchMoreLocked();
   void ExecuteOne(Pending p, double queue_wait_us);  // live-mode task body

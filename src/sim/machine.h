@@ -151,9 +151,8 @@ struct SimRunReport {
   // set_observe(true); the machine emits them incrementally as events
   // resolve (transfer completion, barrier release, stall expiry), so the
   // critical-path analyzer (obs/critical_path.h) consumes them directly
-  // instead of replaying the program. Per TB the spans are chronological,
-  // zero-length spans are dropped, and the stored spans tile [0, finish]
-  // exactly — the same contract the analyzer's replay fallback produces.
+  // and requires them. Per TB the spans are chronological, zero-length
+  // spans are dropped, and the stored spans tile [0, finish] exactly.
   struct TimelineSegment {
     enum class Kind : std::uint8_t { kOverhead, kSync, kInflight, kStall };
     Kind kind = Kind::kSync;

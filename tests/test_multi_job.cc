@@ -112,6 +112,46 @@ TEST(MultiJobTest, JobsShareAPlanCache) {
   EXPECT_EQ(second.merged.elapsed, first.merged.elapsed);
 }
 
+TEST(MultiJobTest, CachelessCoRunOfIdenticalJobsCompilesOnce) {
+  const Topology topo(presets::A100(2, 4));
+  const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
+  const std::vector<JobSpec> jobs = {
+      MakeJob("a", algo, BackendKind::kResCCL, Size::MiB(64)),
+      MakeJob("b", algo, BackendKind::kResCCL, Size::MiB(64)),
+  };
+  const CoRunReport report = RunConcurrently(jobs, topo);
+  ASSERT_EQ(report.jobs.size(), 2u);
+  // No cache passed: the call-local one still shares the one compile.
+  EXPECT_FALSE(report.jobs[0].plan_cache_hit);
+  EXPECT_TRUE(report.jobs[1].plan_cache_hit);
+
+  // Sharing the artifact moves no simulated time: one plan compiled per
+  // job gives bit-identical co-run and isolated completions.
+  const auto shared_topo = std::make_shared<const Topology>(topo);
+  std::vector<ExecJob> separate(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const JobSpec& spec = jobs[j];
+    separate[j].plan =
+        Prepare(spec.algorithm, shared_topo, spec.options, spec.name).value();
+    separate[j].launch = spec.launch;
+  }
+  RunRequest request;
+  request.verify = true;
+  ExecContext ctx;
+  const CollectiveReport& merged = ctx.Execute(separate, request);
+  EXPECT_EQ(report.merged.elapsed.us(), merged.elapsed.us());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    SCOPED_TRACE(jobs[j].name);
+    EXPECT_TRUE(report.jobs[j].verified);
+    EXPECT_EQ(report.jobs[j].co_run.us(), merged.jobs[j].finish.us());
+    RunRequest alone_request;
+    alone_request.launch = jobs[j].launch;
+    ExecContext alone;
+    EXPECT_EQ(report.jobs[j].isolated.us(),
+              alone.Execute(separate[j].plan, alone_request).elapsed.us());
+  }
+}
+
 TEST(MultiJobTest, MixedHitAndMissCoRunRuns) {
   // A cache hit carries the topology object of the call that compiled it,
   // a miss the current call's: equal fabrics behind different pointers.

@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
 #include "algo_cases.h"
+#include "algorithms/hierarchical.h"
 #include "obs/critical_path.h"
 #include "obs/timeline.h"
 #include "runtime/backend.h"
@@ -103,6 +105,24 @@ TEST_P(ObsProperty, BucketsTileMakespanAndTimelinesMatchUsage) {
       EXPECT_LE(tl.BusyFraction(r.sim.makespan), 1.0 + 1e-9);
     }
   }
+}
+
+TEST(CriticalPathTest, RejectsUnobservedReport) {
+  const Topology topo(presets::A100(2, 4));
+  const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
+  const PreparedPlan prepared =
+      Prepare(algo, topo, BackendKind::kResCCL).value();
+  RunRequest request;
+  request.launch.buffer = Size::MiB(4);
+  const CollectiveReport plain = Execute(*prepared, request);
+  ASSERT_TRUE(plain.sim.segments.empty());
+  // The same request observed supplies the program the plain run executed.
+  request.observe = true;
+  const CollectiveReport observed = Execute(*prepared, request);
+  ASSERT_NE(observed.lowered, nullptr);
+  EXPECT_THROW(
+      (void)obs::AnalyzeCriticalPath(observed.lowered->program, plain.sim),
+      std::logic_error);
 }
 
 std::string ObsPropertyName(

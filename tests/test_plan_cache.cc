@@ -317,7 +317,6 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
 
   PlanCache::Config config;
   config.capacity = 2;
-  config.shards = 1;  // single shard so the LRU order is global
   PlanCache cache(config);
 
   // Three distinct keys from the same algorithm via differing options.
@@ -339,6 +338,40 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_NE(cache.Get(FingerprintOf(algo, topo->spec(), a)), nullptr);
   EXPECT_EQ(cache.Get(FingerprintOf(algo, topo->spec(), b)), nullptr);
   EXPECT_NE(cache.Get(FingerprintOf(algo, topo->spec(), c)), nullptr);
+}
+
+TEST(PlanCacheTest, DefaultCapacityBoundsTheWholeCache) {
+  const auto topo = std::make_shared<const Topology>(presets::A100(2, 4));
+  const Algorithm algo = HmAllReduce(*topo);
+  const CompileOptions options = DefaultCompileOptions(BackendKind::kResCCL);
+  const PreparedPlan plan = Prepare(algo, topo, options).value();
+
+  // 65 real fingerprints (distinct warps_per_tb) over one shared artifact:
+  // the bound under test is the entry count, not the compile.
+  std::vector<Fingerprint> keys;
+  for (int warps = 1; warps <= 65; ++warps) {
+    CompileOptions varied = options;
+    varied.warps_per_tb = warps;
+    keys.push_back(FingerprintOf(algo, topo->spec(), varied));
+  }
+
+  PlanCache cache;
+  ASSERT_EQ(cache.config().capacity, 64u);
+  for (std::size_t i = 0; i < 64; ++i) cache.Put(keys[i], plan);
+  EXPECT_EQ(cache.size(), 64u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  // Touch the oldest so the second-oldest is least recently used.
+  ASSERT_NE(cache.Get(keys[0]), nullptr);
+  cache.Put(keys[64], plan);
+  EXPECT_EQ(cache.size(), 64u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.Get(keys[1]), nullptr);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i != 1) {
+      EXPECT_NE(cache.Get(keys[i]), nullptr) << "key " << i;
+    }
+  }
 }
 
 TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
