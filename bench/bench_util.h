@@ -1,8 +1,8 @@
 // Shared helpers for the benchmark harnesses.
 //
-// Each bench binary regenerates one table or figure from the paper's
-// evaluation (§5); see DESIGN.md's per-experiment index. Output is the
-// table/series the paper reports, printed via TextTable.
+// `paper` regenerates every table and figure of the paper's evaluation
+// (§5); the other binaries are ablations and perf harnesses. See DESIGN.md's
+// per-experiment index. Output is printed via TextTable.
 #pragma once
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,42 +51,6 @@ std::vector<T> ParallelRows(int jobs, std::size_t n, Fn&& row) {
   return out;
 }
 
-inline CollectiveReport Measure(const Algorithm& algo, const Topology& topo,
-                                BackendKind kind, Size buffer,
-                                Size chunk = Size::MiB(1)) {
-  RunRequest request;
-  request.launch.buffer = buffer;
-  request.launch.chunk = chunk;
-  Result<CollectiveReport> r = RunCollective(algo, topo, kind, request);
-  if (!r.ok()) {
-    std::fprintf(stderr, "bench run failed: %s\n",
-                 r.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(r).value();
-}
-
-// Like Measure, but records the observability extras (link-rate log + the
-// lowered program in the report) so the caller can run the critical-path
-// analyzer (obs/critical_path.h) or build exact link timelines
-// (obs/timeline.h). Simulated results are identical to Measure.
-inline CollectiveReport MeasureObserved(const Algorithm& algo,
-                                        const Topology& topo, BackendKind kind,
-                                        Size buffer,
-                                        Size chunk = Size::MiB(1)) {
-  RunRequest request;
-  request.launch.buffer = buffer;
-  request.launch.chunk = chunk;
-  request.observe = true;
-  Result<CollectiveReport> r = RunCollective(algo, topo, kind, request);
-  if (!r.ok()) {
-    std::fprintf(stderr, "bench run failed: %s\n",
-                 r.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(r).value();
-}
-
 // Aborts unless |got - want| <= tol·max(1, |want|): the benches self-check
 // the analyzer/timeline invariants against the simulator's own accounting
 // before printing anything.
@@ -98,28 +63,12 @@ inline void CheckClose(const char* what, double got, double want,
   }
 }
 
-inline CollectiveReport MeasureWithOptions(const Algorithm& algo,
-                                           const Topology& topo,
-                                           const CompileOptions& options,
-                                           Size buffer,
-                                           const std::string& name) {
-  RunRequest request;
-  request.launch.buffer = buffer;
-  Result<CollectiveReport> r =
-      RunCollectiveWithOptions(algo, topo, options, request, name);
-  if (!r.ok()) {
-    std::fprintf(stderr, "bench run failed: %s\n",
-                 r.status().ToString().c_str());
-    std::abort();
-  }
-  return std::move(r).value();
-}
-
-// Compiles `algo` once for the sweep loops below; sweeping buffer sizes
-// re-executes the same artifact instead of recompiling per point.
+// Compiles `algo` once; a sweep then re-executes the same artifact for
+// every point instead of recompiling per point.
 inline PreparedPlan PrepareOrDie(const Algorithm& algo, const Topology& topo,
-                                 BackendKind kind) {
-  Result<PreparedPlan> r = Prepare(algo, topo, kind);
+                                 const CompileOptions& options,
+                                 std::string_view backend_name) {
+  Result<PreparedPlan> r = Prepare(algo, topo, options, backend_name);
   if (!r.ok()) {
     std::fprintf(stderr, "bench prepare failed: %s\n",
                  r.status().ToString().c_str());
@@ -128,27 +77,38 @@ inline PreparedPlan PrepareOrDie(const Algorithm& algo, const Topology& topo,
   return std::move(r).value();
 }
 
+inline PreparedPlan PrepareOrDie(const Algorithm& algo, const Topology& topo,
+                                 BackendKind kind) {
+  return PrepareOrDie(algo, topo, DefaultCompileOptions(kind),
+                      BackendName(kind));
+}
+
+// The one measurement path: executes a prepared plan at one launch point.
+// `observe` also records the link-rate log and the lowered program in the
+// report, for the critical-path analyzer (obs/critical_path.h) and exact
+// link timelines (obs/timeline.h); simulated results do not change.
 inline CollectiveReport MeasurePrepared(const PreparedCollective& prepared,
                                         Size buffer,
-                                        Size chunk = Size::MiB(1)) {
+                                        Size chunk = Size::MiB(1),
+                                        bool observe = false) {
   RunRequest request;
   request.launch.buffer = buffer;
   request.launch.chunk = chunk;
+  request.observe = observe;
   return Execute(prepared, request);
 }
 
-// Percent-of-optimal cell: `elapsed` against the static lower bound
-// (analysis/bounds.h) for `algo` at the same launch geometry the bench
-// measured. Soundness keeps this ≤ 100% on clean runs.
-inline std::string PctOfOptimal(const Topology& topo, const Algorithm& algo,
-                                SimTime elapsed, Size buffer,
-                                Size chunk = Size::MiB(1)) {
+// Percent of optimal: `elapsed` against the static lower bound
+// (analysis/bounds.h) for `algo` at the launch geometry MeasurePrepared
+// used. Soundness keeps this <= 100 on clean runs.
+inline double OptimalityPct(const Topology& topo, const Algorithm& algo,
+                            SimTime elapsed, Size buffer,
+                            Size chunk = Size::MiB(1)) {
   RunRequest request;
   request.launch.buffer = buffer;
   request.launch.chunk = chunk;
-  const BoundReport bound =
-      ComputeLowerBound(topo, request.cost, algo, request.launch);
-  return Fixed(bound.OptimalityPct(elapsed), 1) + "%";
+  return ComputeLowerBound(topo, request.cost, algo, request.launch)
+      .OptimalityPct(elapsed);
 }
 
 // The buffer-size grid of Fig. 6/7 (8 MB – 4 GB), optionally thinned to

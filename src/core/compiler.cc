@@ -80,7 +80,9 @@ Result<CompiledCollective> Compile(const Algorithm& algo,
   out.schedule = scheduler->Build(dag, connections);
   out.stats.scheduling_us = ElapsedUs(t0);
 
+  t0 = std::chrono::steady_clock::now();
   const Status valid = ValidateSchedule(out.schedule, dag, connections);
+  out.stats.validate_us = ElapsedUs(t0);
   RESCCL_CHECK_MSG(valid.ok(), "scheduler produced an invalid schedule: "
                                    << valid.ToString());
 

@@ -67,6 +67,9 @@ struct CompileStats {
   // the paper's Fig. 10(a) breakdown, and verification is an optional
   // post-pass layered on top of them.
   double verify_us = 0;
+  // ValidateSchedule, which Compile runs between Scheduling and Allocation.
+  // Kept out of total_us() too, which stays the paper's four phases.
+  double validate_us = 0;
   [[nodiscard]] double total_us() const {
     return analysis_us + scheduling_us + allocation_us + lowering_us;
   }

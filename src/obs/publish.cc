@@ -52,6 +52,7 @@ void PublishCollectiveReport(MetricsRegistry& reg,
   reg.counter("compile.allocation_us").Add(report.compile.allocation_us);
   reg.counter("compile.lowering_us").Add(report.compile.lowering_us);
   reg.counter("compile.verify_us").Add(report.compile.verify_us);
+  reg.counter("compile.validate_us").Add(report.compile.validate_us);
 
   reg.counter("sim.events").Add(static_cast<double>(report.sim.events));
   // Queue mechanics (sim/event_queue.h): pops counts every heap pop —

@@ -194,7 +194,8 @@ using PreparedPlan = std::shared_ptr<const PreparedCollective>;
 // `request.faults` perturbs this run only (the artifact is untouched) and
 // fills `report.fault` with the faulted-vs-clean comparison. Throws
 // std::invalid_argument if `request.faults` names a resource the plan's
-// fabric lacks (a plan sampled for another topology).
+// fabric lacks (a plan sampled for another topology), or if the launch has
+// a non-positive buffer or chunk.
 [[nodiscard]] CollectiveReport Execute(const PreparedCollective& prepared,
                                        const RunRequest& request);
 

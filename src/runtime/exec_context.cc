@@ -72,6 +72,13 @@ const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
       throw std::invalid_argument("fault plan names a link the fabric lacks");
     }
   }
+  // Lowering splits the buffer into micro-batches of chunk-sized pieces; a
+  // non-positive geometry has no such split.
+  for (const ExecJob& job : jobs) {
+    if (job.launch.buffer.bytes() <= 0 || job.launch.chunk.bytes() <= 0) {
+      throw std::invalid_argument("launch needs a positive buffer and chunk");
+    }
+  }
   for (std::size_t j = 0; j < njobs; ++j) {
     const PreparedPlan& prepared = jobs[j].plan;
     const Topology& topo = *prepared->topo;

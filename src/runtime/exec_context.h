@@ -63,7 +63,8 @@ class ExecContext {
   // backend.h. Throws std::invalid_argument if `jobs` is empty, its plans
   // target different fabrics — compared by value, so equal topologies from
   // different Prepare calls (a PlanCache hit next to a miss) co-run fine —
-  // or `request.faults` names a resource that fabric lacks.
+  // `request.faults` names a resource that fabric lacks, or a job's launch
+  // has a non-positive buffer or chunk.
   const CollectiveReport& Execute(std::span<const ExecJob> jobs,
                                   const RunRequest& request);
 

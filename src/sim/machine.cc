@@ -1,8 +1,7 @@
 #include "sim/machine.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 
@@ -141,21 +140,7 @@ void SimMachine::RunInto(const SimProgram& program, const FaultPlan* faults,
   // Drain in timestamp batches: one pop loop per distinct simulated time
   // (plus one advance-hook consultation), instead of re-establishing the
   // heap front per event.
-  std::uint64_t events = 0;
-  std::uint64_t next_trace = 10'000'000;
-  const bool trace = std::getenv("RESCCL_SIM_TRACE") != nullptr;
-  for (;;) {
-    const std::uint32_t fired = queue_->RunBatch();
-    if (fired == 0) break;
-    if (trace) {
-      events += fired;
-      if (events >= next_trace) {
-        std::fprintf(stderr, "[sim] %llu events, t=%.3f ms, %d TBs open\n",
-                     static_cast<unsigned long long>(events),
-                     queue_->now().ms(), unfinished_tbs_);
-        next_trace += 10'000'000;
-      }
-    }
+  while (queue_->RunBatch() != 0) {
   }
 
   if (unfinished_tbs_ != 0) {

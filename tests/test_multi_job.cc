@@ -280,6 +280,28 @@ TEST(MultiJobTest, RejectsPlansOnDifferentFabrics) {
                std::invalid_argument);
 }
 
+TEST(MultiJobTest, RejectsNonPositiveLaunchGeometry) {
+  const Topology topo(presets::A100(2, 4));
+  const PreparedPlan plan =
+      Prepare(algorithms::HierarchicalMeshAllReduce(topo), topo,
+              BackendKind::kResCCL)
+          .value();
+  ExecContext ctx;
+  RunRequest request;
+  request.launch.chunk = Size::Bytes(0);
+  EXPECT_THROW((void)ctx.Execute(plan, request), std::invalid_argument);
+  request.launch.chunk = Size::MiB(1);
+  request.launch.buffer = Size::Bytes(-5);
+  EXPECT_THROW((void)ctx.Execute(plan, request), std::invalid_argument);
+  // One bad job rejects the whole co-run.
+  std::vector<ExecJob> jobs = TwoJobs(topo, Size::MiB(16));
+  jobs[1].launch.chunk = Size::Bytes(0);
+  EXPECT_THROW((void)ctx.Execute(jobs, RunRequest{}), std::invalid_argument);
+  // The context stays usable.
+  request.launch.buffer = Size::MiB(16);
+  EXPECT_GT(ctx.Execute(plan, request).elapsed.us(), 0.0);
+}
+
 TEST(MultiJobTest, RejectsEmptyAndBadJobs) {
   const Topology topo(presets::A100(2, 4));
   EXPECT_THROW((void)RunConcurrently({}, topo), std::invalid_argument);

@@ -272,6 +272,32 @@ TEST(ServiceTest, ForeignFaultPlanBecomesFailedOutcome) {
   EXPECT_EQ(svc.stats().failed, 1u);
 }
 
+TEST(ServiceTest, ZeroChunkBecomesFailedOutcome) {
+  auto topo = SmallTopo();
+  SchedulingService svc(topo, ServiceConfig{});
+  Request bad = SmallRequest(*topo);
+  bad.run.launch.chunk = Size::Bytes(0);  // no micro-batch split exists
+  const std::uint64_t bad_id = svc.Submit(bad);
+  const std::uint64_t next_id = svc.Submit(SmallRequest(*topo));
+  svc.RunUntilQuiescent();
+
+  const std::vector<Response> out = svc.Drain();
+  ASSERT_EQ(out.size(), 2u);
+  for (const Response& r : out) {
+    if (r.id == bad_id) {
+      EXPECT_EQ(r.outcome, Outcome::kFailed);
+      EXPECT_NE(r.error.find("positive buffer and chunk"), std::string::npos)
+          << r.error;
+    } else {
+      EXPECT_EQ(r.id, next_id);
+      EXPECT_EQ(r.outcome, Outcome::kServed);
+      EXPECT_GT(r.report.elapsed.us(), 0.0);
+    }
+  }
+  EXPECT_EQ(svc.stats().failed, 1u);
+  EXPECT_EQ(svc.stats().served, 1u);
+}
+
 // --- Deterministic clock ---------------------------------------------------
 
 TEST(ServiceTest, QueueWaitsReflectArrivalTimes) {

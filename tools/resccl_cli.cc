@@ -176,10 +176,21 @@ Args ParseArgs(int argc, char** argv, int first) {
   return args;
 }
 
+// Reads a size or count option that must be positive; exits 2 otherwise.
+int PositiveInt(const Args& args, const std::string& key, int fallback) {
+  const int value = args.GetInt(key, fallback);
+  if (value <= 0) {
+    std::fprintf(stderr, "--%s must be a positive integer, got '%s'\n",
+                 key.c_str(), args.Get(key, "").c_str());
+    std::exit(2);
+  }
+  return value;
+}
+
 TopologySpec MakeSpec(const Args& args) {
   const std::string topo = args.Get("topo", "a100");
-  const int nodes = args.GetInt("nodes", 2);
-  const int gpus = args.GetInt("gpus", 8);
+  const int nodes = PositiveInt(args, "nodes", 2);
+  const int gpus = PositiveInt(args, "gpus", 8);
   if (topo == "a100") return presets::A100(nodes, gpus);
   if (topo == "v100") return presets::V100(nodes, gpus);
   if (topo == "h100") return presets::H100(nodes, gpus);
@@ -199,12 +210,18 @@ BackendKind MakeBackend(const Args& args) {
 
 RunRequest MakeRequest(const Args& args) {
   RunRequest request;
-  request.launch.buffer = Size::MiB(args.GetInt("buffer-mb", 256));
-  request.launch.chunk = Size::KiB(args.GetInt("chunk-kb", 1024));
+  request.launch.buffer = Size::MiB(PositiveInt(args, "buffer-mb", 256));
+  request.launch.chunk = Size::KiB(PositiveInt(args, "chunk-kb", 1024));
   const std::string proto = args.Get("protocol", "simple");
-  if (proto == "ll") request.launch.protocol = Protocol::kLL;
+  if (proto == "simple") request.launch.protocol = Protocol::kSimple;
+  else if (proto == "ll") request.launch.protocol = Protocol::kLL;
   else if (proto == "ll128") request.launch.protocol = Protocol::kLL128;
   else if (proto == "auto") request.launch.protocol = Protocol::kAuto;
+  else {
+    std::fprintf(stderr, "unknown --protocol '%s' (simple|ll|ll128|auto)\n",
+                 proto.c_str());
+    std::exit(2);
+  }
   request.verify = args.Has("verify");
   return request;
 }
