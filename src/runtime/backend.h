@@ -96,9 +96,10 @@ struct RailUtilization {
 // Outcome of a faulted Execute (RunRequest.faults non-empty): the same
 // lowered program is also run clean so the report can state how much the
 // schedule absorbed. The clean run happens once per lowering-cache entry of
-// the executing context (runtime/exec_context.h): a Communicator or a reused
-// ExecContext replays it only after a re-lower or a change of co-run job
-// count; the one-shot Execute, a throwaway context, replays on every call.
+// the executing context (runtime/exec_context.h): a Communicator, a
+// scheduling-service lane or a reused ExecContext replays it only after a
+// re-lower or a change of co-run job count; the one-shot Execute, a
+// throwaway context, replays on every call.
 // Worst-rank fields describe the straggling rank — the rank whose last TB
 // finishes latest.
 struct FaultImpact {
@@ -195,7 +196,9 @@ using PreparedPlan = std::shared_ptr<const PreparedCollective>;
 // fills `report.fault` with the faulted-vs-clean comparison. Throws
 // std::invalid_argument if `request.faults` names a resource the plan's
 // fabric lacks (a plan sampled for another topology), or if the launch has
-// a non-positive buffer or chunk.
+// a non-positive buffer or chunk. A convenience that builds a throwaway
+// ExecContext per call; repeated traffic should keep one (Communicator and
+// the scheduling service's lanes do).
 [[nodiscard]] CollectiveReport Execute(const PreparedCollective& prepared,
                                        const RunRequest& request);
 

@@ -49,11 +49,20 @@ void AppendJob(LoweredProgram& merged, const LoweredProgram& job) {
                               job.invocation_of.end());
 }
 
+// Copy-on-write: a program that a report copy still holds is left to it, and
+// `program` becomes a fresh one to lower into. Allocates nothing when unshared.
+void Unshare(std::shared_ptr<LoweredProgram>& program) {
+  if (program.use_count() > 1) program = std::make_shared<LoweredProgram>();
+}
+
 }  // namespace
 
 const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
                                              const RunRequest& request) {
   if (jobs.empty()) throw std::invalid_argument("Execute needs a job");
+  // Copies of the last report may still hold its `lowered`; this context
+  // never writes a program such a copy holds (copy-on-write below).
+  report_.lowered.reset();
   const std::size_t njobs = jobs.size();
   if (slots_.size() < njobs) slots_.resize(njobs);
   report_.jobs.resize(njobs);
@@ -103,6 +112,7 @@ const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
     if (!slot.valid || slot.plan != prepared || launch_key != slot.launch_key ||
         cost_key != slot.cost_key) {
       slot.valid = false;
+      Unshare(slot.lowered);
       LowerInto(prepared->plan, request.cost, launch, *slot.lowered,
                 topo.spec().channels_per_peer);
       slot.plan = prepared;
@@ -119,6 +129,7 @@ const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
 
   // --- Merged program (N > 1): rebuilt only when a slot re-lowered. ---
   if (njobs > 1 && merged_jobs_ != njobs) {
+    Unshare(merged_);
     merged_->program = {};
     merged_->invocation_of.clear();
     for (std::size_t j = 0; j < njobs; ++j) {

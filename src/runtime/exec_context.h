@@ -1,14 +1,16 @@
 // ExecContext: the one Execute path.
 //
 // Every Execute runs here: the free Execute (backend.h) in a throwaway
-// context, Communicator in its own, RunConcurrently (multi_job.h) as a
+// context, Communicator in its own, the scheduling service
+// (service/service.h) in one per lane, RunConcurrently (multi_job.h) as a
 // co-run. A context simulates N prepared plans, each with its own launch, as
 // one merged program on one machine — faults, observe mode and verification
 // alike for any N; N = 1, the common case, runs the plan's own program.
 // State a steady-state driver would otherwise rebuild per call is hoisted:
 //
 //   lowered programs  one slot per job, cached per (plan, launch bytes, cost
-//                     bytes); re-lowered in place (LowerInto) on key change.
+//                     bytes); re-lowered in place (LowerInto) on key change,
+//                     or into a fresh program while a report copy holds it.
 //   merged program    N > 1: the slots' programs, index-rebased and joined;
 //                     rebuilt only when a slot re-lowers or N changes.
 //   SimMachine        reused, Reset rather than rebuilt, until the topology
@@ -22,8 +24,9 @@
 // no heap allocation, for one plan or a co-run (tests/test_alloc_free.cc).
 //
 // Not thread-safe: one ExecContext per thread. The returned report reference
-// — including its `lowered` when observe is set — is valid until the next
-// Execute on this context or its destruction.
+// is valid until the next Execute on this context or its destruction. A
+// copy of it is the caller's own: its `lowered` (observe mode) is never
+// rewritten by a later Execute, which lowers into a fresh program instead.
 #pragma once
 
 #include <array>

@@ -90,7 +90,7 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
     if (it != map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       ++counters_.hits;
-      return Lookup{it->second.plan, true, false, ElapsedUs(t0)};
+      return Lookup{it->second.plan, true, ElapsedUs(t0)};
     }
     // Single-flight: the first thread missing a key leads the compile;
     // later threads join its flight and wait instead of compiling again.
@@ -110,7 +110,7 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
       std::lock_guard<std::mutex> cache_lock(mu_);
       ++counters_.coalesced;
     }
-    return Lookup{flight->plan, true, true, ElapsedUs(t0)};
+    return Lookup{flight->plan, true, ElapsedUs(t0)};
   }
 
   // Leader path, outside the cache lock: disk restore, then full Prepare.
@@ -137,7 +137,7 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
         }
         Put(key, loaded);
         resolve(loaded, Status::Ok());
-        return Lookup{std::move(loaded), true, false, ElapsedUs(t0)};
+        return Lookup{std::move(loaded), true, ElapsedUs(t0)};
       }
     }
 
@@ -154,7 +154,7 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
     if (!config_.persist_dir.empty()) Persist(key, *prepared.value());
     Put(key, prepared.value());
     resolve(prepared.value(), Status::Ok());
-    return Lookup{std::move(prepared).value(), false, false, ElapsedUs(t0)};
+    return Lookup{std::move(prepared).value(), false, ElapsedUs(t0)};
   } catch (...) {
     resolve(nullptr, Status::Internal("Prepare threw; see leader thread"));
     throw;

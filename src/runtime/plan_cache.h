@@ -13,7 +13,7 @@
 // outside the lock, so a miss never blocks hits on other keys. Concurrent
 // misses on the *same* key single-flight: the first thread becomes the
 // leader and compiles; followers block on that compile and share its
-// artifact (Stats.coalesced, Lookup.coalesced) — exactly one Prepare per
+// artifact (Stats.coalesced) — exactly one Prepare per
 // fingerprint no matter how many requesters race, which is what lets the
 // scheduling service (src/service) admit thousands of identical requests
 // at the cost of one compile.
@@ -65,15 +65,12 @@ class PlanCache {
 
   // Outcome of one GetOrPrepare call. `hit` is true whenever this call did
   // no compilation (memory, disk, or a coalesced wait on another thread's
-  // compile); `coalesced` narrows that to the single-flight case — the
-  // plan came from a concurrent leader's Prepare that this call waited on.
-  // `prepare_us` is the wall-clock this call spent obtaining the plan —
-  // lookup-only (≈0) on a memory hit, the leader's remaining compile time
-  // on a coalesced wait.
+  // compile; Stats tells those apart). `prepare_us` is the wall-clock this
+  // call spent obtaining the plan — lookup-only (≈0) on a memory hit, the
+  // leader's remaining compile time on a coalesced wait.
   struct Lookup {
     PreparedPlan plan;
     bool hit = false;
-    bool coalesced = false;
     double prepare_us = 0;
   };
 

@@ -46,9 +46,10 @@ SchedulingService::SchedulingService(std::shared_ptr<const Topology> topo,
       metrics_(config_.metrics != nullptr ? *config_.metrics
                                           : obs::MetricsRegistry::Global()),
       cache_(config_.cache),
+      lanes_(static_cast<std::size_t>(std::max(1, config_.max_in_flight))),
       group_(ThreadPool::Shared()) {
   RESCCL_CHECK(topo_ != nullptr);
-  if (config_.max_in_flight < 1) config_.max_in_flight = 1;
+  config_.max_in_flight = static_cast<int>(lanes_.size());
   config_.jobs = ThreadPool::ResolveJobs(config_.jobs);
   for (const TenantSpec& t : config_.tenants) {
     (void)TenantIndexLocked(t.name);
@@ -174,48 +175,53 @@ void SchedulingService::RecordDropLocked(Pending p, Outcome outcome) {
   completed_.push_back(std::move(r));
 }
 
-void SchedulingService::RecordServedLocked(Pending p,
-                                           const PlanCache::Lookup& lookup,
-                                           CollectiveReport report,
-                                           double queue_wait_us) {
-  ++stats_.served;
-  if (lookup.hit) {
-    ++stats_.coalesced;
+void SchedulingService::PrepareLane(Lane& lane) {
+  const Request& req = lane.pending.req;
+  Result<PlanCache::Lookup> lookup =
+      cache_.GetOrPrepare(req.algorithm, topo_, req.options, req.backend);
+  lane.error.clear();
+  if (lookup.ok()) {
+    lane.lookup = std::move(lookup).value();
   } else {
-    ++stats_.prepares;
+    lane.error = lookup.status().ToString();
   }
-  stats_.served_bytes[p.req.tenant] += p.bytes;
-  obs::PublishServiceCompletion(metrics_, p.req.tenant, /*failed=*/false,
-                                lookup.hit, queue_wait_us,
-                                static_cast<double>(p.bytes));
-
-  Response r;
-  r.id = p.id;
-  r.tenant = std::move(p.req.tenant);
-  r.priority = p.req.priority;
-  r.outcome = Outcome::kServed;
-  r.coalesced = lookup.hit;
-  r.queue_wait_us = queue_wait_us;
-  r.bytes = p.bytes;
-  r.report = std::move(report);
-  r.report.plan_cache_hit = lookup.hit;
-  r.report.prepare_us = lookup.prepare_us;
-  completed_.push_back(std::move(r));
 }
 
-void SchedulingService::RecordFailedLocked(Pending p, std::string error,
-                                           double queue_wait_us) {
-  ++stats_.failed;
-  obs::PublishServiceCompletion(metrics_, p.req.tenant, /*failed=*/true,
-                                /*coalesced=*/false, queue_wait_us, 0.0);
+void SchedulingService::ExecuteLane(Lane& lane) {
+  if (!lane.error.empty()) return;
+  try {
+    lane.report = lane.ctx.Execute(lane.lookup.plan, lane.pending.req.run);
+  } catch (const std::exception& e) {
+    lane.error = e.what();
+  }
+}
+
+void SchedulingService::RecordLaneLocked(Lane& lane) {
+  Pending& p = lane.pending;
+  const bool failed = !lane.error.empty();
+  const bool hit = !failed && lane.lookup.hit;
   Response r;
   r.id = p.id;
-  r.tenant = std::move(p.req.tenant);
   r.priority = p.req.priority;
-  r.outcome = Outcome::kFailed;
-  r.queue_wait_us = queue_wait_us;
+  r.queue_wait_us = lane.queue_wait_us;
   r.bytes = p.bytes;
-  r.error = std::move(error);
+  if (failed) {
+    ++stats_.failed;
+    r.outcome = Outcome::kFailed;
+    r.error = std::move(lane.error);
+  } else {
+    ++stats_.served;
+    ++(hit ? stats_.coalesced : stats_.prepares);
+    stats_.served_bytes[p.req.tenant] += p.bytes;
+    r.outcome = Outcome::kServed;
+    r.report = std::move(lane.report);
+    r.report.plan_cache_hit = hit;
+    r.report.prepare_us = lane.lookup.prepare_us;
+  }
+  obs::PublishServiceCompletion(metrics_, p.req.tenant, failed, hit,
+                                lane.queue_wait_us,
+                                failed ? 0.0 : static_cast<double>(p.bytes));
+  r.tenant = std::move(p.req.tenant);
   completed_.push_back(std::move(r));
 }
 
@@ -296,61 +302,32 @@ bool SchedulingService::Step() {
                    "dispatches on Submit");
   if (queued_total_ == 0) return false;
 
-  std::vector<Pending> batch;
-  batch.reserve(static_cast<std::size_t>(config_.max_in_flight));
-  Pending next;
-  while (static_cast<int>(batch.size()) < config_.max_in_flight &&
-         PopNextLocked(next)) {
-    batch.push_back(std::move(next));
+  std::size_t n = 0;
+  while (n < lanes_.size() && PopNextLocked(lanes_[n].pending)) {
+    lanes_[n].queue_wait_us = virtual_now_us_ - lanes_[n].pending.arrival_us;
+    ++n;
   }
-  const double dispatch_us = virtual_now_us_;
-  in_flight_ = static_cast<int>(batch.size());
+  in_flight_ = static_cast<int>(n);
   PublishDepthLocked();
 
-  // Prepare serially in batch order: misses single-flight through the
+  // Prepare serially in lane order: misses single-flight through the
   // shared cache, so duplicated fingerprints in (and across) batches cost
-  // one compile. Then execute the batch via ParallelFor — every report is
-  // written by index, so jobs = N is bit-identical to serial.
-  std::vector<Result<PlanCache::Lookup>> lookups;
-  lookups.reserve(batch.size());
-  for (const Pending& p : batch) {
-    lookups.push_back(cache_.GetOrPrepare(p.req.algorithm, topo_,
-                                          p.req.options, p.req.backend));
-  }
-  std::vector<CollectiveReport> reports(batch.size());
-  std::vector<std::string> errors(batch.size());
-  ParallelFor(config_.jobs, batch.size(), [&](std::size_t i) {
-    if (!lookups[i].ok()) return;
-    try {
-      reports[i] = Execute(*lookups[i].value().plan, batch[i].req.run);
-    } catch (const std::exception& e) {
-      errors[i] = e.what();
-    }
-  });
+  // one compile. Then execute the lanes via ParallelFor — each lane writes
+  // only its own context, so jobs = N is bit-identical to serial.
+  for (std::size_t i = 0; i < n; ++i) PrepareLane(lanes_[i]);
+  ParallelFor(config_.jobs, n, [&](std::size_t i) { ExecuteLane(lanes_[i]); });
 
   // The batch models max_in_flight concurrent executors: it occupies the
   // virtual clock for as long as its slowest member simulates.
   double batch_makespan_us = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (lookups[i].ok() && errors[i].empty()) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (lanes_[i].error.empty()) {
       batch_makespan_us =
-          std::max(batch_makespan_us, reports[i].elapsed.us());
+          std::max(batch_makespan_us, lanes_[i].report.elapsed.us());
     }
   }
   virtual_now_us_ += batch_makespan_us;
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double wait = dispatch_us - batch[i].arrival_us;
-    if (!lookups[i].ok()) {
-      RecordFailedLocked(std::move(batch[i]),
-                         lookups[i].status().ToString(), wait);
-    } else if (!errors[i].empty()) {
-      RecordFailedLocked(std::move(batch[i]), std::move(errors[i]), wait);
-    } else {
-      RecordServedLocked(std::move(batch[i]), lookups[i].value(),
-                         std::move(reports[i]), wait);
-    }
-  }
+  for (std::size_t i = 0; i < n; ++i) RecordLaneLocked(lanes_[i]);
   in_flight_ = 0;
   PublishDepthLocked();
   return true;
@@ -368,45 +345,27 @@ void SchedulingService::RunUntilQuiescent() {
 }
 
 void SchedulingService::DispatchMoreLocked() {
-  Pending p;
-  while (in_flight_ < config_.max_in_flight && PopNextLocked(p)) {
+  for (Lane& lane : lanes_) {
+    if (lane.busy) continue;
+    if (!PopNextLocked(lane.pending)) return;
+    lane.busy = true;
     ++in_flight_;
-    const double wait = WallNowUs() - p.arrival_us;
+    lane.queue_wait_us = WallNowUs() - lane.pending.arrival_us;
     PublishDepthLocked();
-    auto task = std::make_shared<Pending>(std::move(p));
-    group_.Run([this, task, wait] { ExecuteOne(std::move(*task), wait); });
+    // The pool task: everything slow — the possibly-coalesced Prepare and
+    // the Execute — runs outside mu_; only the bookkeeping locks.
+    group_.Run([this, &lane] {
+      PrepareLane(lane);
+      ExecuteLane(lane);
+      const std::lock_guard<std::mutex> lock(mu_);
+      RecordLaneLocked(lane);
+      lane.busy = false;
+      --in_flight_;
+      DispatchMoreLocked();
+      PublishDepthLocked();
+      if (queued_total_ == 0 && in_flight_ == 0) quiescent_cv_.notify_all();
+    });
   }
-}
-
-void SchedulingService::ExecuteOne(Pending p, double queue_wait_us) {
-  // Pool-task body (live mode): everything slow — the possibly-coalesced
-  // Prepare and the Execute — runs outside mu_; only the bookkeeping locks.
-  Result<PlanCache::Lookup> lookup =
-      cache_.GetOrPrepare(p.req.algorithm, topo_, p.req.options,
-                          p.req.backend);
-  CollectiveReport report;
-  std::string error;
-  if (lookup.ok()) {
-    try {
-      report = Execute(*lookup.value().plan, p.req.run);
-    } catch (const std::exception& e) {
-      error = e.what();
-    }
-  } else {
-    error = lookup.status().ToString();
-  }
-
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (!lookup.ok() || !error.empty()) {
-    RecordFailedLocked(std::move(p), std::move(error), queue_wait_us);
-  } else {
-    RecordServedLocked(std::move(p), lookup.value(), std::move(report),
-                       queue_wait_us);
-  }
-  --in_flight_;
-  DispatchMoreLocked();
-  PublishDepthLocked();
-  if (queued_total_ == 0 && in_flight_ == 0) quiescent_cv_.notify_all();
 }
 
 std::vector<Response> SchedulingService::Drain() {

@@ -24,21 +24,24 @@
 //                fingerprint no matter how many requesters race; N
 //                concurrent identical requests cost one compile and N
 //                Executes of the shared artifact.
-//   Execution    Execute runs asynchronously with at most
-//                Config::max_in_flight requests in flight, on the shared
-//                work-stealing pool (live mode) or batch-by-batch under
-//                the virtual clock (deterministic mode).
+//   Execution    Config::max_in_flight lanes, each an in-flight slot with
+//                its own ExecContext (runtime/exec_context.h), so a request
+//                reuses its lane's machine and lowering instead of building
+//                a context. Lanes run on the shared work-stealing pool
+//                (live mode) or batch-by-batch under the virtual clock
+//                (deterministic mode); both run one lane body.
 //
 // Deterministic-first: with Config::deterministic (the default), nothing
 // runs in the background. Submit/SubmitAt only enqueue; Step() dispatches
-// one batch of up to max_in_flight requests at the current *virtual* time,
-// executes it (optionally via ParallelFor — bit-identical to serial by the
-// by-index determinism contract), and advances the virtual clock by the
-// batch's slowest simulated makespan. Arrival order, admission decisions,
-// queue waits, and completion order are all exactly reproducible, so
-// fairness, coalescing, and shedding invariants are assertable equalities
-// rather than flaky thresholds. Live mode (deterministic = false) runs the
-// identical admission/fairness/shedding state machine behind real threads.
+// one batch of up to max_in_flight requests into lanes 0..n-1 at the
+// current *virtual* time, executes the lanes (optionally via ParallelFor —
+// bit-identical to serial by the by-index determinism contract), and
+// advances the virtual clock by the batch's slowest simulated makespan.
+// Arrival order, admission decisions, queue waits, and completion order are
+// all exactly reproducible, so fairness, coalescing, and shedding invariants
+// are assertable equalities rather than flaky thresholds. Live mode
+// (deterministic = false) runs the identical admission/fairness/shedding
+// state machine behind real threads.
 //
 // Telemetry: every decision and completion publishes to the obs metrics
 // registry under stable service.* names (docs/observability.md) when the
@@ -62,6 +65,7 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "runtime/backend.h"
+#include "runtime/exec_context.h"
 #include "runtime/plan_cache.h"
 
 namespace resccl::service {
@@ -92,7 +96,7 @@ struct ServiceConfig {
   // depth never exceeds this — asserted via Stats::max_queue_depth.
   std::size_t queue_bound = 1024;
   // Maximum requests dispatched concurrently (live mode) or per batch
-  // (deterministic mode).
+  // (deterministic mode): the number of lanes.
   int max_in_flight = 4;
   // Execute parallelism within a deterministic batch: ParallelFor jobs.
   // Reports are bit-identical across jobs values. 0 resolves RESCCL_JOBS.
@@ -122,15 +126,15 @@ struct Response {
   std::string tenant;
   Priority priority = Priority::kNormal;
   Outcome outcome = Outcome::kRejected;
-  // This request's plan came without a fresh compile (memory/disk hit or a
-  // coalesced wait on a concurrent compile of the same fingerprint).
-  bool coalesced = false;
   // Dispatch time minus arrival time: virtual µs (deterministic) or wall
   // µs (live). Zero for requests never dispatched.
   double queue_wait_us = 0;
   std::int64_t bytes = 0;  // launch buffer bytes (the fairness currency)
-  CollectiveReport report;  // valid when outcome == kServed
-  std::string error;        // set when outcome == kFailed
+  // Valid when outcome == kServed. report.plan_cache_hit is true when the
+  // plan came without a fresh compile (memory/disk hit or a coalesced wait
+  // on a concurrent compile of the same fingerprint).
+  CollectiveReport report;
+  std::string error;  // set when outcome == kFailed
 };
 
 class SchedulingService {
@@ -220,6 +224,20 @@ class SchedulingService {
     std::array<std::deque<Pending>, kPriorityClasses> queues;
   };
 
+  // One in-flight slot. Its fields belong to whoever dispatched it until it
+  // is recorded: Step (deterministic) or the lane's pool task (live).
+  struct Lane {
+    Pending pending;
+    double queue_wait_us = 0;
+    PlanCache::Lookup lookup;
+    std::string error;  // non-empty: Prepare or Execute failed
+    ExecContext ctx;
+    // A copy of ctx's report, taken outside mu_ so the lock never waits on
+    // it; RecordLaneLocked moves it into the Response.
+    CollectiveReport report;
+    bool busy = false;  // live mode, guarded by mu_
+  };
+
   [[nodiscard]] std::size_t TenantIndexLocked(const std::string& name);
   [[nodiscard]] int LowestQueuedClassLocked() const;
   // The least urgent, newest-arrived queued request (class `cls`).
@@ -228,14 +246,15 @@ class SchedulingService {
   [[nodiscard]] bool PopNextLocked(Pending& out);
   void EnqueueLocked(Pending p);
   void RecordDropLocked(Pending p, Outcome outcome);
-  void RecordServedLocked(Pending p, const PlanCache::Lookup& lookup,
-                          CollectiveReport report, double queue_wait_us);
-  void RecordFailedLocked(Pending p, std::string error, double queue_wait_us);
+  // The lane body, shared by both modes: Prepare (possibly coalesced),
+  // Execute on the lane's context, then record the outcome under mu_.
+  void PrepareLane(Lane& lane);
+  void ExecuteLane(Lane& lane);
+  void RecordLaneLocked(Lane& lane);
   void PublishDepthLocked();
   std::uint64_t SubmitInternal(Request req, double arrival_us);
-  // Live mode: move queued work into flight while capacity remains.
+  // Live mode: move queued work into free lanes.
   void DispatchMoreLocked();
-  void ExecuteOne(Pending p, double queue_wait_us);  // live-mode task body
   [[nodiscard]] double WallNowUs() const;
 
   std::shared_ptr<const Topology> topo_;
@@ -254,6 +273,7 @@ class SchedulingService {
   double wall_epoch_us_ = 0;  // live mode: steady_clock at construction
   Stats stats_;
   std::vector<Response> completed_;
+  std::vector<Lane> lanes_;  // max_in_flight of them, never resized
 
   // Live-mode execution tasks; joined (after the queue drains) in ~Service.
   TaskGroup group_;

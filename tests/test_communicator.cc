@@ -77,5 +77,26 @@ TEST(CommunicatorTest, AllBackendsProduceVerifiedAllReduce) {
   }
 }
 
+// A returned report's `lowered` is its own: a later call that re-lowers
+// (a new buffer size) must lower into a fresh program, not rewrite the one
+// an earlier report still points at.
+TEST(CommunicatorTest, ObservedReportKeepsItsLoweredProgram) {
+  const Communicator comm(presets::A100(1, 8), BackendKind::kResCCL);
+  RunRequest request;
+  request.observe = true;
+  request.launch.buffer = Size::MiB(64);
+  const CollectiveReport small = comm.AllReduce(request);
+  ASSERT_NE(small.lowered, nullptr);
+  EXPECT_EQ(small.lowered->program.transfers.size(), 896u);
+
+  request.launch.buffer = Size::MiB(256);
+  const CollectiveReport large = comm.AllReduce(request);
+  ASSERT_NE(large.lowered, nullptr);
+  EXPECT_NE(small.lowered, large.lowered);
+  EXPECT_EQ(small.lowered->program.transfers.size(), 896u);
+  EXPECT_EQ(large.lowered->program.transfers.size(), 3584u);
+  EXPECT_EQ(small.lowered->program.tbs.size(), small.sim.tbs.size());
+}
+
 }  // namespace
 }  // namespace resccl

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -51,7 +52,7 @@ TEST(ServiceTest, ServesOneRequest) {
   EXPECT_EQ(out[0].id, id);
   EXPECT_EQ(out[0].outcome, Outcome::kServed);
   EXPECT_GT(out[0].report.elapsed.us(), 0.0);
-  EXPECT_FALSE(out[0].coalesced);  // first request compiles
+  EXPECT_FALSE(out[0].report.plan_cache_hit);  // first request compiles
 
   const SchedulingService::Stats stats = svc.stats();
   EXPECT_EQ(stats.submitted, 1u);
@@ -296,6 +297,79 @@ TEST(ServiceTest, ZeroChunkBecomesFailedOutcome) {
   }
   EXPECT_EQ(svc.stats().failed, 1u);
   EXPECT_EQ(svc.stats().served, 1u);
+}
+
+// --- Lanes -----------------------------------------------------------------
+
+// One lane serves every request on one reused ExecContext. Across shapes,
+// sizes, a faulted run and a failure, each report must equal a one-shot
+// Execute of the same request bit for bit.
+TEST(ServiceTest, ReusedLaneMatchesOneShotExecute) {
+  auto topo = SmallTopo();
+  ServiceConfig config;
+  config.max_in_flight = 1;
+  SchedulingService svc(topo, config);
+
+  std::vector<Request> requests(7, SmallRequest(*topo));
+  requests[1].algorithm = algorithms::DoubleBinaryTreeAllReduce(topo->nranks());
+  requests[1].run.launch.buffer = Size::MiB(16);
+  requests[2].run.faults = FaultPlan::Make(3, 0.5, *topo);
+  requests[3].run.launch.chunk = Size::Bytes(0);  // fails in Execute
+  requests[4].run.launch.buffer = Size::MiB(1);
+  requests[5].algorithm = algorithms::RingAllGather(topo->nranks());
+  requests[6].run.faults = FaultPlan::Make(4, 1.0, *topo);
+  std::map<std::uint64_t, std::size_t> index_of;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    index_of[svc.Submit(requests[i])] = i;
+  }
+  svc.RunUntilQuiescent();
+
+  const std::vector<Response> out = svc.Drain();
+  ASSERT_EQ(out.size(), requests.size());
+  for (const Response& r : out) {
+    const std::size_t i = index_of.at(r.id);
+    if (i == 3) {
+      EXPECT_EQ(r.outcome, Outcome::kFailed);
+      continue;
+    }
+    ASSERT_EQ(r.outcome, Outcome::kServed) << i << ": " << r.error;
+    const Request& req = requests[i];
+    Result<PreparedPlan> plan =
+        Prepare(req.algorithm, topo, req.options, req.backend);
+    ASSERT_TRUE(plan.ok());
+    const CollectiveReport fresh = Execute(*plan.value(), req.run);
+    EXPECT_EQ(r.report.elapsed, fresh.elapsed) << i;
+    EXPECT_EQ(r.report.sim.events, fresh.sim.events) << i;
+    EXPECT_EQ(r.report.fault.clean_makespan, fresh.fault.clean_makespan) << i;
+  }
+  EXPECT_EQ(svc.stats().served, requests.size() - 1);
+}
+
+// Live lanes re-lower as two shapes alternate; a response's observed
+// program stays the one its report was simulated from.
+TEST(ServiceTest, LiveObservedReportsKeepTheirLoweredProgram) {
+  auto topo = SmallTopo();
+  ServiceConfig config;
+  config.deterministic = false;
+  config.queue_bound = 256;
+  SchedulingService svc(topo, config);
+  for (int i = 0; i < 32; ++i) {
+    Request req = SmallRequest(*topo);
+    if (i % 2 == 1) {
+      req.algorithm = algorithms::DoubleBinaryTreeAllReduce(topo->nranks());
+    }
+    req.run.observe = true;
+    (void)svc.Submit(std::move(req));
+  }
+  svc.RunUntilQuiescent();
+
+  const std::vector<Response> out = svc.Drain();
+  ASSERT_EQ(out.size(), 32u);
+  for (const Response& r : out) {
+    ASSERT_EQ(r.outcome, Outcome::kServed) << r.error;
+    ASSERT_NE(r.report.lowered, nullptr);
+    EXPECT_EQ(r.report.lowered->program.tbs.size(), r.report.sim.tbs.size());
+  }
 }
 
 // --- Deterministic clock ---------------------------------------------------

@@ -714,17 +714,17 @@ int CmdServe(const Args& args) {
 
   service::ServiceConfig config;
   config.queue_bound =
-      static_cast<std::size_t>(args.GetInt("queue-bound", 64));
-  config.max_in_flight = args.GetInt("max-in-flight", 4);
+      static_cast<std::size_t>(PositiveInt(args, "queue-bound", 64));
+  config.max_in_flight = PositiveInt(args, "max-in-flight", 4);
   config.jobs = args.GetInt("jobs", 0);  // 0 -> RESCCL_JOBS
   config.tenants = MakeTenants(args);
 
   service::WorkloadSpec wl;
   wl.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  wl.requests = args.GetInt("requests", 200);
+  wl.requests = PositiveInt(args, "requests", 200);
   wl.mean_interarrival_us =
       std::atof(args.Get("mean-us", "200").c_str());
-  wl.distinct_shapes = args.GetInt("shapes", 4);
+  wl.distinct_shapes = PositiveInt(args, "shapes", 4);
   wl.tenants = config.tenants;
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
