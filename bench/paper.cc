@@ -500,11 +500,16 @@ std::string HmAllReduceSource(int nodes, int gpus) {
 
 double Ms(double us) { return us / 1000.0; }
 
+// Fig. 10(a) also checks its own shape: from 256 GPUs up, the schedule
+// check must cost no more than the scheduling it checks. Both times come
+// from the same Compile, so the bar is a ratio, not an absolute time; a
+// quadratic check crosses it by an order of magnitude.
 void Fig10a(int /*jobs*/) {
   std::printf(
       "--- (a) per-phase wall-clock across emulated cluster scales ---\n");
   TextTable table({"GPUs", "Tasks", "Parse ms", "Analyze ms", "Schedule ms",
                    "Validate ms", "Alloc ms", "Lower ms", "Total ms"});
+  bool shape_ok = true;
   for (int gpus_total : {16, 32, 64, 128, 256, 512, 1024}) {
     const int nodes = gpus_total / 8;
     const auto t0 = std::chrono::steady_clock::now();
@@ -526,8 +531,16 @@ void Fig10a(int /*jobs*/) {
                   Fixed(Ms(s.scheduling_us), 1), Fixed(Ms(s.validate_us), 1),
                   Fixed(Ms(s.allocation_us), 1), Fixed(Ms(s.lowering_us), 1),
                   Fixed(Ms(parse_us + s.total_us() + s.validate_us), 1)});
+    if (gpus_total >= 256 && s.validate_us > s.scheduling_us) {
+      std::fprintf(stderr,
+                   "fig10a: Validate %.1f ms exceeds Schedule %.1f ms at %d "
+                   "GPUs\n",
+                   Ms(s.validate_us), Ms(s.scheduling_us), gpus_total);
+      shape_ok = false;
+    }
   }
   std::printf("%s\n", table.ToString().c_str());
+  if (!shape_ok) std::exit(1);
 }
 
 // Fig. 10(b): HPDS against the round-robin scheduling baseline.

@@ -7,7 +7,9 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -28,6 +30,31 @@ constexpr int kMaxDiagsPerRule = 16;
 double ElapsedUs(std::chrono::steady_clock::time_point start) {
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::micro>(end - start).count();
+}
+
+// Runs one check and charges its wall-clock to `rule` in report.rule_us.
+template <typename Check>
+decltype(auto) TimeRule(AnalysisReport& report, const char* rule,
+                        Check&& check) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto charge = [&] {
+    const double us = ElapsedUs(t0);
+    for (RuleTime& entry : report.rule_us) {
+      if (std::string_view(entry.rule) == rule) {
+        entry.us += us;
+        return;
+      }
+    }
+    report.rule_us.push_back({rule, us});
+  };
+  if constexpr (std::is_void_v<std::invoke_result_t<Check>>) {
+    check();
+    charge();
+  } else {
+    auto result = check();
+    charge();
+    return result;
+  }
 }
 
 void Emit(AnalysisReport& report, const char* rule, std::string location,
@@ -1145,17 +1172,28 @@ void CheckChannelCapacity(const CompiledCollective& plan, const Topology& topo,
 void RunPlanChecks(const CompiledCollective& plan,
                    const LoweredProgram* lowered, const Topology* topo,
                    const StructureVerdict& v, AnalysisReport& report) {
-  if (v.algo_ok && v.preds_ok) CheckHazards(plan, report);
-  if (v.algo_ok) CheckPostcondition(plan, report);
+  if (v.algo_ok && v.preds_ok) {
+    TimeRule(report, rules::kHazard, [&] { CheckHazards(plan, report); });
+  }
+  if (v.algo_ok) {
+    TimeRule(report, rules::kPostcondition,
+             [&] { CheckPostcondition(plan, report); });
+  }
   if (lowered != nullptr && v.algo_ok &&
-      CheckLoweredStructure(plan, lowered->program, report)) {
-    CheckRendezvous(lowered->program, report);
-    CheckDeadlock(lowered->program, report);
+      TimeRule(report, rules::kStructure, [&] {
+        return CheckLoweredStructure(plan, lowered->program, report);
+      })) {
+    TimeRule(report, rules::kRendezvous,
+             [&] { CheckRendezvous(lowered->program, report); });
+    TimeRule(report, rules::kDeadlock,
+             [&] { CheckDeadlock(lowered->program, report); });
   }
   if (topo != nullptr && v.algo_ok && v.schedule_ok && v.tbs_ok) {
-    CheckTbMerge(plan, *topo, report);
+    TimeRule(report, rules::kTbMerge,
+             [&] { CheckTbMerge(plan, *topo, report); });
     report.tb_merge_checked = true;
-    CheckChannelCapacity(plan, *topo, report);
+    TimeRule(report, rules::kChannelCapacity,
+             [&] { CheckChannelCapacity(plan, *topo, report); });
   }
 }
 
@@ -1214,7 +1252,9 @@ AnalysisReport AnalyzePlan(const CompiledCollective& plan,
                            const Topology* topo) {
   const auto t0 = std::chrono::steady_clock::now();
   AnalysisReport report;
-  const StructureVerdict v = CheckStructure(plan, topo, report);
+  const StructureVerdict v = TimeRule(report, rules::kStructure, [&] {
+    return CheckStructure(plan, topo, report);
+  });
   RunPlanChecks(plan, &lowered, topo, v, report);
   report.analysis_us = ElapsedUs(t0);
   return report;
@@ -1224,7 +1264,9 @@ AnalysisReport AnalyzePlan(const CompiledCollective& plan,
                            const Topology* topo) {
   const auto t0 = std::chrono::steady_clock::now();
   AnalysisReport report;
-  const StructureVerdict v = CheckStructure(plan, topo, report);
+  const StructureVerdict v = TimeRule(report, rules::kStructure, [&] {
+    return CheckStructure(plan, topo, report);
+  });
   if (!v.lowerable()) {
     // A plan whose shape would trip Lower()'s internal invariants gets its
     // diagnostics from the static passes alone.
@@ -1238,7 +1280,8 @@ AnalysisReport AnalyzePlan(const CompiledCollective& plan,
   LaunchConfig launch;
   launch.chunk = Size::KiB(1);
   launch.buffer = Size::KiB(2 * std::max(1, plan.algo.nchunks));
-  const LoweredProgram lowered = Lower(plan, cost, launch);
+  const LoweredProgram lowered =
+      TimeRule(report, "lower", [&] { return Lower(plan, cost, launch); });
   RunPlanChecks(plan, &lowered, topo, v, report);
   report.analysis_us = ElapsedUs(t0);
   return report;
@@ -1251,7 +1294,13 @@ std::string AnalysisReportToJson(const AnalysisReport& report) {
      << ",\"warnings\":" << report.warnings()
      << ",\"advice\":" << report.advice() << ",\"analysis_us\":"
      << obs::FormatDouble(report.analysis_us) << ",\"tb_merge_checked\":"
-     << (report.tb_merge_checked ? "true" : "false") << ",\"diagnostics\":[";
+     << (report.tb_merge_checked ? "true" : "false") << ",\"rule_us\":{";
+  for (std::size_t i = 0; i < report.rule_us.size(); ++i) {
+    if (i > 0) os << ",";
+    os << "\"" << report.rule_us[i].rule
+       << "\":" << obs::FormatDouble(report.rule_us[i].us);
+  }
+  os << "},\"diagnostics\":[";
   for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
     const Diagnostic& d = report.diagnostics[i];
     if (i > 0) os << ",";

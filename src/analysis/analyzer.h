@@ -80,9 +80,21 @@ struct Diagnostic {
   std::string witness;   // human-readable evidence (wait-for chain, ...)
 };
 
+// Wall-clock of one analyzer check. `rule` is a rules::k* id, or "lower"
+// for the canonical lowering of the AnalyzePlan(plan, topo) overload.
+struct RuleTime {
+  const char* rule = "";
+  double us = 0;
+};
+
 struct AnalysisReport {
   std::vector<Diagnostic> diagnostics;
   double analysis_us = 0;
+  // Per-check wall-clock in run order: structure, lower, hazard,
+  // postcondition, rendezvous, deadlock, tb-merge, channel-capacity. A
+  // check that did not run has no entry; the lowered-program structure
+  // check is charged to `structure`.
+  std::vector<RuleTime> rule_us;
   bool tb_merge_checked = false;  // false when no topology was supplied
 
   [[nodiscard]] int errors() const;

@@ -12,7 +12,17 @@ LinkId ConnectionTable::Resolve(Rank src, Rank dst) {
   const auto it = index_.find(key);
   if (it != index_.end()) return it->second;
   const LinkId id(static_cast<std::int32_t>(paths_.size()));
-  paths_.push_back(&topo_.PathBetween(src, dst));
+  const Path& path = topo_.PathBetween(src, dst);
+  paths_.push_back(&path);
+  // Fabric/PCIe pools multiplex without scheduling consequences; only
+  // network-tier resources serialize (§4.4).
+  std::vector<ResourceId>& serial = serializing_.emplace_back();
+  for (ResourceId r : path.resources) {
+    if (IsSerializing(topo_.resource(r).kind) &&
+        std::find(serial.begin(), serial.end(), r) == serial.end()) {
+      serial.push_back(r);
+    }
+  }
   srcs_.push_back(src);
   dsts_.push_back(dst);
   index_.emplace(key, id);
@@ -35,19 +45,19 @@ Rank ConnectionTable::dst(LinkId id) const {
   return dsts_[static_cast<std::size_t>(id.value)];
 }
 
+const std::vector<ResourceId>& ConnectionTable::serializing(LinkId id) const {
+  RESCCL_CHECK(id.valid() &&
+               static_cast<std::size_t>(id.value) < serializing_.size());
+  return serializing_[static_cast<std::size_t>(id.value)];
+}
+
 bool ConnectionTable::Conflicts(LinkId a, LinkId b) const {
   if (a == b) return true;  // the same GPU-pair link (§3)
-  const Path& pa = path(a);
-  const Path& pb = path(b);
-  // Distinct pairs conflict only through serializing resources: a shared
-  // NIC, trunk, or spine link (§4.4). Fabric/PCIe pools multiplex without
-  // scheduling consequences.
-  for (ResourceId ra : pa.resources) {
-    if (!IsSerializing(topo_.resource(ra).kind)) continue;
-    if (std::find(pb.resources.begin(), pb.resources.end(), ra) !=
-        pb.resources.end()) {
-      return true;
-    }
+  // Distinct pairs conflict only through a shared NIC, trunk, or spine
+  // link (§4.4).
+  const std::vector<ResourceId>& sb = serializing(b);
+  for (ResourceId r : serializing(a)) {
+    if (std::find(sb.begin(), sb.end(), r) != sb.end()) return true;
   }
   return false;
 }

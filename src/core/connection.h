@@ -28,7 +28,14 @@ class ConnectionTable {
   [[nodiscard]] Rank src(LinkId id) const;
   [[nodiscard]] Rank dst(LinkId id) const;
 
-  // True if the two connections share at least one path resource.
+  // The serializing resources (NICs, trunks, spine links) on the
+  // connection's path, each once, in path order. Computed once in Resolve;
+  // the conflict rule, the schedulers' wave occupancy and ValidateSchedule
+  // all read this list.
+  [[nodiscard]] const std::vector<ResourceId>& serializing(LinkId id) const;
+
+  // True if the two connections are the same GPU pair or share a
+  // serializing resource.
   [[nodiscard]] bool Conflicts(LinkId a, LinkId b) const;
 
   [[nodiscard]] const Topology& topology() const { return topo_; }
@@ -37,6 +44,7 @@ class ConnectionTable {
   const Topology& topo_;
   std::unordered_map<std::uint64_t, LinkId> index_;
   std::vector<const Path*> paths_;
+  std::vector<std::vector<ResourceId>> serializing_;
   std::vector<Rank> srcs_, dsts_;
 };
 

@@ -39,8 +39,7 @@ Schedule HpdsScheduler::Build(const DependencyGraph& dag,
   std::vector<int> priority(static_cast<std::size_t>(nchunks), 0);
   std::vector<bool> in_wave(static_cast<std::size_t>(ntasks), false);
   Schedule schedule;
-  WaveOccupancy occupancy(connections,
-                          connections.topology().resources().size());
+  WaveOccupancy occupancy(connections);
   int scheduled_total = 0;
 
   while (scheduled_total < ntasks) {

@@ -34,8 +34,7 @@ Schedule RoundRobinScheduler::Build(const DependencyGraph& dag,
     }
   }
 
-  WaveOccupancy occupancy(connections,
-                          connections.topology().resources().size());
+  WaveOccupancy occupancy(connections);
   Schedule schedule;
   std::vector<TaskId> wave;
   int scheduled_total = 0;

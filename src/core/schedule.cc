@@ -1,7 +1,6 @@
 #include "core/schedule.h"
 
 #include <sstream>
-#include <unordered_set>
 
 #include "common/check.h"
 
@@ -25,6 +24,17 @@ std::vector<int> Schedule::WaveOf(int ntasks_total) const {
   return wave;
 }
 
+namespace {
+
+Status CommunicationConflict(TaskId a, TaskId b) {
+  std::ostringstream os;
+  os << "communication dependency violated: tasks " << a.value << " and "
+     << b.value << " share a link within one sub-pipeline";
+  return Status::Internal(os.str());
+}
+
+}  // namespace
+
 Status ValidateSchedule(const Schedule& schedule, const DependencyGraph& dag,
                         const ConnectionTable& connections) {
   const int ntasks = dag.ntasks();
@@ -39,7 +49,10 @@ Status ValidateSchedule(const Schedule& schedule, const DependencyGraph& dag,
   int next = 0;
   for (const auto& sub : schedule.sub_pipelines) {
     for (TaskId t : sub) {
-      RESCCL_CHECK(t.valid() && t.value < ntasks);
+      if (!t.valid() || t.value >= ntasks) {
+        return Status::Internal("task " + std::to_string(t.value) +
+                                " out of range");
+      }
       if (pos[static_cast<std::size_t>(t.value)] != -1) {
         return Status::Internal("task " + std::to_string(t.value) +
                                 " scheduled twice");
@@ -67,18 +80,27 @@ Status ValidateSchedule(const Schedule& schedule, const DependencyGraph& dag,
     }
   }
 
-  for (const auto& sub : schedule.sub_pipelines) {
-    for (std::size_t i = 0; i < sub.size(); ++i) {
-      for (std::size_t j = i + 1; j < sub.size(); ++j) {
-        const LinkId a = dag.node(sub[i]).connection;
-        const LinkId b = dag.node(sub[j]).connection;
-        if (connections.Conflicts(a, b)) {
-          std::ostringstream os;
-          os << "communication dependency violated: tasks " << sub[i].value
-             << " and " << sub[j].value
-             << " share a link within one sub-pipeline";
-          return Status::Internal(os.str());
-        }
+  // Communication dependencies: one stamp pass per sub-pipeline. Each
+  // connection and each serializing resource remembers the last wave that
+  // used it and the task that did; a second use within one wave is exactly
+  // a ConnectionTable::Conflicts pair.
+  struct Stamp {
+    int wave = -1;
+    TaskId owner;
+  };
+  std::vector<Stamp> link_stamp(static_cast<std::size_t>(connections.count()));
+  std::vector<Stamp> resource_stamp(connections.topology().resources().size());
+  for (int w = 0; w < schedule.nwaves(); ++w) {
+    for (TaskId t : schedule.sub_pipelines[static_cast<std::size_t>(w)]) {
+      const LinkId link = dag.node(t).connection;
+      const std::vector<ResourceId>& serial = connections.serializing(link);
+      Stamp& ls = link_stamp[static_cast<std::size_t>(link.value)];
+      if (ls.wave == w) return CommunicationConflict(ls.owner, t);
+      ls = {w, t};
+      for (ResourceId r : serial) {
+        Stamp& rs = resource_stamp[static_cast<std::size_t>(r.value)];
+        if (rs.wave == w) return CommunicationConflict(rs.owner, t);
+        rs = {w, t};
       }
     }
   }

@@ -37,9 +37,14 @@ struct Schedule {
 //      one — dependent chains inside a sub-pipeline are what lets
 //      micro-batches stream through it, Fig. 5(c));
 //   3. no two tasks within one sub-pipeline have a communication dependency
-//      (shared path resource).
+//      (the same connection, or a shared serializing resource).
 // Invariant 2 plus the DAG's acyclicity make the lowered TB programs
 // deadlock-free: every TB issues its primitives in the same global order.
+// Linear cost, O(tasks + edges + Σ serializing path length): invariant 3 is
+// one stamp pass per sub-pipeline over per-connection and per-resource
+// stamps, not a comparison of every pair of tasks. It does not share code
+// with the schedulers' WaveOccupancy, so it stays an independent check.
+// Every violation, including a task id out of range, is a Status::Internal.
 [[nodiscard]] Status ValidateSchedule(const Schedule& schedule,
                                       const DependencyGraph& dag,
                                       const ConnectionTable& connections);

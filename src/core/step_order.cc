@@ -20,8 +20,7 @@ Schedule StepOrderScheduler::Build(const DependencyGraph& dag,
     return dag.node(a).transfer.step < dag.node(b).transfer.step;
   });
 
-  WaveOccupancy occupancy(connections,
-                          connections.topology().resources().size());
+  WaveOccupancy occupancy(connections);
   Schedule schedule;
   std::vector<TaskId> pending = std::move(order);
 

@@ -12,15 +12,14 @@ namespace resccl {
 // Algorithm 1's inner loop.
 class WaveOccupancy {
  public:
-  WaveOccupancy(const ConnectionTable& connections, std::size_t nresources)
+  explicit WaveOccupancy(const ConnectionTable& connections)
       : connections_(connections),
-        used_resource_(nresources, false),
+        used_resource_(connections.topology().resources().size(), false),
         used_link_(static_cast<std::size_t>(connections.count()), false) {}
 
   [[nodiscard]] bool ConflictsWith(LinkId link) const {
     if (used_link_[static_cast<std::size_t>(link.value)]) return true;
-    for (ResourceId r : connections_.path(link).resources) {
-      if (!Serializes(r)) continue;
+    for (ResourceId r : connections_.serializing(link)) {
       if (used_resource_[static_cast<std::size_t>(r.value)]) return true;
     }
     return false;
@@ -29,8 +28,7 @@ class WaveOccupancy {
   void Occupy(LinkId link) {
     used_link_[static_cast<std::size_t>(link.value)] = true;
     touched_links_.push_back(static_cast<std::size_t>(link.value));
-    for (ResourceId r : connections_.path(link).resources) {
-      if (!Serializes(r)) continue;
+    for (ResourceId r : connections_.serializing(link)) {
       const auto i = static_cast<std::size_t>(r.value);
       if (!used_resource_[i]) {
         used_resource_[i] = true;
@@ -47,10 +45,6 @@ class WaveOccupancy {
   }
 
  private:
-  [[nodiscard]] bool Serializes(ResourceId r) const {
-    return IsSerializing(connections_.topology().resource(r).kind);
-  }
-
   const ConnectionTable& connections_;
   std::vector<bool> used_resource_;
   std::vector<bool> used_link_;

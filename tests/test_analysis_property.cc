@@ -424,6 +424,48 @@ TEST(AnalyzerReportTest, JsonIsWellFormedAndStable) {
   EXPECT_NE(json.find("\"clean\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"tb_merge_checked\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"diagnostics\":["), std::string::npos) << json;
+  EXPECT_NE(json.find("\"rule_us\":{\"structure\":"), std::string::npos)
+      << json;
+}
+
+TEST(AnalyzerReportTest, RuleTimesCoverEveryCheckInRunOrder) {
+  const Topology topo(presets::A100(2, 4));
+  const CompiledCollective plan =
+      CompileFor(algorithms::RingAllGather(8), topo);
+  const AnalysisReport report = AnalyzePlan(plan, &topo);
+  ASSERT_TRUE(report.clean()) << RulesOf(report);
+  const std::vector<std::string> expected = {
+      rules::kStructure,  rules::kHazard,   rules::kPostcondition,
+      rules::kRendezvous, rules::kDeadlock, rules::kTbMerge,
+      rules::kChannelCapacity};
+  std::vector<std::string> order;
+  double sum_us = 0;
+  for (const RuleTime& t : report.rule_us) {
+    order.emplace_back(t.rule);
+    EXPECT_GE(t.us, 0.0) << t.rule;
+    sum_us += t.us;
+  }
+  // The canonical lowering runs right after the structure pass.
+  std::vector<std::string> with_lower = expected;
+  with_lower.insert(with_lower.begin() + 1, "lower");
+  EXPECT_EQ(order, with_lower);
+  EXPECT_LE(sum_us, report.analysis_us);
+
+  // Against a caller-supplied lowering there is no canonical Lower.
+  const CostModel cost;
+  LaunchConfig launch;
+  launch.chunk = Size::KiB(1);
+  launch.buffer = Size::KiB(2 * plan.algo.nchunks);
+  const AnalysisReport given =
+      AnalyzePlan(plan, Lower(plan, cost, launch), &topo);
+  order.clear();
+  for (const RuleTime& t : given.rule_us) order.emplace_back(t.rule);
+  EXPECT_EQ(order, expected);
+
+  const std::string json = AnalysisReportToJson(report);
+  EXPECT_NE(json.find("\"rule_us\":{\"structure\":"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"channel-capacity\":"), std::string::npos) << json;
 }
 
 TEST(AnalyzerReportTest, SummaryLeadsWithFirstError) {

@@ -1,16 +1,23 @@
-// Scheduler tests: HPDS and RR invariants across the algorithm library
-// (parameterized), plus targeted behavioural checks.
+// Scheduler tests: HPDS, RR and StepOrder invariants across the algorithm
+// library (parameterized), targeted behavioural checks, and a seeded
+// differential test of ValidateSchedule against the pairwise check it
+// replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <ostream>
+#include <sstream>
 
 #include "algorithms/hierarchical.h"
 #include "algorithms/ring.h"
 #include "algorithms/synthesized.h"
 #include "algorithms/tree.h"
+#include "common/rng.h"
 #include "core/hpds.h"
 #include "core/round_robin.h"
 #include "core/schedule.h"
+#include "core/step_order.h"
 #include "topology/topology.h"
 
 namespace resccl {
@@ -22,6 +29,11 @@ struct SchedulerCase {
   int gpus;
   Algorithm (*make)(const Topology&);
 };
+
+// Readable parameter names in gtest failure output.
+void PrintTo(const SchedulerCase& c, std::ostream* os) {
+  *os << c.name << "_" << c.nodes << "x" << c.gpus;
+}
 
 Algorithm MakeRingAg(const Topology& t) {
   return algorithms::RingAllGather(t.nranks());
@@ -52,6 +64,25 @@ std::vector<SchedulerCase> Cases() {
   return cases;
 }
 
+// Scheduler kinds the parameterized tests build: 0 HPDS, 1 RR, 2 StepOrder.
+constexpr int kSchedulerKinds = 3;
+
+std::unique_ptr<Scheduler> MakeScheduler(int kind) {
+  switch (kind) {
+    case 0: return std::make_unique<HpdsScheduler>();
+    case 1: return std::make_unique<RoundRobinScheduler>();
+    default: return std::make_unique<StepOrderScheduler>();
+  }
+}
+
+const char* SchedulerSuffix(int kind) {
+  switch (kind) {
+    case 0: return "_hpds";
+    case 1: return "_rr";
+    default: return "_step";
+  }
+}
+
 class SchedulerInvariantTest
     : public ::testing::TestWithParam<std::tuple<SchedulerCase, int>> {};
 
@@ -63,13 +94,7 @@ TEST_P(SchedulerInvariantTest, ScheduleIsValid) {
 
   ConnectionTable conns(topo);
   DependencyGraph dag(algo, conns);
-  std::unique_ptr<Scheduler> scheduler;
-  if (sched_kind == 0) {
-    scheduler = std::make_unique<HpdsScheduler>();
-  } else {
-    scheduler = std::make_unique<RoundRobinScheduler>();
-  }
-  const Schedule schedule = scheduler->Build(dag, conns);
+  const Schedule schedule = MakeScheduler(sched_kind)->Build(dag, conns);
   const Status valid = ValidateSchedule(schedule, dag, conns);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_EQ(schedule.ntasks(), dag.ntasks());
@@ -80,13 +105,14 @@ std::string CaseName(
     const ::testing::TestParamInfo<std::tuple<SchedulerCase, int>>& info) {
   const auto& [c, kind] = info.param;
   return c.name + "_" + std::to_string(c.nodes) + "x" +
-         std::to_string(c.gpus) + (kind == 0 ? "_hpds" : "_rr");
+         std::to_string(c.gpus) + SchedulerSuffix(kind);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SchedulerInvariantTest,
-                         ::testing::Combine(::testing::ValuesIn(Cases()),
-                                            ::testing::Values(0, 1)),
-                         CaseName);
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, SchedulerInvariantTest,
+    ::testing::Combine(::testing::ValuesIn(Cases()),
+                       ::testing::Range(0, kSchedulerKinds)),
+    CaseName);
 
 class SchedulerBehaviourTest : public ::testing::Test {
  protected:
@@ -226,7 +252,236 @@ TEST_F(SchedulerBehaviourTest, ValidateScheduleCatchesViolations) {
   first.insert(first.end(), merged.sub_pipelines[1].begin(),
                merged.sub_pipelines[1].end());
   merged.sub_pipelines.erase(merged.sub_pipelines.begin() + 1);
-  EXPECT_FALSE(ValidateSchedule(merged, dag, conns_).ok());
+  const Status comm = ValidateSchedule(merged, dag, conns_);
+  ASSERT_FALSE(comm.ok());
+  EXPECT_NE(comm.message().find("communication dependency"),
+            std::string::npos)
+      << comm.ToString();
+}
+
+TEST_F(SchedulerBehaviourTest, ValidateScheduleReportsBadTaskIds) {
+  const Algorithm algo = algorithms::RingAllGather(8);
+  DependencyGraph dag(algo, conns_);
+  HpdsScheduler hpds;
+  const Schedule s = hpds.Build(dag, conns_);
+
+  // Same task count, but one id past the end: a Status, not an abort.
+  Schedule past_end = s;
+  past_end.sub_pipelines[0][0] = TaskId(dag.ntasks());
+  const Status high = ValidateSchedule(past_end, dag, conns_);
+  ASSERT_FALSE(high.ok());
+  EXPECT_EQ(high.code(), StatusCode::kInternal);
+  EXPECT_NE(high.message().find("task " + std::to_string(dag.ntasks()) +
+                                " out of range"),
+            std::string::npos)
+      << high.ToString();
+
+  Schedule invalid = s;
+  invalid.sub_pipelines.back().back() = TaskId();
+  const Status neg = ValidateSchedule(invalid, dag, conns_);
+  ASSERT_FALSE(neg.ok());
+  EXPECT_EQ(neg.code(), StatusCode::kInternal);
+  EXPECT_NE(neg.message().find("task -1 out of range"), std::string::npos)
+      << neg.ToString();
+}
+
+TEST_F(SchedulerBehaviourTest, ValidateScheduleCatchesLinkReuse) {
+  // Two independent chunks over one GPU pair, forced into one wave.
+  Algorithm a;
+  a.name = "samelink";
+  a.collective = CollectiveOp::kAllGather;
+  a.nranks = 8;
+  a.nchunks = 8;
+  a.transfers = {{0, 1, 0, 0, TransferOp::kRecv},
+                 {0, 1, 0, 1, TransferOp::kRecv}};
+  DependencyGraph dag(a, conns_);
+  Schedule s;
+  s.sub_pipelines = {{TaskId(0), TaskId(1)}};
+  const Status st = ValidateSchedule(s, dag, conns_);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("communication dependency violated: tasks 0 "
+                              "and 1 share a link"),
+            std::string::npos)
+      << st.ToString();
+}
+
+TEST_F(SchedulerBehaviourTest, ValidateScheduleCatchesSharedNic) {
+  // On 2x8 A100 two GPUs share each NIC: 0->8 and 1->9 are distinct
+  // connections whose paths meet on one NIC, which a connection-only check
+  // would miss.
+  const Topology topo(presets::A100(2, 8));
+  ConnectionTable conns(topo);
+  Algorithm a;
+  a.name = "sharednic";
+  a.collective = CollectiveOp::kAllGather;
+  a.nranks = 16;
+  a.nchunks = 16;
+  a.transfers = {{0, 8, 0, 0, TransferOp::kRecv},
+                 {1, 9, 0, 1, TransferOp::kRecv}};
+  DependencyGraph dag(a, conns);
+  const LinkId l0 = dag.node(TaskId(0)).connection;
+  const LinkId l1 = dag.node(TaskId(1)).connection;
+  ASSERT_NE(l0, l1);
+  ASSERT_TRUE(conns.Conflicts(l0, l1));
+
+  Schedule together;
+  together.sub_pipelines = {{TaskId(0), TaskId(1)}};
+  const Status st = ValidateSchedule(together, dag, conns);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("communication dependency"), std::string::npos)
+      << st.ToString();
+
+  Schedule apart;
+  apart.sub_pipelines = {{TaskId(0)}, {TaskId(1)}};
+  EXPECT_TRUE(ValidateSchedule(apart, dag, conns).ok());
+}
+
+// The pairwise check ValidateSchedule ran before its stamp pass, kept as
+// the reference the stamp pass must agree with: coverage, data order, then
+// ConnectionTable::Conflicts on every pair of tasks in each sub-pipeline.
+Status PairwiseValidate(const Schedule& schedule, const DependencyGraph& dag,
+                        const ConnectionTable& connections) {
+  const int ntasks = dag.ntasks();
+  if (schedule.ntasks() != ntasks) return Status::Internal("task count");
+  std::vector<int> pos(static_cast<std::size_t>(ntasks), -1);
+  int next = 0;
+  for (const auto& sub : schedule.sub_pipelines) {
+    for (TaskId t : sub) {
+      if (!t.valid() || t.value >= ntasks) {
+        return Status::Internal("task out of range");
+      }
+      if (pos[static_cast<std::size_t>(t.value)] != -1) {
+        return Status::Internal("task scheduled twice");
+      }
+      pos[static_cast<std::size_t>(t.value)] = next++;
+    }
+  }
+  for (int t = 0; t < ntasks; ++t) {
+    for (TaskId pred : dag.node(TaskId(t)).preds) {
+      if (pos[static_cast<std::size_t>(pred.value)] >=
+          pos[static_cast<std::size_t>(t)]) {
+        return Status::Internal("data dependency violated");
+      }
+    }
+  }
+  for (const auto& sub : schedule.sub_pipelines) {
+    for (std::size_t i = 0; i < sub.size(); ++i) {
+      for (std::size_t j = i + 1; j < sub.size(); ++j) {
+        if (connections.Conflicts(dag.node(sub[i]).connection,
+                                  dag.node(sub[j]).connection)) {
+          std::ostringstream os;
+          os << "communication dependency violated: tasks " << sub[i].value
+             << " and " << sub[j].value
+             << " share a link within one sub-pipeline";
+          return Status::Internal(os.str());
+        }
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+// The class of a validation result: "ok", or the violated invariant.
+std::string MessageClass(const Status& st) {
+  if (st.ok()) return "ok";
+  for (const char* cls : {"communication dependency", "data dependency",
+                          "out of range", "scheduled twice"}) {
+    if (st.message().find(cls) != std::string::npos) return cls;
+  }
+  return "other: " + st.message();
+}
+
+// Seeded corruption: merge two adjacent waves, or move one task to a
+// random position of another wave. Both keep every task exactly once.
+Schedule Corrupt(const Schedule& s, Rng& rng) {
+  Schedule out = s;
+  auto& waves = out.sub_pipelines;
+  const auto nwaves = static_cast<std::int64_t>(waves.size());
+  if (rng.NextBool(0.5)) {
+    const auto w = static_cast<std::size_t>(rng.NextInt(0, nwaves - 2));
+    waves[w].insert(waves[w].end(), waves[w + 1].begin(), waves[w + 1].end());
+    waves.erase(waves.begin() + static_cast<std::ptrdiff_t>(w) + 1);
+    return out;
+  }
+  const auto from = static_cast<std::size_t>(rng.NextInt(0, nwaves - 1));
+  auto to = static_cast<std::size_t>(rng.NextInt(0, nwaves - 2));
+  if (to >= from) ++to;
+  auto& src = waves[from];
+  const auto i = rng.NextInt(0, static_cast<std::int64_t>(src.size()) - 1);
+  const TaskId task = src[static_cast<std::size_t>(i)];
+  src.erase(src.begin() + i);
+  auto& dst = waves[to];
+  const auto at = rng.NextInt(0, static_cast<std::int64_t>(dst.size()));
+  dst.insert(dst.begin() + at, task);
+  if (src.empty()) {
+    waves.erase(waves.begin() + static_cast<std::ptrdiff_t>(from));
+  }
+  return out;
+}
+
+class ValidateDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<SchedulerCase, int>> {};
+
+TEST_P(ValidateDifferentialTest, AgreesWithPairwiseReference) {
+  const auto& [c, sched_kind] = GetParam();
+  const Topology topo(presets::A100(c.nodes, c.gpus));
+  const Algorithm algo = c.make(topo);
+  ConnectionTable conns(topo);
+  DependencyGraph dag(algo, conns);
+  const Schedule schedule = MakeScheduler(sched_kind)->Build(dag, conns);
+  ASSERT_TRUE(ValidateSchedule(schedule, dag, conns).ok());
+  ASSERT_GE(schedule.nwaves(), 2);  // Corrupt needs two waves
+
+  constexpr int kCorruptions = 24;
+  std::uint64_t seed = static_cast<std::uint64_t>(
+      (c.nodes * 131 + c.gpus) * kSchedulerKinds + sched_kind);
+  for (const char ch : c.name) {
+    seed = seed * 31 + static_cast<unsigned char>(ch);
+  }
+  Rng rng(seed);
+  int violations = 0;
+  for (int k = 0; k < kCorruptions; ++k) {
+    const Schedule bad = Corrupt(schedule, rng);
+    const Status fast = ValidateSchedule(bad, dag, conns);
+    const Status ref = PairwiseValidate(bad, dag, conns);
+    ASSERT_EQ(MessageClass(fast), MessageClass(ref))
+        << "corruption " << k << ": " << fast.ToString() << " vs "
+        << ref.ToString();
+    if (!fast.ok()) ++violations;
+  }
+  EXPECT_GT(violations, 0) << "no corruption was rejected";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, ValidateDifferentialTest,
+    ::testing::Combine(::testing::ValuesIn(Cases()),
+                       ::testing::Range(0, kSchedulerKinds)),
+    CaseName);
+
+TEST(ValidateDifferential, EveryClassIsExercised) {
+  // Across the whole library the seeded corruptions reach both the
+  // data-dependency and the communication-dependency rejections.
+  int comm = 0;
+  int data = 0;
+  for (const SchedulerCase& c : Cases()) {
+    const Topology topo(presets::A100(c.nodes, c.gpus));
+    const Algorithm algo = c.make(topo);
+    ConnectionTable conns(topo);
+    DependencyGraph dag(algo, conns);
+    Rng rng(static_cast<std::uint64_t>(c.nodes * 131 + c.gpus));
+    for (int kind = 0; kind < kSchedulerKinds; ++kind) {
+      const Schedule schedule = MakeScheduler(kind)->Build(dag, conns);
+      ASSERT_GE(schedule.nwaves(), 2);
+      for (int k = 0; k < 4; ++k) {
+        const std::string cls =
+            MessageClass(ValidateSchedule(Corrupt(schedule, rng), dag, conns));
+        comm += cls == "communication dependency" ? 1 : 0;
+        data += cls == "data dependency" ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(comm, 0);
+  EXPECT_GT(data, 0);
 }
 
 }  // namespace
