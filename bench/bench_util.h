@@ -1,15 +1,17 @@
 // Shared helpers for the benchmark harnesses.
 //
-// `paper` regenerates every table and figure of the paper's evaluation
-// (§5); the other binaries are ablations and perf harnesses. See DESIGN.md's
-// per-experiment index. Output is printed via TextTable.
+// Two binaries: `paper` regenerates every table and figure of the paper's
+// evaluation (§5) plus the ablations, and `micro` runs the perf harnesses.
+// See DESIGN.md's per-experiment index. Output is printed via TextTable.
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -24,18 +26,110 @@
 
 namespace resccl::bench {
 
-// Shared --jobs handling for the sweep benches: `--jobs=N` on the command
-// line wins, otherwise RESCCL_JOBS, otherwise serial. Every bench's
-// output is bit-identical across jobs values (see ParallelRows below), so
-// the flag only buys wall-clock.
-inline int ParseJobs(int argc, char** argv) {
-  int jobs = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
+// Counts failed self-checks. Each experiment or section owns one and
+// returns failed from its run function, so a failure anywhere makes the
+// binary exit non-zero without aborting the rest of the run.
+struct Checks {
+  int failed = 0;
+  void operator()(bool ok, const char* what) {
+    if (!ok) {
+      std::fprintf(stderr, "FAIL: %s\n", what);
+      ++failed;
     }
   }
-  return ThreadPool::ResolveJobs(jobs);
+};
+
+inline double NowUs() {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// The banner printed before each experiment or section.
+struct Header {
+  const char* title;
+  const char* paper_ref;
+  const char* note;
+};
+
+inline void PrintHeader(const Header& h) {
+  std::printf("=== %s ===\n", h.title);
+  std::printf("Reproduces: %s\n", h.paper_ref);
+  if (h.note[0] != '\0') std::printf("%s\n", h.note);
+  std::printf("\n");
+}
+
+// A bench binary's parsed command line: `[--jobs=N] [flag...] [name...]`.
+struct Args {
+  int jobs = 0;  // --jobs=N; 0 when not given (each binary picks a default)
+  std::vector<std::string_view> flags;
+
+  bool Has(std::string_view flag) const {
+    return std::find(flags.begin(), flags.end(), flag) != flags.end();
+  }
+};
+
+// The shared main of the bench binaries: parses the command line, then
+// runs the named entries of `table` in the order given (every entry, in
+// table order, when none is named), each after its header. `run(entry,
+// args)` returns the entry's failed self-checks. A flag outside --jobs=N
+// and `extra_flags`, a --jobs value that is not a positive integer, or an
+// unknown name prints a message and exits 2 before anything runs; any
+// failed self-check exits 1.
+template <typename Entry, std::size_t N, typename Run>
+int RunNamed(const char* prog, int argc, char** argv, const Entry (&table)[N],
+             std::initializer_list<std::string_view> extra_flags, Run&& run) {
+  Args args;
+  std::vector<const Entry*> selected;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--jobs=")) {
+      const std::string_view value = arg.substr(7);
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, args.jobs);
+      if (ec != std::errc() || ptr != end || args.jobs <= 0) {
+        std::fprintf(stderr, "%s: --jobs needs a positive integer, got '%s'\n",
+                     prog, argv[i]);
+        return 2;
+      }
+    } else if (arg.starts_with("-")) {
+      if (std::find(extra_flags.begin(), extra_flags.end(), arg) ==
+          extra_flags.end()) {
+        std::fprintf(stderr, "%s: unknown flag '%s'\n", prog, argv[i]);
+        return 2;
+      }
+      args.flags.push_back(arg);
+    } else {
+      const Entry* found = nullptr;
+      for (const Entry& e : table) {
+        if (e.name == arg) found = &e;
+      }
+      if (found == nullptr) {
+        std::fprintf(stderr, "%s: unknown name '%s'; valid names:", prog,
+                     argv[i]);
+        for (const Entry& e : table) {
+          std::fprintf(stderr, " %.*s", static_cast<int>(e.name.size()),
+                       e.name.data());
+        }
+        std::fprintf(stderr, "\n");
+        return 2;
+      }
+      selected.push_back(found);
+    }
+  }
+  if (selected.empty()) {
+    for (const Entry& e : table) selected.push_back(&e);
+  }
+  int failed = 0;
+  for (const Entry* e : selected) {
+    PrintHeader(e->header);
+    failed += run(*e, args);
+  }
+  if (failed != 0) {
+    std::fprintf(stderr, "%s: %d self-check(s) failed\n", prog, failed);
+    return 1;
+  }
+  return 0;
 }
 
 // The shared deterministic sweep loop: computes row(i) for i in [0, n)
@@ -129,14 +223,6 @@ inline std::string SizeLabel(Size s) {
   }
   if (s.bytes() >= Size::MiB(1).bytes()) return Fixed(s.mib(), 0) + "MB";
   return Fixed(static_cast<double>(s.bytes()) / 1024.0, 0) + "KB";
-}
-
-inline void PrintHeader(const std::string& title, const std::string& paper_ref,
-                        const std::string& note) {
-  std::printf("=== %s ===\n", title.c_str());
-  std::printf("Reproduces: %s\n", paper_ref.c_str());
-  if (!note.empty()) std::printf("%s\n", note.c_str());
-  std::printf("\n");
 }
 
 }  // namespace resccl::bench

@@ -1,19 +1,23 @@
 // The paper's evaluation (§5) in one binary: Tables 1 and 3, Figs. 2-4 and
-// 6-13, and the chunk-size ablation, as a table of experiments. Each prints
-// the rows or series the paper reports next to the paper's reference
-// values.
+// 6-13, and the chunk-size, contention, protocol and fault-robustness
+// ablations, as a table of experiments. Each prints the rows or series the
+// paper reports next to the paper's reference values.
 //
 //   paper [--jobs=N] [name...]
 //
 // With no name, runs every experiment in table order; otherwise runs the
-// named ones in the order given. An unknown name exits 2 and lists the
-// valid names. Every experiment but fig10a (host wall-clock) is
-// deterministic, and its output is byte-identical at any --jobs value
-// (ParallelRows); bench/baselines/paper/<name>.txt pins each one.
+// named ones in the order given. An unknown name or flag, or a --jobs value
+// that is not a positive integer, exits 2. A failed self-check exits 1.
+// Every experiment but fig10a (host wall-clock) is deterministic, and its
+// output is byte-identical at any --jobs value (ParallelRows);
+// bench/baselines/paper/<name>.txt pins each one. `protocols` also writes
+// BENCH_protocols.json for tools/check_perf.py.
+#include <algorithm>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstddef>
-#include <cstring>
+#include <cstdint>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -29,6 +33,7 @@
 #include "lang/eval.h"
 #include "obs/critical_path.h"
 #include "obs/timeline.h"
+#include "runtime/multi_job.h"
 #include "sim/machine.h"
 #include "train/trainer.h"
 
@@ -190,7 +195,7 @@ double TimelineUtilization(const Topology& topo, const CollectiveReport& r) {
   return avg;
 }
 
-void Table1(int jobs) {
+int Table1(int jobs) {
   const char* const scales[] = {"1 Server (8 GPUs)", "2 Servers (16 GPUs)",
                                 "4 Servers (32 GPUs)"};
   const Topology topos[] = {Topology(presets::A100(1, 8)),
@@ -222,6 +227,7 @@ void Table1(int jobs) {
       "Paper reference (measured on real A100 testbed): 1 server "
       "76.7/71.0/51.6/45.7/52.7%%; 2 servers 67.5/61.8/34.3/31.8/33.2%%; "
       "4 servers 66.8/46.1/44.6/41.9/38.1%%.\n");
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +271,7 @@ void PrintBreakdown(const char* label, const std::string& algo_name,
               Percent(r.sim.AvgIdleRatio()).c_str());
 }
 
-void Fig2(int jobs) {
+int Fig2(int jobs) {
   const Topology topo(presets::A100(1, 8));
   struct Case {
     const char* label;
@@ -285,6 +291,7 @@ void Fig2(int jobs) {
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     PrintBreakdown(cases[i].label, cases[i].algo.name, reports[i]);
   }
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -293,7 +300,7 @@ void Fig2(int jobs) {
 // pays a per-primitive decode, a per-micro-batch reload, and a copy-
 // throughput tax for the control flow inside its primitive loop.
 
-void Fig3(int jobs) {
+int Fig3(int jobs) {
   const Topology topo(presets::A100(2, 8));
   struct Case {
     const char* label;
@@ -338,6 +345,7 @@ void Fig3(int jobs) {
   std::printf("%s\n", table.ToString().c_str());
   std::printf("average interpreter loss: %s (paper: 17.1%%)\n",
               Percent(losses / static_cast<double>(rows.size())).c_str());
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -373,7 +381,7 @@ double P2pBandwidth(const Topology& topo, int ntbs, Size total) {
   return static_cast<double>(total.bytes()) / 1e3 / r.makespan.us();
 }
 
-void Fig4(int jobs) {
+int Fig4(int jobs) {
   const Topology topo(presets::A100(2, 8));
   const int tb_counts[] = {1, 2, 3, 4, 6, 8, 12, 16};
   const auto gbps = ParallelRows<double>(
@@ -386,13 +394,14 @@ void Fig4(int jobs) {
                   Percent(gbps[i] / topo.spec().nic.gbps())});
   }
   std::printf("%s", table.ToString().c_str());
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
 // Figs. 6, 8 and 11 (expert algorithms) and Figs. 7 and 9 (synthesized
 // algorithms) across buffer sizes and topologies.
 
-void Fig6(int jobs) {
+int Fig6(int jobs) {
   const Topology a100_2x8(presets::A100(2, 8));
   const Topology a100_4x8(presets::A100(4, 8));
   const BandwidthColumns cols{1, true};
@@ -404,18 +413,20 @@ void Fig6(int jobs) {
                        CollectiveOp::kAllReduce, BufferGrid(), cols, jobs);
   ExpertBandwidthPanel("(d) AllReduce, 4 servers / 32 GPUs", a100_4x8,
                        CollectiveOp::kAllReduce, BufferGrid(true), cols, jobs);
+  return 0;
 }
 
-void Fig7(int jobs) {
+int Fig7(int jobs) {
   SynthesizedSpeedupPanel(
       "2 servers / 16 GPUs (speedup of ResCCL over MSCCL = 1.0x baseline)",
       Topology(presets::A100(2, 8)), BufferGrid(), jobs);
   SynthesizedSpeedupPanel(
       "4 servers / 32 GPUs (speedup of ResCCL over MSCCL = 1.0x baseline)",
       Topology(presets::A100(4, 8)), BufferGrid(true), jobs);
+  return 0;
 }
 
-void Fig8(int jobs) {
+int Fig8(int jobs) {
   const Topology a100_2x4(presets::A100(2, 4));
   const Topology a100_4x4(presets::A100(4, 4));
   const BandwidthColumns cols{1, true};
@@ -427,18 +438,20 @@ void Fig8(int jobs) {
                        CollectiveOp::kAllReduce, BufferGrid(true), cols, jobs);
   ExpertBandwidthPanel("(d) AllReduce, 4 x 4 GPUs", a100_4x4,
                        CollectiveOp::kAllReduce, BufferGrid(true), cols, jobs);
+  return 0;
 }
 
-void Fig9(int jobs) {
+int Fig9(int jobs) {
   SynthesizedSpeedupPanel("2 x 4 GPUs (ResCCL speedup over MSCCL)",
                           Topology(presets::A100(2, 4)), BufferGrid(true),
                           jobs);
   SynthesizedSpeedupPanel("4 x 4 GPUs (ResCCL speedup over MSCCL)",
                           Topology(presets::A100(4, 4)), BufferGrid(true),
                           jobs);
+  return 0;
 }
 
-void Fig11(int jobs) {
+int Fig11(int jobs) {
   const Topology v100(presets::V100(2, 8));
   const std::vector<Size> grid{Size::MiB(16), Size::MiB(64), Size::MiB(256),
                                Size::MiB(1024), Size::MiB(4096)};
@@ -449,6 +462,7 @@ void Fig11(int jobs) {
                        CollectiveOp::kReduceScatter, grid, cols, jobs);
   ExpertBandwidthPanel("HM-AllReduce (V100, 100G RoCE, 2 x 8 GPUs)", v100,
                        CollectiveOp::kAllReduce, grid, cols, jobs);
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -504,7 +518,7 @@ double Ms(double us) { return us / 1000.0; }
 // check must cost no more than the scheduling it checks. Both times come
 // from the same Compile, so the bar is a ratio, not an absolute time; a
 // quadratic check crosses it by an order of magnitude.
-void Fig10a(int /*jobs*/) {
+int Fig10a(int /*jobs*/) {
   std::printf(
       "--- (a) per-phase wall-clock across emulated cluster scales ---\n");
   TextTable table({"GPUs", "Tasks", "Parse ms", "Analyze ms", "Schedule ms",
@@ -519,7 +533,7 @@ void Fig10a(int /*jobs*/) {
                                 .count();
     if (!algo.ok()) {
       std::fprintf(stderr, "DSL error: %s\n", algo.status().ToString().c_str());
-      std::exit(1);
+      return 1;
     }
     const Topology topo(presets::A100(nodes, 8));
     const CompiledCollective cc =
@@ -540,11 +554,11 @@ void Fig10a(int /*jobs*/) {
     }
   }
   std::printf("%s\n", table.ToString().c_str());
-  if (!shape_ok) std::exit(1);
+  return shape_ok ? 0 : 1;
 }
 
 // Fig. 10(b): HPDS against the round-robin scheduling baseline.
-void Fig10b(int jobs) {
+int Fig10b(int jobs) {
   std::printf("--- (b) HPDS vs round-robin (2 servers x 8 GPUs) ---\n");
   const Topology topo(presets::A100(2, 8));
   struct Case {
@@ -577,6 +591,7 @@ void Fig10b(int jobs) {
   TextTable table({"Algorithm", "RR GB/s", "HPDS GB/s", "HPDS speedup"});
   for (const auto& row : rows) table.AddRow(row);
   std::printf("%s", table.ToString().c_str());
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -607,7 +622,7 @@ CriticalPathRun AnalyzedRun(const Algorithm& algo, const Topology& topo,
   return run;
 }
 
-void Fig12(int jobs) {
+int Fig12(int jobs) {
   const Topology topo(presets::V100(2, 8));
   struct Case {
     const char* label;
@@ -666,6 +681,7 @@ void Fig12(int jobs) {
                 pb.sync / cp.makespan * 100, pb.overhead / cp.makespan * 100,
                 cp.chain_complete ? "" : " [chain incomplete]");
   }
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -712,11 +728,12 @@ void TrainingPanel(const char* label,
   std::printf("%s\n", table.ToString().c_str());
 }
 
-void Fig13(int jobs) {
+int Fig13(int jobs) {
   TrainingPanel("(a) GPT-3, tensor parallelism (tp=8)", train::Gpt3Family(),
                 8, 2, 4, jobs);
   TrainingPanel("(b) T5, data parallelism (16 GPUs)", train::T5Family(), 1,
                 16, 16, jobs);
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -795,7 +812,7 @@ void TbUtilizationSection(const char* label, MakeAlgorithm make, int jobs) {
   std::printf("%s\n", table.ToString().c_str());
 }
 
-void Table3(int jobs) {
+int Table3(int jobs) {
   TbUtilizationSection("Expert AllReduce (hierarchical mesh)",
                        algorithms::HierarchicalMeshAllReduce, jobs);
   TbUtilizationSection("Expert AllGather (hierarchical mesh)",
@@ -804,6 +821,7 @@ void Table3(int jobs) {
                        algorithms::TacclLikeAllReduce, jobs);
   TbUtilizationSection("Synthesized AllGather (TACCL-like)",
                        algorithms::TacclLikeAllGather, jobs);
+  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -812,7 +830,7 @@ void Table3(int jobs) {
 // per-primitive overheads and startup latencies; huge chunks starve the
 // pipeline of micro-batches to schedule across.
 
-void Chunk(int jobs) {
+int Chunk(int jobs) {
   const Topology topo(presets::A100(2, 8));
   const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
   const PreparedPlan resccl = PrepareOrDie(algo, topo, BackendKind::kResCCL);
@@ -831,21 +849,357 @@ void Chunk(int jobs) {
   TextTable table({"Chunk", "Micro-batches", "ResCCL GB/s", "MSCCL GB/s"});
   for (const auto& row : rows) table.AddRow(row);
   std::printf("%s", table.ToString().c_str());
+  return 0;
+}
+
+// ---------------------------------------------------------------------------
+// Ablation: multi-job network contention (§4.4's "Network contention"
+// discussion). Two identical AllReduce jobs share the cluster; the table
+// reports each backend's isolated completion, co-run completion, and the
+// effective bandwidth retained under sharing (the merged report's algo_bw
+// over both buffers). ResCCL's connection-limited schedules keep the fabric
+// out of the superlinear contention regime. Fails if any job's data fails
+// to verify or any job co-runs faster than it runs alone.
+
+int Contention(int /*jobs*/) {
+  const Topology topo(presets::A100(2, 8));
+  TextTable table({"Backend", "isolated ms", "co-run ms", "slowdown",
+                   "co-run agg GB/s"});
+  Checks check;
+  for (BackendKind kind : {BackendKind::kNcclLike, BackendKind::kMscclLike,
+                           BackendKind::kResCCL}) {
+    JobSpec job;
+    job.name = "ar";
+    job.algorithm = kind == BackendKind::kNcclLike
+                        ? DefaultAlgorithm(kind, CollectiveOp::kAllReduce,
+                                           topo)
+                        : algorithms::HierarchicalMeshAllReduce(topo);
+    job.options = DefaultCompileOptions(kind);
+    job.launch.buffer = Size::MiB(256);
+    JobSpec job2 = job;
+    job2.name = "ar2";
+
+    const CoRunReport report = RunConcurrently({job, job2}, topo);
+    for (const JobOutcome& outcome : report.jobs) {
+      check(outcome.verified && outcome.slowdown >= 1.0 - 1e-9,
+            "co-run job must verify and run no faster than alone");
+    }
+    const JobOutcome& a = report.jobs[0];
+    table.AddRow({BackendName(kind), Fixed(a.isolated.ms(), 2),
+                  Fixed(report.merged.elapsed.ms(), 2),
+                  Fixed(a.slowdown, 2) + "x",
+                  Fixed(report.merged.algo_bw.gbps(), 1)});
+  }
+  std::printf("%s", table.ToString().c_str());
+  return check.failed;
+}
+
+// ---------------------------------------------------------------------------
+// Ablation: transport protocols (Table 2). Simple vs LL vs LL128 across
+// buffer sizes on the latency-sensitive ring and the bandwidth-oriented
+// hierarchical mesh: LL wins tiny messages, LL128 the mid-range, Simple the
+// sustained-bandwidth regime — the crossover every CCL tunes around. The
+// Auto column runs the same point with Protocol::kAuto and must land
+// bit-identically on one of the explicit columns (the crossover model picks
+// a protocol, never a fourth behavior).
+//
+// Writes BENCH_protocols.json (tools/check_perf.py compares the crossover
+// points and best-protocol labels exactly and the bandwidths within
+// tolerance against bench/baselines/ablation_protocols_baseline.json).
+
+// The launch the sweep uses at one buffer size: the chunk is derived from a
+// fixed micro-batch target so every point pipelines the same depth. When
+// the buffer is too small for the target at a sane chunk floor, the *batch
+// count* shrinks (clamped, never below one) — the chunk is what the
+// geometry implies, not a clamp artifact that silently changes the
+// micro-batch count across the sweep.
+Size ProtocolChunk(Size buffer, int nchunks) {
+  constexpr int kTargetMicroBatches = 8;
+  constexpr std::int64_t kChunkFloor = 1024;  // 1 KiB
+  const std::int64_t max_mb =
+      buffer.bytes() / (kChunkFloor * static_cast<std::int64_t>(nchunks));
+  const std::int64_t mb = std::clamp<std::int64_t>(
+      max_mb, 1, static_cast<std::int64_t>(kTargetMicroBatches));
+  const std::int64_t chunk =
+      buffer.bytes() / (mb * static_cast<std::int64_t>(nchunks));
+  return Size::Bytes(chunk < 1 ? 1 : chunk);
+}
+
+struct ProtocolPoint {
+  double gbps[3] = {0, 0, 0};  // Simple, LL, LL128
+  SimTime elapsed[3];
+  std::string best;      // "+"-joined labels of every protocol within tie
+                         // tolerance of the fastest (deterministic order)
+  Protocol auto_pick = Protocol::kSimple;  // what kAuto resolved to
+  SimTime auto_elapsed;
+};
+
+constexpr Protocol kProtos[3] = {Protocol::kSimple, Protocol::kLL,
+                                 Protocol::kLL128};
+
+CollectiveReport RunProtocol(const PreparedCollective& prepared,
+                             Protocol proto, Size buffer, Size chunk) {
+  RunRequest request;
+  request.launch.buffer = buffer;
+  request.launch.chunk = chunk;
+  request.launch.protocol = proto;
+  return Execute(prepared, request);
+}
+
+ProtocolPoint MeasureProtocols(const PreparedCollective& prepared,
+                               Size buffer, Size chunk) {
+  ProtocolPoint p;
+  for (int i = 0; i < 3; ++i) {
+    const CollectiveReport rep =
+        RunProtocol(prepared, kProtos[i], buffer, chunk);
+    p.gbps[i] = rep.algo_bw.gbps();
+    p.elapsed[i] = rep.elapsed;
+  }
+  // A "best" label that never hides a tie behind comparison order: every
+  // protocol within relative tolerance of the fastest is listed, joined in
+  // the fixed Simple, LL, LL128 order.
+  constexpr double kTieTol = 1e-9;
+  SimTime fastest = p.elapsed[0];
+  for (int i = 1; i < 3; ++i) fastest = std::min(fastest, p.elapsed[i]);
+  for (int i = 0; i < 3; ++i) {
+    if (p.elapsed[i].us() <= fastest.us() * (1.0 + kTieTol)) {
+      if (!p.best.empty()) p.best += "+";
+      p.best += ProtocolName(kProtos[i]);
+    }
+  }
+  const CollectiveReport auto_rep =
+      RunProtocol(prepared, Protocol::kAuto, buffer, chunk);
+  p.auto_pick = auto_rep.protocol;
+  p.auto_elapsed = auto_rep.elapsed;
+  return p;
+}
+
+struct ProtocolCase {
+  const char* key = nullptr;  // JSON section name
+  std::vector<Size> sizes;
+  std::vector<ProtocolPoint> points;
+  std::int64_t crossover_to_simple = -1;  // first size Simple is (co-)best
+};
+
+void WriteProtocolsJson(const char* path,
+                        const std::vector<ProtocolCase>& cases) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    std::abort();
+  }
+  std::fprintf(f, "{\n  \"bench\": \"ablation_protocols\",\n");
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const ProtocolCase& pc = cases[c];
+    std::fprintf(f, "  \"%s\": {\n", pc.key);
+    for (std::size_t i = 0; i < pc.points.size(); ++i) {
+      const std::string label = SizeLabel(pc.sizes[i]);
+      const ProtocolPoint& p = pc.points[i];
+      std::fprintf(f, "    \"best_%s\": \"%s\",\n", label.c_str(),
+                   p.best.c_str());
+      std::fprintf(f, "    \"auto_%s\": \"%s\",\n", label.c_str(),
+                   ProtocolName(p.auto_pick));
+      std::fprintf(f, "    \"simple_gbps_%s\": %.6f,\n", label.c_str(),
+                   p.gbps[0]);
+      std::fprintf(f, "    \"ll_gbps_%s\": %.6f,\n", label.c_str(),
+                   p.gbps[1]);
+      std::fprintf(f, "    \"ll128_gbps_%s\": %.6f,\n", label.c_str(),
+                   p.gbps[2]);
+    }
+    std::fprintf(f, "    \"crossover_to_simple_bytes\": %" PRId64 "\n",
+                 pc.crossover_to_simple);
+    std::fprintf(f, "  }%s\n", c + 1 < cases.size() ? "," : "");
+  }
+  std::fprintf(f, "}\n");
+  std::fclose(f);
+}
+
+int Protocols(int /*jobs*/) {
+  const Topology topo(presets::A100(2, 8));
+  struct Case {
+    const char* label;
+    const char* key;
+    Algorithm algo;
+  };
+  const Case cases[] = {
+      {"ring AllGather", "ring_allgather", algorithms::RingAllGather(16)},
+      {"HM AllReduce", "hm_allreduce",
+       algorithms::HierarchicalMeshAllReduce(topo)},
+  };
+  const std::vector<Size> sizes = {Size::KiB(64), Size::KiB(256),
+                                   Size::MiB(1),  Size::MiB(8),
+                                   Size::MiB(64), Size::MiB(512)};
+
+  Checks check;
+  std::vector<ProtocolCase> results;
+  for (const Case& c : cases) {
+    std::printf("--- %s ---\n", c.label);
+    const PreparedPlan prepared =
+        PrepareOrDie(c.algo, topo, BackendKind::kResCCL);
+    const int nchunks = c.algo.nchunks > 0 ? c.algo.nchunks : c.algo.nranks;
+    ProtocolCase pc;
+    pc.key = c.key;
+    pc.sizes = sizes;
+    TextTable table({"Buffer", "Simple GB/s", "LL GB/s", "LL128 GB/s",
+                     "best", "auto"});
+    for (const Size buffer : sizes) {
+      const ProtocolPoint p = MeasureProtocols(
+          *prepared, buffer, ProtocolChunk(buffer, nchunks));
+
+      // kAuto must reproduce its explicit column exactly: same resolved
+      // protocol -> same lowered program -> bit-identical makespan.
+      for (int i = 0; i < 3; ++i) {
+        if (kProtos[i] != p.auto_pick) continue;
+        check(p.auto_elapsed.us() == p.elapsed[i].us(),
+              "auto run must be bit-identical to its explicit protocol");
+      }
+
+      if (pc.crossover_to_simple < 0 &&
+          p.best.find("Simple") != std::string::npos) {
+        pc.crossover_to_simple = buffer.bytes();
+      }
+      table.AddRow({SizeLabel(buffer), Fixed(p.gbps[0], 2),
+                    Fixed(p.gbps[1], 2), Fixed(p.gbps[2], 2), p.best,
+                    ProtocolName(p.auto_pick)});
+      pc.points.push_back(p);
+    }
+    std::printf("%s\n", table.ToString().c_str());
+    results.push_back(std::move(pc));
+  }
+
+  // The crossover shape on the latency-sensitive ring: LL (co-)fastest at
+  // the smallest point, Simple at the largest, and the auto picks walk
+  // monotonically LL -> LL128 -> Simple left to right.
+  const ProtocolCase& ring = results.front();
+  check(ring.points.front().best.find("LL") != std::string::npos,
+        "ring: LL must be (co-)fastest at the smallest buffer");
+  check(ring.points.back().best.find("Simple") != std::string::npos,
+        "ring: Simple must be (co-)fastest at the largest buffer");
+  check(ring.points.front().auto_pick == Protocol::kLL,
+        "ring: auto must pick LL at the smallest buffer");
+  check(ring.points.back().auto_pick == Protocol::kSimple,
+        "ring: auto must pick Simple at the largest buffer");
+  const auto rank_of = [](Protocol p) {
+    return p == Protocol::kLL ? 0 : p == Protocol::kLL128 ? 1 : 2;
+  };
+  for (std::size_t i = 1; i < ring.points.size(); ++i) {
+    check(rank_of(ring.points[i].auto_pick) >=
+              rank_of(ring.points[i - 1].auto_pick),
+          "ring: auto picks must cross over monotonically");
+  }
+
+  WriteProtocolsJson("BENCH_protocols.json", results);
+  if (check.failed == 0) {
+    std::printf("self-checks: all passed; wrote BENCH_protocols.json\n");
+  }
+  return check.failed;
+}
+
+// ---------------------------------------------------------------------------
+// Robustness under injected faults: one prepared plan per (algorithm,
+// backend) replayed across escalating fault intensities, tabulating the
+// makespan inflation of ResCCL's task-level schedule against the MSCCL-like
+// and NCCL-like baselines. All faulted runs reuse the plan compiled by the
+// clean run — faults are Execute-time only and never enter the compile
+// fingerprint. Fails if any run fails verification (faults must perturb
+// timing, never data), if a faulted run reports a slowdown below 1.0, or if
+// any post-warm Execute misses the plan cache.
+
+// One (algorithm, backend) case: its table row plus any failed checks.
+// Cases are independent (each owns its Communicator and plan cache), so
+// the sweep fans them out over the pool; within a case the clean run must
+// stay first (it compiles the plan the faulted replays must hit).
+struct RobustnessRow {
+  std::vector<std::string> cells;
+  std::vector<const char*> failures;
+};
+
+RobustnessRow RobustnessCase(const char* label, MakeAlgorithm make,
+                             BackendKind kind) {
+  constexpr std::uint64_t kSeed = 20250806;
+  RobustnessRow result;
+  auto check = [&result](bool ok, const char* what) {
+    if (!ok) result.failures.push_back(what);
+  };
+
+  const Communicator comm(presets::A100(2, 4), kind);
+  const Algorithm algo = make(comm.topology());
+
+  RunRequest request;
+  request.launch.buffer = Size::MiB(64);
+  request.verify = true;
+
+  // Clean run compiles the plan (cache miss) and sets the baseline.
+  const CollectiveReport clean = comm.Run(algo, request);
+  check(clean.verified, "clean run must verify");
+  check(!clean.plan_cache_hit, "clean run must compile (cache miss)");
+
+  result.cells = {label, BackendName(kind), Fixed(clean.elapsed.ms(), 3)};
+  double last_stall_ms = 0;
+  for (const double intensity : {0.25, 0.5, 0.75, 1.0}) {
+    RunRequest faulted = request;
+    faulted.faults = FaultPlan::Make(kSeed, intensity, comm.topology());
+    const CollectiveReport r = comm.Run(algo, faulted);
+    check(r.verified, "faulted run must verify (faults never touch data)");
+    check(r.plan_cache_hit,
+          "faulted run must replay the cached plan (no recompile)");
+    check(r.fault.faulted, "fault impact must be reported");
+    check(r.fault.slowdown_vs_clean >= 1.0 - 1e-9,
+          "faults must not speed a schedule up");
+    check(r.fault.clean_makespan == clean.elapsed,
+          "fault baseline must match the clean replay of the same plan");
+    result.cells.push_back(Fixed(r.fault.slowdown_vs_clean, 2) + "x");
+    last_stall_ms = r.fault.total_stall.ms();
+  }
+  result.cells.push_back(Fixed(last_stall_ms, 3));
+
+  const PlanCache::Stats stats = comm.plan_cache().stats();
+  check(stats.misses == 1, "exactly one compile per (algo, backend)");
+  check(stats.hits == 4, "every faulted run served from the plan cache");
+  return result;
+}
+
+int Robustness(int jobs) {
+  struct Case {
+    const char* label;
+    MakeAlgorithm make;
+    BackendKind kind;
+  };
+  const std::pair<const char*, MakeAlgorithm> algos[] = {
+      {"hm_allreduce", algorithms::HierarchicalMeshAllReduce},
+      {"taccl_allreduce", algorithms::TacclLikeAllReduce}};
+  std::vector<Case> cases;
+  for (const auto& [label, make] : algos) {
+    for (const BackendKind kind : {BackendKind::kResCCL,
+                                   BackendKind::kMscclLike,
+                                   BackendKind::kNcclLike}) {
+      cases.push_back({label, make, kind});
+    }
+  }
+  const auto rows = ParallelRows<RobustnessRow>(
+      jobs, cases.size(), [&](std::size_t i) {
+        return RobustnessCase(cases[i].label, cases[i].make, cases[i].kind);
+      });
+
+  TextTable table({"Algorithm", "Backend", "Clean ms", "x0.25", "x0.50",
+                   "x0.75", "x1.00", "Stall ms @1.0"});
+  Checks check;
+  for (const RobustnessRow& r : rows) {
+    table.AddRow(r.cells);
+    for (const char* what : r.failures) check(false, what);
+  }
+  std::printf("%s\n", table.ToString().c_str());
+  if (check.failed == 0) std::printf("all robustness checks passed\n");
+  return check.failed;
 }
 
 // ---------------------------------------------------------------------------
 // The experiment table.
 
-struct Header {
-  const char* title;
-  const char* paper_ref;
-  const char* note;
-};
-
 struct Experiment {
   std::string_view name;
   Header header;
-  void (*run)(int jobs);
+  int (*run)(int jobs);  // returns the failed self-checks
 };
 
 const Experiment kExperiments[] = {
@@ -937,37 +1291,32 @@ const Experiment kExperiments[] = {
       "design choice from Table 2 (ChunkSize = 1MB)",
       "Buffer fixed at 1 GiB per rank; only the chunk granularity varies."},
      Chunk},
+    {"contention",
+     {"Ablation — co-running jobs under network contention",
+      "§4.4 (network contention) of the paper",
+      "Two identical HM AllReduce jobs (256 MiB each) share the 2x8 "
+      "cluster."},
+     Contention},
+    {"protocols",
+     {"Ablation — transport protocols (ResCCL backend, 2x8)",
+      "design choice from Table 2 (Protocol = Simple)",
+      "Chunk derived from a fixed micro-batch target so every point "
+      "pipelines alike; Auto must match one explicit column "
+      "bit-identically."},
+     Protocols},
+    {"robustness",
+     {"fig — robustness to fabric faults",
+      "fault-injection study on the schedules of §4/§5",
+      "Slowdown vs clean replay of the same prepared plan, fault seed "
+      "fixed; higher is worse."},
+     Robustness},
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int jobs = ParseJobs(argc, argv);
-  std::vector<const Experiment*> selected;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) continue;
-    const Experiment* found = nullptr;
-    for (const Experiment& e : kExperiments) {
-      if (e.name == argv[i]) found = &e;
-    }
-    if (found == nullptr) {
-      std::fprintf(stderr, "paper: unknown experiment '%s'; valid names:",
-                   argv[i]);
-      for (const Experiment& e : kExperiments) {
-        std::fprintf(stderr, " %.*s", static_cast<int>(e.name.size()),
-                     e.name.data());
-      }
-      std::fprintf(stderr, "\n");
-      return 2;
-    }
-    selected.push_back(found);
-  }
-  if (selected.empty()) {
-    for (const Experiment& e : kExperiments) selected.push_back(&e);
-  }
-  for (const Experiment* e : selected) {
-    PrintHeader(e->header.title, e->header.paper_ref, e->header.note);
-    e->run(jobs);
-  }
-  return 0;
+  return RunNamed("paper", argc, argv, kExperiments, {},
+                  [](const Experiment& e, const Args& args) {
+                    return e.run(ThreadPool::ResolveJobs(args.jobs));
+                  });
 }

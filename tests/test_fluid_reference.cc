@@ -136,7 +136,7 @@ void ExpectFourJobCoRunMatchesReference(const Algorithm& algo,
                          label);
 }
 
-// bench/micro_sim's re-rate workload.
+// The re-rate workload of `micro sim`.
 TEST(FluidReferenceCoRun, HierarchicalAllReduceOnA100) {
   const Topology topo(presets::A100(2, 8));
   const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
@@ -145,7 +145,7 @@ TEST(FluidReferenceCoRun, HierarchicalAllReduceOnA100) {
   ExpectFourJobCoRunMatchesReference(algo, topo, &faults, "faults 0.5");
 }
 
-// bench/micro_scale's 64-rank point. Clean only: the reference re-rates
+// The 64-rank point of `micro scale`. Clean only: the reference re-rates
 // every active flow per event, which faulted runs make slow at this size.
 TEST(FluidReferenceCoRun, ComposedAllReduceOn64RankRailClos) {
   const Topology topo(presets::RailClos(8, 8, 4, 2));

@@ -300,6 +300,27 @@ TEST(PlanCacheTest, SecondLookupIsAHit) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// A strict-verified plan is verified once: the warm lookup serves the same
+// artifact, still carrying its verification record, without re-verifying.
+TEST(PlanCacheTest, WarmLookupReusesTheVerifiedArtifact) {
+  const auto topo = std::make_shared<const Topology>(presets::A100(2, 4));
+  const Algorithm algo = HmAllReduce(*topo);
+  CompileOptions strict = DefaultCompileOptions(BackendKind::kResCCL);
+  strict.strict_verify = true;
+
+  PlanCache cache;
+  const PlanCache::Lookup cold =
+      cache.GetOrPrepare(algo, topo, strict, "strict").value();
+  const PlanCache::Lookup warm =
+      cache.GetOrPrepare(algo, topo, strict, "strict").value();
+
+  EXPECT_FALSE(cold.hit);
+  EXPECT_TRUE(warm.hit);
+  EXPECT_EQ(cold.plan.get(), warm.plan.get());
+  EXPECT_GT(warm.plan->plan.stats.verify_us, 0.0);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
 TEST(PlanCacheTest, PropagatesCompileErrors) {
   const auto topo = std::make_shared<const Topology>(presets::A100(2, 4));
   Algorithm broken = HmAllReduce(*topo);

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Compare a bench run (BENCH_*.json) against its checked-in baseline.
 
-Handles the perf harnesses — micro_sim (BENCH_sim.json), micro_scale
-(BENCH_scale.json), and micro_service (BENCH_service.json); the JSON's
-top-level "bench" field selects the metric set and the default baseline
-path (bench/baselines/<bench>_baseline.json).
+Handles the JSON the bench binaries write into the current directory:
+`micro sim` (BENCH_sim.json, "bench": "micro_sim"), `micro scale`
+(BENCH_scale.json, "micro_scale"), `micro service` (BENCH_service.json,
+"micro_service") and `paper protocols` (BENCH_protocols.json,
+"ablation_protocols"). The JSON's top-level "bench" field selects the
+metric set and the default baseline path
+(bench/baselines/<bench>_baseline.json).
 
 Three classes of metric, three policies:
 
@@ -27,7 +30,7 @@ Three classes of metric, three policies:
     at most 10% of disabled event throughput (obs.registry_overhead_frac),
     and the 1024-rank co-run may take at most 3 walk visits per flow.
     Capped ratios are the same policy over a quotient of two wall-clock
-    metrics from the current run (host speed cancels): micro_scale bounds
+    metrics from the current run (host speed cancels): `micro scale` bounds
     how much per-event throughput may degrade from 64 to 1024 ranks.
 
 Usage:
