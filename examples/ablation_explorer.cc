@@ -49,14 +49,14 @@ int main() {
   TextTable table({"Variant", "GB/s", "TBs", "Avg idle", "Verified"});
   double base = 0;
   for (const Variant& v : variants) {
-    const Result<CollectiveReport> r =
-        RunCollectiveWithOptions(algo, topo, v.options, request, v.label);
-    if (!r.ok()) {
+    const Result<PreparedPlan> prepared =
+        Prepare(algo, topo, v.options, v.label);
+    if (!prepared.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", v.label,
-                   r.status().ToString().c_str());
+                   prepared.status().ToString().c_str());
       return 1;
     }
-    const CollectiveReport& rep = r.value();
+    const CollectiveReport rep = Execute(*prepared.value(), request);
     if (base == 0) base = rep.algo_bw.gbps();
     table.AddRow({v.label,
                   Fixed(rep.algo_bw.gbps(), 1) + " (" +

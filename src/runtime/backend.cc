@@ -97,19 +97,4 @@ CollectiveReport Execute(const PreparedCollective& prepared,
                      request);
 }
 
-Result<CollectiveReport> RunCollectiveWithOptions(
-    const Algorithm& algo, const Topology& topo, const CompileOptions& options,
-    const RunRequest& request, std::string_view backend_name) {
-  Result<PreparedPlan> prepared = Prepare(algo, topo, options, backend_name);
-  if (!prepared.ok()) return prepared.status();
-  return Execute(*prepared.value(), request);
-}
-
-Result<CollectiveReport> RunCollective(const Algorithm& algo,
-                                       const Topology& topo, BackendKind kind,
-                                       const RunRequest& request) {
-  return RunCollectiveWithOptions(algo, topo, DefaultCompileOptions(kind),
-                                  request, BackendName(kind));
-}
-
 }  // namespace resccl

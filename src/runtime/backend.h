@@ -11,10 +11,6 @@
 //             Const and thread-safe: any number of threads may Execute the
 //             same PreparedCollective concurrently.
 //
-// RunCollective / RunCollectiveWithOptions remain as one-shot conveniences
-// (Prepare + Execute back to back). Repeated traffic should Prepare once —
-// or go through Communicator / PlanCache, which memoize prepared plans.
-//
 // Three backend personalities reproduce the paper's comparison:
 //
 //   kResCCL     HPDS schedule, state-based TB merging, task-level
@@ -201,19 +197,5 @@ using PreparedPlan = std::shared_ptr<const PreparedCollective>;
 // the scheduling service's lanes do).
 [[nodiscard]] CollectiveReport Execute(const PreparedCollective& prepared,
                                        const RunRequest& request);
-
-// One-shot conveniences: Prepare + Execute per call. Executes `algo` on
-// `topo` under the given backend. Throws on internal errors (invalid
-// schedules, deadlocks); returns InvalidArgument for malformed algorithms.
-[[nodiscard]] Result<CollectiveReport> RunCollective(const Algorithm& algo,
-                                                     const Topology& topo,
-                                                     BackendKind kind,
-                                                     const RunRequest& request);
-
-// Variant taking explicit compile options (for ablations: scheduler choice,
-// TB policy, engine, stage count).
-[[nodiscard]] Result<CollectiveReport> RunCollectiveWithOptions(
-    const Algorithm& algo, const Topology& topo, const CompileOptions& options,
-    const RunRequest& request, std::string_view backend_name = "custom");
 
 }  // namespace resccl

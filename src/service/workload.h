@@ -1,6 +1,6 @@
 // Seeded multi-tenant workloads for the scheduling service.
 //
-// The serve CLI, the load bench (bench/micro_service.cc), and the property
+// The serve CLI, the load bench (`micro service`), and the property
 // tests all need the same thing: a reproducible open-loop arrival stream —
 // exponential interarrivals, a tenant/priority mix, a bounded pool of
 // distinct compile shapes — plus a driver that replays it against a

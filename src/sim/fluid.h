@@ -92,7 +92,7 @@ class FluidNetwork {
 
   // Re-rate accounting since construction or the last Reset. A reused
   // network counts exactly what a fresh one would; the perf harnesses
-  // (bench/micro_sim, bench/micro_scale) pin these counters exactly.
+  // (`micro sim`, `micro scale`) pin these counters exactly.
   struct Stats {
     std::uint64_t flows_started = 0;
     std::uint64_t flows_recycled = 0;  // entries reused from the free list

@@ -178,7 +178,7 @@ struct SimRunReport {
   // them into utilization timelines).
   std::vector<FluidNetwork::RateDelta> link_rates;
 
-  // Event-loop accounting for the perf harness (bench/micro_sim): events
+  // Event-loop accounting for the perf harness (`micro sim`): events
   // actually fired by the queue, and the fluid model's re-rate counters.
   // Both are fully deterministic for a given (program, faults) pair.
   std::uint64_t events = 0;

@@ -167,9 +167,6 @@ class Topology {
                ? j / GpusPerNic()
                : spec_.rail_of_gpu[static_cast<std::size_t>(j)];
   }
-  // NIC serving `r` for inter-node traffic — identical to RailOf; kept as
-  // the historical name.
-  [[nodiscard]] NicId NicOf(Rank r) const { return RailOf(r); }
   [[nodiscard]] int GpusPerNic() const {
     return spec_.gpus_per_node / spec_.nics_per_node;
   }
@@ -178,9 +175,8 @@ class Topology {
   // may leave NICs idle. This is the rail-aware channel count: multi-rail
   // algorithms and TB allocation open one channel per driven rail.
   [[nodiscard]] int num_rails() const { return num_rails_; }
-  // Channel count for multi-channel algorithms and default TB allocation —
-  // the shared helper for what used to be open-coded as
-  // `spec().nics_per_node` in the selector and communicator.
+  // Channel count for multi-channel algorithms and default TB allocation:
+  // one channel per driven rail.
   [[nodiscard]] int CommChannels() const { return num_rails_; }
 
   [[nodiscard]] int RackOf(NodeId n) const { return n / spec_.nodes_per_rack; }

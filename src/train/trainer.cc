@@ -11,19 +11,11 @@ namespace {
 // Latency of one collective under the given backend and topology.
 SimTime CollectiveTime(BackendKind backend, const TopologySpec& spec,
                        Size buffer) {
-  const Topology topo(spec);
-  const Algorithm algo =
-      DefaultAlgorithm(backend, CollectiveOp::kAllReduce, topo);
   RunRequest request;
   request.launch.buffer = buffer;
   // Keep micro-batch counts reasonable for very large gradient buffers.
   if (buffer > Size::MiB(512)) request.launch.chunk = Size::MiB(4);
-  Result<CollectiveReport> report = RunCollective(algo, topo, backend, request);
-  if (!report.ok()) {
-    throw std::invalid_argument("collective failed: " +
-                                report.status().ToString());
-  }
-  return report.value().elapsed;
+  return Communicator(spec, backend).AllReduce(request).elapsed;
 }
 
 }  // namespace
@@ -44,16 +36,14 @@ IterationReport SimulateIteration(const TrainConfig& config) {
     throw std::invalid_argument(
         "pipeline stages must divide the layer count");
   }
+  if (config.micro_batch < 1 || config.global_batch < 1) {
+    throw std::invalid_argument("micro_batch and global_batch must be >= 1");
+  }
   if (config.global_batch % (config.dp * config.micro_batch) != 0) {
     throw std::invalid_argument(
         "global batch must divide into dp * micro_batch");
   }
   const int total_gpus = config.tp * config.dp * config.pp;
-  if (config.tp < config.gpus_per_node &&
-      total_gpus % config.gpus_per_node != 0 && total_gpus > 1 &&
-      total_gpus < config.gpus_per_node) {
-    // Sub-node clusters are fine (e.g. tp=1, dp=4 on half a server).
-  }
   const int n_micro = config.global_batch / (config.dp * config.micro_batch);
 
   IterationReport report;

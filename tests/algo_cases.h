@@ -1,7 +1,10 @@
 // Shared labeled algorithm-factory table for the property suites: every
 // library algorithm that runs on an arbitrary topology (20 entries). Used
-// by the fault-injection sweep (test_faults_property.cc), the
-// observability sweep (test_obs_property.cc), the bound soundness sweep
+// by the end-to-end correctness sweep (test_collective_property.cc, which
+// appends three composed variants), the analyzer soundness sweep
+// (test_analysis_property.cc), the fault-injection sweep
+// (test_faults_property.cc), the observability sweep
+// (test_obs_property.cc), the bound soundness sweep
 // (test_bounds_property.cc) and the fluid reference sweep
 // (test_fluid_reference.cc) so all cover the identical algorithm library.
 // The last two also share the topology table below.

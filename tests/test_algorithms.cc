@@ -168,8 +168,8 @@ TEST(SynthesizedTest, TacclSkewsNicLoad) {
   ASSERT_TRUE(a.Validate().ok());
   for (const Transfer& t : a.transfers) {
     if (!topo.SameNode(t.src, t.dst)) {
-      EXPECT_EQ(topo.NicOf(t.src), 0);
-      EXPECT_EQ(topo.NicOf(t.dst), 0);
+      EXPECT_EQ(topo.RailOf(t.src), 0);
+      EXPECT_EQ(topo.RailOf(t.dst), 0);
     }
   }
 }
@@ -207,7 +207,7 @@ TEST(MultiChannelRingTest, ChannelsCrossDistinctNics) {
   ASSERT_TRUE(a.Validate().ok());
   std::set<NicId> nics_used;
   for (const Transfer& t : a.transfers) {
-    if (!topo.SameNode(t.src, t.dst)) nics_used.insert(topo.NicOf(t.src));
+    if (!topo.SameNode(t.src, t.dst)) nics_used.insert(topo.RailOf(t.src));
   }
   EXPECT_EQ(nics_used.size(), 4u);  // load spread over every NIC
 }

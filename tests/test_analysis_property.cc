@@ -13,12 +13,10 @@
 #include <tuple>
 #include <vector>
 
+#include "algo_cases.h"
 #include "algorithms/composition.h"
 #include "algorithms/hierarchical.h"
-#include "algorithms/recursive.h"
 #include "algorithms/ring.h"
-#include "algorithms/synthesized.h"
-#include "algorithms/tree.h"
 #include "analysis/analyzer.h"
 #include "runtime/backend.h"
 #include "runtime/lowering.h"
@@ -28,65 +26,8 @@
 namespace resccl {
 namespace {
 
-using AlgorithmFactory = Algorithm (*)(const Topology&);
-
-Algorithm MakeRingAg(const Topology& t) {
-  return algorithms::RingAllGather(t.nranks());
-}
-Algorithm MakeRingRs(const Topology& t) {
-  return algorithms::RingReduceScatter(t.nranks());
-}
-Algorithm MakeRingAr(const Topology& t) {
-  return algorithms::RingAllReduce(t.nranks());
-}
-Algorithm MakeTreeAr(const Topology& t) {
-  return algorithms::DoubleBinaryTreeAllReduce(t.nranks());
-}
-Algorithm MakeRhdAr(const Topology& t) {
-  return algorithms::RecursiveHalvingDoublingAllReduce(t.nranks());
-}
-Algorithm MakeRdAg(const Topology& t) {
-  return algorithms::RecursiveDoublingAllGather(t.nranks());
-}
-Algorithm MakeOneShotAg(const Topology& t) {
-  return algorithms::OneShotAllGather(t.nranks());
-}
-Algorithm MakeMcRingAg(const Topology& t) {
-  return algorithms::MultiChannelRingAllGather(t, t.spec().nics_per_node);
-}
-Algorithm MakeMcRingRs(const Topology& t) {
-  return algorithms::MultiChannelRingReduceScatter(t, t.spec().nics_per_node);
-}
-Algorithm MakeMcRingAr(const Topology& t) {
-  return algorithms::MultiChannelRingAllReduce(t, t.spec().nics_per_node);
-}
-
-struct AnalysisCase {
-  std::string label;
-  AlgorithmFactory make;
-};
-
-std::vector<AnalysisCase> AlgorithmCases() {
-  return {
-      {"ring_ag", MakeRingAg},
-      {"ring_rs", MakeRingRs},
-      {"ring_ar", MakeRingAr},
-      {"mc_ring_ag", MakeMcRingAg},
-      {"mc_ring_rs", MakeMcRingRs},
-      {"mc_ring_ar", MakeMcRingAr},
-      {"tree_ar", MakeTreeAr},
-      {"rhd_ar", MakeRhdAr},
-      {"rd_ag", MakeRdAg},
-      {"oneshot_ag", MakeOneShotAg},
-      {"hm_ag", algorithms::HierarchicalMeshAllGather},
-      {"hm_rs", algorithms::HierarchicalMeshReduceScatter},
-      {"hm_ar", algorithms::HierarchicalMeshAllReduce},
-      {"taccl_ag", algorithms::TacclLikeAllGather},
-      {"taccl_ar", algorithms::TacclLikeAllReduce},
-      {"teccl_ag", algorithms::TecclLikeAllGather},
-      {"teccl_ar", algorithms::TecclLikeAllReduce},
-  };
-}
+using tests::AlgoCase;
+using tests::AlgorithmCases;
 
 bool HasRule(const AnalysisReport& report, const char* rule) {
   return std::any_of(report.diagnostics.begin(), report.diagnostics.end(),
@@ -102,10 +43,10 @@ std::string RulesOf(const AnalysisReport& report) {
 }
 
 class AnalyzerSoundness
-    : public ::testing::TestWithParam<std::tuple<AnalysisCase, BackendKind>> {
+    : public ::testing::TestWithParam<std::tuple<AlgoCase, BackendKind>> {
 };
 
-// Certified-clean plans complete: 17 algorithms x 3 backends. The analyzer
+// Certified-clean plans complete: 20 algorithms x 3 backends. The analyzer
 // must pass every library plan with the tb-merge rule armed, and the
 // certificate must be backed by an actual terminating simulation.
 TEST_P(AnalyzerSoundness, CleanPlansComplete) {
@@ -140,7 +81,7 @@ TEST_P(AnalyzerSoundness, StrictPrepareAccepts) {
 }
 
 std::string AnalyzerSoundnessName(
-    const ::testing::TestParamInfo<std::tuple<AnalysisCase, BackendKind>>&
+    const ::testing::TestParamInfo<std::tuple<AlgoCase, BackendKind>>&
         info) {
   const auto& [a, b] = info.param;
   return a.label + "_" + BackendName(b);

@@ -17,9 +17,7 @@ CollectiveReport RunBackend(const Algorithm& algo, const Topology& topo,
                      BackendKind kind, Size buffer = Size::MiB(512)) {
   RunRequest request;
   request.launch.buffer = buffer;
-  Result<CollectiveReport> r = RunCollective(algo, topo, kind, request);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return std::move(r).value();
+  return Execute(*Prepare(algo, topo, kind).value(), request);
 }
 
 TEST(BackendTest, DefaultOptionsMatchPersonalities) {
@@ -84,10 +82,10 @@ TEST(BackendTest, InterpreterCostsThroughput) {
   RunRequest request;
   request.launch.buffer = Size::MiB(512);
   const CollectiveReport kernel =
-      RunCollectiveWithOptions(algo, topo, opts, request, "kernel").value();
+      Execute(*Prepare(algo, topo, opts).value(), request);
   opts.engine = RuntimeEngine::kInterpreter;
   const CollectiveReport interp =
-      RunCollectiveWithOptions(algo, topo, opts, request, "interp").value();
+      Execute(*Prepare(algo, topo, opts).value(), request);
   // Fig. 3: interpretation loses throughput; direct kernels win.
   EXPECT_GT(kernel.algo_bw.gbps(), interp.algo_bw.gbps());
 }
@@ -104,14 +102,10 @@ TEST(BackendTest, HpdsAtLeastMatchesRoundRobin) {
     request.launch.buffer = Size::MiB(512);
     opts.scheduler = SchedulerKind::kHpds;
     const double hpds =
-        RunCollectiveWithOptions(algo, topo, opts, request, "hpds")
-            .value()
-            .algo_bw.gbps();
+        Execute(*Prepare(algo, topo, opts).value(), request).algo_bw.gbps();
     opts.scheduler = SchedulerKind::kRoundRobin;
     const double rr =
-        RunCollectiveWithOptions(algo, topo, opts, request, "rr")
-            .value()
-            .algo_bw.gbps();
+        Execute(*Prepare(algo, topo, opts).value(), request).algo_bw.gbps();
     EXPECT_GE(hpds, rr * 0.99) << algo.name;  // never meaningfully worse
   }
 }
@@ -157,8 +151,7 @@ TEST(BackendTest, InvalidAlgorithmSurfacesStatus) {
   Algorithm bad;
   bad.nranks = 8;
   bad.nchunks = 8;
-  RunRequest request;
-  EXPECT_FALSE(RunCollective(bad, topo, BackendKind::kResCCL, request).ok());
+  EXPECT_FALSE(Prepare(bad, topo, BackendKind::kResCCL).ok());
 }
 
 }  // namespace

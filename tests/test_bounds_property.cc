@@ -208,9 +208,10 @@ TEST(BoundProperties, LlBoundTightensPctOfOptimal) {
   request.launch.buffer = Size::MiB(64);
   request.launch.chunk = Size::MiB(1);
   request.launch.protocol = Protocol::kLL;
-  const Result<CollectiveReport> r =
-      RunCollective(algo, topo, BackendKind::kResCCL, request);
-  ASSERT_TRUE(r.ok());
+  const Result<PreparedPlan> prepared =
+      Prepare(algo, topo, BackendKind::kResCCL);
+  ASSERT_TRUE(prepared.ok());
+  const CollectiveReport r = Execute(*prepared.value(), request);
 
   CostModel cost;
   const BoundReport wire_aware =
@@ -225,9 +226,9 @@ TEST(BoundProperties, LlBoundTightensPctOfOptimal) {
       std::max(wire_aware.alpha.us(), payload_beta.bandwidth.us());
 
   EXPECT_GT(wire_aware.combined.us(), alpha_only);
-  EXPECT_GE(r.value().elapsed.us(), wire_aware.combined.us() * (1.0 - 1e-9));
-  EXPECT_GT(wire_aware.OptimalityPct(r.value().elapsed),
-            100.0 * alpha_only / r.value().elapsed.us());
+  EXPECT_GE(r.elapsed.us(), wire_aware.combined.us() * (1.0 - 1e-9));
+  EXPECT_GT(wire_aware.OptimalityPct(r.elapsed),
+            100.0 * alpha_only / r.elapsed.us());
 }
 
 // Rooted collectives bound at the root's boundary: a broadcast must emit

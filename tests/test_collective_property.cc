@@ -3,12 +3,9 @@
 // sane. This is the library's main end-to-end correctness net.
 #include <gtest/gtest.h>
 
+#include "algo_cases.h"
 #include "algorithms/composition.h"
 #include "algorithms/hierarchical.h"
-#include "algorithms/recursive.h"
-#include "algorithms/ring.h"
-#include "algorithms/synthesized.h"
-#include "algorithms/tree.h"
 #include "lang/eval.h"
 #include "runtime/backend.h"
 #include "topology/topology.h"
@@ -16,47 +13,8 @@
 namespace resccl {
 namespace {
 
-using AlgorithmFactory = Algorithm (*)(const Topology&);
+using tests::AlgoCase;
 
-Algorithm MakeRingAg(const Topology& t) {
-  return algorithms::RingAllGather(t.nranks());
-}
-Algorithm MakeRingRs(const Topology& t) {
-  return algorithms::RingReduceScatter(t.nranks());
-}
-Algorithm MakeRingAr(const Topology& t) {
-  return algorithms::RingAllReduce(t.nranks());
-}
-Algorithm MakeTreeAr(const Topology& t) {
-  return algorithms::DoubleBinaryTreeAllReduce(t.nranks());
-}
-Algorithm MakeRhdAr(const Topology& t) {
-  return algorithms::RecursiveHalvingDoublingAllReduce(t.nranks());
-}
-Algorithm MakeRdAg(const Topology& t) {
-  return algorithms::RecursiveDoublingAllGather(t.nranks());
-}
-Algorithm MakeOneShotAg(const Topology& t) {
-  return algorithms::OneShotAllGather(t.nranks());
-}
-Algorithm MakeMcRingAg(const Topology& t) {
-  return algorithms::MultiChannelRingAllGather(t, t.CommChannels());
-}
-Algorithm MakeMcRingRs(const Topology& t) {
-  return algorithms::MultiChannelRingReduceScatter(t, t.CommChannels());
-}
-Algorithm MakeMcRingAr(const Topology& t) {
-  return algorithms::MultiChannelRingAllReduce(t, t.CommChannels());
-}
-Algorithm MakeComposedAg(const Topology& t) {
-  return algorithms::ComposedAllGather(t);
-}
-Algorithm MakeComposedRs(const Topology& t) {
-  return algorithms::ComposedReduceScatter(t);
-}
-Algorithm MakeComposedAr(const Topology& t) {
-  return algorithms::ComposedAllReduce(t);
-}
 // Force every level onto one primitive so each primitive's reduce and
 // broadcast emitters get exercised at every scope, not just its default.
 Algorithm MakeComposedArRings(const Topology& t) {
@@ -77,37 +35,13 @@ Algorithm MakeComposedArCoarse(const Topology& t) {
   return algorithms::ComposedAllReduce(t, spec);
 }
 
-struct PropertyCase {
-  std::string label;
-  AlgorithmFactory make;
-};
-
-std::vector<PropertyCase> AlgorithmCases() {
-  return {
-      {"ring_ag", MakeRingAg},
-      {"ring_rs", MakeRingRs},
-      {"ring_ar", MakeRingAr},
-      {"mc_ring_ag", MakeMcRingAg},
-      {"mc_ring_rs", MakeMcRingRs},
-      {"mc_ring_ar", MakeMcRingAr},
-      {"tree_ar", MakeTreeAr},
-      {"rhd_ar", MakeRhdAr},
-      {"rd_ag", MakeRdAg},
-      {"oneshot_ag", MakeOneShotAg},
-      {"hm_ag", algorithms::HierarchicalMeshAllGather},
-      {"hm_rs", algorithms::HierarchicalMeshReduceScatter},
-      {"hm_ar", algorithms::HierarchicalMeshAllReduce},
-      {"hc_ag", MakeComposedAg},
-      {"hc_rs", MakeComposedRs},
-      {"hc_ar", MakeComposedAr},
-      {"hc_ar_rings", MakeComposedArRings},
-      {"hc_ar_trees", MakeComposedArTrees},
-      {"hc_ar_coarse", MakeComposedArCoarse},
-      {"taccl_ag", algorithms::TacclLikeAllGather},
-      {"taccl_ar", algorithms::TacclLikeAllReduce},
-      {"teccl_ag", algorithms::TecclLikeAllGather},
-      {"teccl_ar", algorithms::TecclLikeAllReduce},
-  };
+// The shared library table plus three composed AllReduce variants.
+std::vector<AlgoCase> AlgorithmCases() {
+  std::vector<AlgoCase> cases = tests::AlgorithmCases();
+  cases.push_back({"hc_ar_rings", MakeComposedArRings});
+  cases.push_back({"hc_ar_trees", MakeComposedArTrees});
+  cases.push_back({"hc_ar_coarse", MakeComposedArCoarse});
+  return cases;
 }
 
 struct TopoCase {
@@ -122,7 +56,7 @@ std::vector<TopoCase> TopoCases() {
 
 class CollectiveProperty
     : public ::testing::TestWithParam<
-          std::tuple<PropertyCase, TopoCase, BackendKind>> {};
+          std::tuple<AlgoCase, TopoCase, BackendKind>> {};
 
 TEST_P(CollectiveProperty, ExecutesCorrectly) {
   const auto& [algo_case, topo_case, backend] = GetParam();
@@ -136,10 +70,9 @@ TEST_P(CollectiveProperty, ExecutesCorrectly) {
   request.verify = true;
   request.verify_elems = 2;
 
-  const Result<CollectiveReport> result =
-      RunCollective(algo, topo, backend, request);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const CollectiveReport& r = result.value();
+  const Result<PreparedPlan> prepared = Prepare(algo, topo, backend);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  const CollectiveReport r = Execute(*prepared.value(), request);
   EXPECT_TRUE(r.verified) << r.verify_error;
   EXPECT_GT(r.elapsed.us(), 0.0);
   EXPECT_GT(r.algo_bw.gbps(), 0.0);
@@ -157,7 +90,7 @@ TEST_P(CollectiveProperty, ExecutesCorrectly) {
 
 std::string PropertyName(
     const ::testing::TestParamInfo<
-        std::tuple<PropertyCase, TopoCase, BackendKind>>& info) {
+        std::tuple<AlgoCase, TopoCase, BackendKind>>& info) {
   const auto& [a, t, b] = info.param;
   return a.label + "_" + t.label + "_" + BackendName(b);
 }
@@ -183,7 +116,7 @@ TEST_P(BufferSizeProperty, VerifiedAtEverySize) {
   request.launch.chunk = Size::MiB(1);
   request.verify = true;
   const CollectiveReport r =
-      RunCollective(algo, topo, BackendKind::kResCCL, request).value();
+      Execute(*Prepare(algo, topo, BackendKind::kResCCL).value(), request);
   EXPECT_TRUE(r.verified) << r.verify_error;
 }
 
@@ -206,8 +139,8 @@ def ResCCLAlgo(nRanks=8, AlgoName="dsl_ring", OpType="Allgather"):
   request.launch.buffer = Size::MiB(8);
   request.launch.chunk = Size::KiB(256);
   request.verify = true;
-  const CollectiveReport r =
-      RunCollective(algo.value(), topo, BackendKind::kResCCL, request).value();
+  const CollectiveReport r = Execute(
+      *Prepare(algo.value(), topo, BackendKind::kResCCL).value(), request);
   EXPECT_TRUE(r.verified) << r.verify_error;
 }
 

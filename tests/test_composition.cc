@@ -227,12 +227,12 @@ TEST(CompositionTest, ComposedCollectivesVerifyOnRailClos) {
     RunRequest request;
     request.launch.buffer = Size::MiB(8);
     request.verify = true;
-    const Result<CollectiveReport> report =
-        RunCollective(algo, topo, BackendKind::kResCCL, request);
-    ASSERT_TRUE(report.ok()) << algo.name;
-    EXPECT_TRUE(report.value().verified)
-        << algo.name << ": " << report.value().verify_error;
-    EXPECT_GT(report.value().sim.makespan.us(), 0.0) << algo.name;
+    const Result<PreparedPlan> prepared =
+        Prepare(algo, topo, BackendKind::kResCCL);
+    ASSERT_TRUE(prepared.ok()) << algo.name;
+    const CollectiveReport report = Execute(*prepared.value(), request);
+    EXPECT_TRUE(report.verified) << algo.name << ": " << report.verify_error;
+    EXPECT_GT(report.sim.makespan.us(), 0.0) << algo.name;
   }
 }
 
@@ -299,11 +299,11 @@ TEST(CompositionEdgeTest, OneNodeComposedCollectivesVerify) {
     RunRequest request;
     request.launch.buffer = Size::MiB(4);
     request.verify = true;
-    const Result<CollectiveReport> report =
-        RunCollective(algo, topo, BackendKind::kResCCL, request);
-    ASSERT_TRUE(report.ok()) << algo.name;
-    EXPECT_TRUE(report.value().verified)
-        << algo.name << ": " << report.value().verify_error;
+    const Result<PreparedPlan> prepared =
+        Prepare(algo, topo, BackendKind::kResCCL);
+    ASSERT_TRUE(prepared.ok()) << algo.name;
+    const CollectiveReport report = Execute(*prepared.value(), request);
+    EXPECT_TRUE(report.verified) << algo.name << ": " << report.verify_error;
   }
 }
 

@@ -69,12 +69,11 @@ TEST_P(FuzzedAlgorithms, AllGatherSurvivesEveryBackend) {
   request.verify = true;
   for (BackendKind kind : {BackendKind::kResCCL, BackendKind::kMscclLike,
                            BackendKind::kNcclLike}) {
-    const Result<CollectiveReport> r =
-        RunCollective(algo, topo, kind, request);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(r.value().verified)
-        << "seed " << GetParam() << " on " << BackendName(kind) << ": "
-        << r.value().verify_error;
+    const Result<PreparedPlan> prepared = Prepare(algo, topo, kind);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    const CollectiveReport r = Execute(*prepared.value(), request);
+    EXPECT_TRUE(r.verified) << "seed " << GetParam() << " on "
+                            << BackendName(kind) << ": " << r.verify_error;
   }
 }
 
@@ -94,11 +93,10 @@ TEST_P(FuzzedAlgorithms, AssembledAllReduceVerifies) {
         SchedulerKind::kStepOrder}) {
     CompileOptions opts = DefaultCompileOptions(BackendKind::kResCCL);
     opts.scheduler = sched;
-    const Result<CollectiveReport> r =
-        RunCollectiveWithOptions(ar, topo, opts, request, "fuzz");
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(r.value().verified)
-        << "seed " << GetParam() << ": " << r.value().verify_error;
+    const Result<PreparedPlan> prepared = Prepare(ar, topo, opts);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    const CollectiveReport r = Execute(*prepared.value(), request);
+    EXPECT_TRUE(r.verified) << "seed " << GetParam() << ": " << r.verify_error;
   }
 }
 

@@ -190,25 +190,30 @@ TEST(FingerprintTest, EveryInputFieldChangesTheKey) {
 
 // --- Prepare / Execute -----------------------------------------------------
 
-TEST(PrepareExecuteTest, MatchesOneShotRunCollective) {
-  const Topology topo(presets::A100(2, 4));
-  const Algorithm algo = HmAllReduce(topo);
+// The trainer times its collectives through Communicator::AllReduce; that
+// must equal preparing the backend's default algorithm and executing it.
+TEST(PrepareExecuteTest, CommunicatorAllReduceMatchesPrepareExecute) {
   const RunRequest request = SmallRequest(/*verify=*/true);
+  for (const BackendKind kind :
+       {BackendKind::kResCCL, BackendKind::kMscclLike,
+        BackendKind::kNcclLike}) {
+    const Communicator comm(presets::A100(2, 4), kind);
+    const CollectiveReport via_comm = comm.AllReduce(request);
 
-  const CollectiveReport fresh =
-      RunCollective(algo, topo, BackendKind::kResCCL, request).value();
+    const Topology& topo = comm.topology();
+    const Result<PreparedPlan> prepared = Prepare(
+        DefaultAlgorithm(kind, CollectiveOp::kAllReduce, topo), topo, kind);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    const CollectiveReport direct = Execute(*prepared.value(), request);
 
-  const Result<PreparedPlan> prepared =
-      Prepare(algo, topo, BackendKind::kResCCL);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  const CollectiveReport replay = Execute(*prepared.value(), request);
-
-  EXPECT_EQ(replay.elapsed, fresh.elapsed);
-  EXPECT_EQ(replay.algo_bw.gbps(), fresh.algo_bw.gbps());
-  EXPECT_EQ(replay.total_tbs, fresh.total_tbs);
-  EXPECT_EQ(replay.nmicrobatches, fresh.nmicrobatches);
-  EXPECT_EQ(replay.backend, fresh.backend);
-  EXPECT_TRUE(replay.verified);
+    EXPECT_EQ(via_comm.elapsed, direct.elapsed) << BackendName(kind);
+    EXPECT_EQ(via_comm.algo_bw.gbps(), direct.algo_bw.gbps());
+    EXPECT_EQ(via_comm.total_tbs, direct.total_tbs);
+    EXPECT_EQ(via_comm.nmicrobatches, direct.nmicrobatches);
+    EXPECT_EQ(via_comm.backend, direct.backend);
+    EXPECT_TRUE(via_comm.verified) << via_comm.verify_error;
+    EXPECT_TRUE(direct.verified) << direct.verify_error;
+  }
 }
 
 TEST(PrepareExecuteTest, OnePlanSweepsBufferSizes) {

@@ -22,11 +22,10 @@ SimTime Elapsed(const Topology& topo, const Algorithm& algo, Protocol proto,
   request.launch.chunk = chunk;
   request.launch.protocol = proto;
   request.verify = true;
-  const Result<CollectiveReport> r =
-      RunCollective(algo, topo, BackendKind::kResCCL, request);
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r.value().verified) << r.value().verify_error;
-  return r.value().elapsed;
+  const CollectiveReport r =
+      Execute(*Prepare(algo, topo, BackendKind::kResCCL).value(), request);
+  EXPECT_TRUE(r.verified) << r.verify_error;
+  return r.elapsed;
 }
 
 TEST(ProtocolTest, NamesAreStable) {
@@ -195,12 +194,13 @@ TEST(ProtocolTest, AllProtocolsVerifyEveryCollective) {
       request.launch.chunk = Size::KiB(256);
       request.launch.protocol = proto;
       request.verify = true;
-      const Result<CollectiveReport> r =
-          RunCollective(algo, topo, BackendKind::kResCCL, request);
-      ASSERT_TRUE(r.ok());
-      EXPECT_TRUE(r.value().verified)
+      const Result<PreparedPlan> prepared =
+          Prepare(algo, topo, BackendKind::kResCCL);
+      ASSERT_TRUE(prepared.ok());
+      const CollectiveReport r = Execute(*prepared.value(), request);
+      EXPECT_TRUE(r.verified)
           << ProtocolName(proto) << " " << CollectiveOpName(op) << ": "
-          << r.value().verify_error;
+          << r.verify_error;
     }
   }
 }

@@ -76,11 +76,10 @@ TEST_P(RecursiveEndToEnd, VerifiesNumerically) {
   for (const Algorithm& algo :
        {RecursiveHalvingDoublingAllReduce(nranks),
         RecursiveDoublingAllGather(nranks), OneShotAllGather(nranks)}) {
-    const Result<CollectiveReport> r =
-        RunCollective(algo, topo, backend, request);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(r.value().verified) << algo.name << ": "
-                                    << r.value().verify_error;
+    const Result<PreparedPlan> prepared = Prepare(algo, topo, backend);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    const CollectiveReport r = Execute(*prepared.value(), request);
+    EXPECT_TRUE(r.verified) << algo.name << ": " << r.verify_error;
   }
 }
 

@@ -74,11 +74,12 @@ TEST_P(RootedEndToEnd, AllVariantsVerify) {
         algorithms::BinomialTreeReduce(8, root),
         algorithms::ChainBroadcast(8, root),
         algorithms::ChainReduce(8, root)}) {
-    const Result<CollectiveReport> r =
-        RunCollective(algo, topo, backend, request);
-    ASSERT_TRUE(r.ok()) << algo.name << ": " << r.status().ToString();
-    EXPECT_TRUE(r.value().verified)
-        << algo.name << " root=" << root << ": " << r.value().verify_error;
+    const Result<PreparedPlan> prepared = Prepare(algo, topo, backend);
+    ASSERT_TRUE(prepared.ok())
+        << algo.name << ": " << prepared.status().ToString();
+    const CollectiveReport r = Execute(*prepared.value(), request);
+    EXPECT_TRUE(r.verified)
+        << algo.name << " root=" << root << ": " << r.verify_error;
   }
 }
 

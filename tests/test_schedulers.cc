@@ -45,7 +45,7 @@ Algorithm MakeTree(const Topology& t) {
   return algorithms::DoubleBinaryTreeAllReduce(t.nranks());
 }
 Algorithm MakeMcRing(const Topology& t) {
-  return algorithms::MultiChannelRingAllReduce(t, t.spec().nics_per_node);
+  return algorithms::MultiChannelRingAllReduce(t, t.CommChannels());
 }
 
 std::vector<SchedulerCase> Cases() {

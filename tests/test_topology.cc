@@ -29,10 +29,10 @@ TEST(TopologyTest, RankGeometry) {
   EXPECT_TRUE(topo.SameNode(8, 15));
   EXPECT_FALSE(topo.SameNode(7, 8));
   // GPUs stripe across NICs two-per-NIC.
-  EXPECT_EQ(topo.NicOf(0), 0);
-  EXPECT_EQ(topo.NicOf(1), 0);
-  EXPECT_EQ(topo.NicOf(2), 1);
-  EXPECT_EQ(topo.NicOf(7), 3);
+  EXPECT_EQ(topo.RailOf(0), 0);
+  EXPECT_EQ(topo.RailOf(1), 0);
+  EXPECT_EQ(topo.RailOf(2), 1);
+  EXPECT_EQ(topo.RailOf(7), 3);
   // Ring-aligned peer: same local index, next node, wrapping.
   EXPECT_EQ(topo.RingAlignedNext(3), 11);
   EXPECT_EQ(topo.RingAlignedNext(27), 3);

@@ -103,6 +103,13 @@ TEST(TrainerTest, InvalidConfigsThrow) {
   c = GptConfig(BackendKind::kResCCL);
   c.dp = 0;
   EXPECT_THROW((void)SimulateIteration(c), std::invalid_argument);
+  c = GptConfig(BackendKind::kResCCL);
+  c.micro_batch = 0;  // would divide by zero
+  EXPECT_THROW((void)SimulateIteration(c), std::invalid_argument);
+  c = GptConfig(BackendKind::kResCCL);
+  c.global_batch = 0;  // zero micro-batches: a NaN pipeline bubble
+  c.pp = 2;
+  EXPECT_THROW((void)SimulateIteration(c), std::invalid_argument);
 }
 
 TEST(TrainerTest, PipelineParallelismAddsBubble) {

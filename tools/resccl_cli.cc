@@ -95,13 +95,11 @@ const std::map<std::string, AlgoFactory>& Registry() {
        [](const Topology& t) { return algorithms::RingAllReduce(t.nranks()); }},
       {"mc_ring_allgather",
        [](const Topology& t) {
-         return algorithms::MultiChannelRingAllGather(t,
-                                                      t.spec().nics_per_node);
+         return algorithms::MultiChannelRingAllGather(t, t.CommChannels());
        }},
       {"mc_ring_allreduce",
        [](const Topology& t) {
-         return algorithms::MultiChannelRingAllReduce(t,
-                                                      t.spec().nics_per_node);
+         return algorithms::MultiChannelRingAllReduce(t, t.CommChannels());
        }},
       {"hm_allgather", algorithms::HierarchicalMeshAllGather},
       {"hm_reducescatter", algorithms::HierarchicalMeshReduceScatter},
