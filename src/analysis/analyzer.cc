@@ -989,9 +989,9 @@ void CheckTbMerge(const CompiledCollective& plan, const Topology& topo,
   // used, so the timeline replay reads plan.preds directly — no
   // DependencyGraph reconstruction on this hot path.
   ConnectionTable connections(topo);
-  const TbAllocParams params;  // Compile() uses the defaults (policy aside)
+  // Compile() runs the allocator with the default window.
+  const int window = std::max(1, TbAllocParams{}.window_microbatches);
   const int ntasks = plan.algo.ntasks();
-  const int window = std::max(1, params.window_microbatches);
 
   // Static FIFO replay of the pipeline, identical to AnalyzeTimeline: every
   // invocation starts when its endpoints free up, its previous invocation
@@ -1021,7 +1021,7 @@ void CheckTbMerge(const CompiledCollective& plan, const Topology& topo,
         const Path& path =
             connections.path(connections.Resolve(tr.src, tr.dst));
         dur = path.latency.us() +
-              static_cast<double>(params.chunk.bytes()) /
+              static_cast<double>(kTimelineChunk.bytes()) /
                   path.bottleneck.bytes_per_us();
       }
       double& send_free = endpoint_free[endpoint_key(tr.src, tr.dst, 0)];

@@ -199,7 +199,7 @@ BoundReport ComputeLowerBound(const Topology& topo, const CostModel& cost,
     // then the node's driven rail NICs — whichever sum is thinner binds.
     const Bandwidth node_cap = std::min(
         spec.pcie * static_cast<double>(g),
-        spec.nic * static_cast<double>(topo.num_rails()));
+        spec.nic * static_cast<double>(topo.CommChannels()));
     add_worst("node", "nic egress", node_cap, topo.nodes(),
               [&](int v) { return demand(v * g, g).out; });
     add_worst("node", "nic ingress", node_cap, topo.nodes(),

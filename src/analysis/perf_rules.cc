@@ -10,6 +10,11 @@
 namespace resccl {
 namespace {
 
+// Advisory thresholds; the rule table in perf_rules.h states each one.
+constexpr double kBoundGapFactor = 2.0;
+constexpr double kRailImbalanceFactor = 1.5;
+constexpr int kMinMicrobatches = 4;
+
 [[nodiscard]] const char* KindName(ResourceKind k) {
   switch (k) {
     case ResourceKind::kFabric: return "fabric";
@@ -141,7 +146,7 @@ PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
       const double mean = total / static_cast<double>(rail_bytes.size());
       const double peak =
           *std::max_element(rail_bytes.begin(), rail_bytes.end());
-      if (peak > opts.rail_imbalance_factor * mean) {
+      if (peak > kRailImbalanceFactor * mean) {
         std::ostringstream os;
         os.precision(3);
         os << "NIC load max/mean = " << peak / mean << " across "
@@ -156,7 +161,7 @@ PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
 
   // --- perf-pipeline-starved: too few micro-batches to mask bubbles when
   // a smaller chunk would create more. ---
-  if (lowered.nmicrobatches < opts.min_microbatches &&
+  if (lowered.nmicrobatches < kMinMicrobatches &&
       opts.launch.chunk.bytes() >= 2) {
     LaunchConfig halved = opts.launch;
     halved.chunk = Size::Bytes(opts.launch.chunk.bytes() / 2);
@@ -173,8 +178,7 @@ PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
 
   // --- perf-bound-gap: statically implied cost far above the bound. ---
   if (report.bound.combined > SimTime::Zero() &&
-      report.static_floor_us >=
-          opts.bound_gap_factor * report.bound.combined.us()) {
+      report.static_floor_us >= kBoundGapFactor * report.bound.combined.us()) {
     std::ostringstream os;
     os.precision(4);
     os << "statically implied cost " << report.static_floor_us << "us is "

@@ -14,14 +14,14 @@
 //                          carry zero bytes (unused fabric ports, undriven
 //                          NICs excluded) — capacity bought but not spent.
 //   perf-rail-imbalance    NIC load concentrates on a subset of the driven
-//                          rails (max/mean above threshold) — the fan-in
+//                          rails (max/mean above 1.5) — the fan-in
 //                          hot-spot signature of rail-oblivious plans.
-//   perf-pipeline-starved  the launch yields too few micro-batches to hide
-//                          pipeline bubbles even though a smaller chunk
-//                          would create more.
+//   perf-pipeline-starved  the launch yields fewer than 4 micro-batches,
+//                          too few to hide pipeline bubbles, even though a
+//                          smaller chunk would create more.
 //   perf-bound-gap         the plan's statically implied cost (max resource
-//                          load / capacity) is at least `bound_gap_factor`
-//                          times the provable lower bound.
+//                          load / capacity) is at least twice the provable
+//                          lower bound.
 #pragma once
 
 #include <string>
@@ -46,9 +46,6 @@ inline constexpr const char* kPerfBoundGap = "perf-bound-gap";
 struct PerfOptions {
   LaunchConfig launch;  // geometry the plan is judged at
   CostModel cost;
-  double bound_gap_factor = 2.0;      // advise at cost ≥ k × bound
-  double rail_imbalance_factor = 1.5; // advise at max/mean NIC load above
-  int min_microbatches = 4;           // advise below this when fixable
 };
 
 struct PerfReport {

@@ -4,15 +4,14 @@
 // The simulator's hot path schedules millions of short-lived callbacks
 // whose captures ([this, transfer, bytes] and friends) run to 24-40 bytes —
 // past libstdc++'s 16-byte small-object buffer, so std::function heap-
-// allocates on every Schedule. InplaceFunction stores the callable inline
-// in a caller-sized buffer and refuses (at compile time) anything that
-// doesn't fit, making "this callback never allocates" a static guarantee
-// the zero-allocation Execute contract (docs/simulation_model.md) can lean
-// on.
+// allocates on every Schedule. TrivialInplaceFunction stores the callable
+// inline in a caller-sized buffer and refuses (at compile time) anything
+// that doesn't fit, making "this callback never allocates" a static
+// guarantee the zero-allocation Execute contract (docs/simulation_model.md)
+// can lean on.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -21,129 +20,17 @@
 
 namespace resccl {
 
-template <typename Signature, std::size_t Capacity = 48>
-class InplaceFunction;
-
-template <typename R, typename... Args, std::size_t Capacity>
-class InplaceFunction<R(Args...), Capacity> {
- public:
-  InplaceFunction() = default;
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  InplaceFunction(std::nullptr_t) {}
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InplaceFunction> &&
-                !std::is_same_v<std::decay_t<F>, std::nullptr_t>>>
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  InplaceFunction(F&& f) {
-    using D = std::decay_t<F>;
-    static_assert(sizeof(D) <= Capacity,
-                  "callable exceeds InplaceFunction capacity");
-    static_assert(alignof(D) <= alignof(std::max_align_t));
-    static_assert(std::is_nothrow_move_constructible_v<D>);
-    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-    invoke_ = &InvokeImpl<D>;
-    manage_ = &ManageImpl<D>;
-  }
-
-  InplaceFunction(const InplaceFunction& other) { CopyFrom(other); }
-  InplaceFunction(InplaceFunction&& other) noexcept { MoveFrom(other); }
-  InplaceFunction& operator=(const InplaceFunction& other) {
-    if (this != &other) {
-      Reset();
-      CopyFrom(other);
-    }
-    return *this;
-  }
-  InplaceFunction& operator=(InplaceFunction&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      MoveFrom(other);
-    }
-    return *this;
-  }
-  InplaceFunction& operator=(std::nullptr_t) {
-    Reset();
-    return *this;
-  }
-  ~InplaceFunction() { Reset(); }
-
-  [[nodiscard]] explicit operator bool() const { return invoke_ != nullptr; }
-
-  R operator()(Args... args) {
-    RESCCL_CHECK_MSG(invoke_ != nullptr, "empty InplaceFunction invoked");
-    return invoke_(storage_, std::forward<Args>(args)...);
-  }
-
- private:
-  enum class Op : std::uint8_t { kCopy, kMove, kDestroy };
-  using Invoke = R (*)(void*, Args...);
-  using Manage = void (*)(void* self, void* other, Op op);
-
-  template <typename F>
-  static R InvokeImpl(void* s, Args... args) {
-    return (*static_cast<F*>(s))(std::forward<Args>(args)...);
-  }
-  template <typename F>
-  static void ManageImpl(void* self, void* other, Op op) {
-    switch (op) {
-      case Op::kCopy:
-        ::new (self) F(*static_cast<const F*>(other));
-        break;
-      case Op::kMove:
-        ::new (self) F(std::move(*static_cast<F*>(other)));
-        break;
-      case Op::kDestroy:
-        static_cast<F*>(self)->~F();
-        break;
-    }
-  }
-
-  void Reset() {
-    if (invoke_ != nullptr) {
-      manage_(storage_, nullptr, Op::kDestroy);
-      invoke_ = nullptr;
-      manage_ = nullptr;
-    }
-  }
-  void CopyFrom(const InplaceFunction& other) {
-    if (other.invoke_ != nullptr) {
-      other.manage_(storage_,
-                    const_cast<unsigned char*>(other.storage_),  // NOLINT
-                    Op::kCopy);
-      invoke_ = other.invoke_;
-      manage_ = other.manage_;
-    }
-  }
-  // Leaves `other` empty, not merely valid-but-unspecified: callers branch
-  // on operator bool after moving callbacks out of recycled pool entries.
-  void MoveFrom(InplaceFunction& other) noexcept {
-    if (other.invoke_ != nullptr) {
-      other.manage_(storage_, other.storage_, Op::kMove);
-      invoke_ = other.invoke_;
-      manage_ = other.manage_;
-      other.Reset();
-    }
-  }
-
-  alignas(std::max_align_t) unsigned char storage_[Capacity];
-  Invoke invoke_ = nullptr;
-  Manage manage_ = nullptr;
-};
-
-// Trivially-copyable variant: accepts only callables that are themselves
-// trivially copyable and destructible — which the simulator's hot-path
-// captures ([this, index] and friends) all are. The payoff over
-// InplaceFunction is on the *move/destroy* path, not the call: copy
-// assignment is a raw byte copy the optimizer folds, and there is no
-// manager dispatch — recycling a pooled callback costs zero indirect
+// Accepts only callables that are themselves trivially copyable and
+// destructible — which the simulator's hot-path captures ([this, index] and
+// friends) all are. That keeps the *move/destroy* path cheap, not just the
+// call: copy assignment is a raw byte copy the optimizer folds, and there
+// is no manager dispatch — recycling a pooled callback costs zero indirect
 // calls. The event queue moves callbacks ~2x more often than it invokes
 // them, so this is what keeps the per-event constant down.
 //
-// Semantic difference from InplaceFunction: moving *copies* (the source
-// stays engaged), exactly like moving an int. Don't branch on a moved-from
-// TrivialInplaceFunction expecting it to be empty.
+// Moving *copies* (the source stays engaged), exactly like moving an int.
+// Don't branch on a moved-from TrivialInplaceFunction expecting it to be
+// empty.
 template <typename Signature, std::size_t Capacity = 48>
 class TrivialInplaceFunction;
 

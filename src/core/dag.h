@@ -10,8 +10,9 @@
 // Tasks at equal steps are concurrent by ResCCLang's semantics and never
 // depend on each other.
 //
-// Communication dependencies (shared links) are *not* edges here — they are
-// resolved per sub-pipeline by the scheduler via ConnectionTable::Conflicts.
+// Communication dependencies (shared links) are *not* edges here — each
+// scheduler resolves them per sub-pipeline through a WaveOccupancy
+// (core/wave_occupancy.h).
 #pragma once
 
 #include <vector>

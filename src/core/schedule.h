@@ -49,7 +49,8 @@ struct Schedule {
                                       const DependencyGraph& dag,
                                       const ConnectionTable& connections);
 
-// Scheduling interface: HPDS and the round-robin baseline implement this.
+// Scheduling interface: HPDS, the round-robin baseline and the step-order
+// scheduler (core/step_order.h) implement this.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

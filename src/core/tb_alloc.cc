@@ -102,7 +102,7 @@ Timeline AnalyzeTimeline(const DependencyGraph& dag, const Schedule& schedule,
       const Path& path = connections.path(node.connection);
       const double dur =
           path.latency.us() +
-          static_cast<double>(params.chunk.bytes()) /
+          static_cast<double>(kTimelineChunk.bytes()) /
               path.bottleneck.bytes_per_us();
       double& send_free = endpoint_free[endpoint_key(
           node.transfer.src, node.transfer.dst, 0)];

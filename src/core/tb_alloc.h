@@ -38,11 +38,14 @@ struct TbTaskRef {
   int order = 0;   // global wave-major position (issue order)
 };
 
+// Transfer granularity the timeline analysis models (plans compile before
+// any launch size is known). The analyzer's tb-merge replay reads it too.
+inline constexpr Size kTimelineChunk = Size::MiB(1);
+
 struct TbAllocParams {
   TbAllocPolicy policy = TbAllocPolicy::kStateBased;
-  // Timeline-analysis inputs: transfer granularity and how many
-  // micro-batches of pipelining to model when estimating activity windows.
-  Size chunk = Size::MiB(1);
+  // Timeline-analysis input: how many micro-batches of pipelining to model
+  // when estimating activity windows.
   int window_microbatches = 8;
   // Per-(rank, peer) connection-channel pool (TopologySpec::
   // channels_per_peer, wired through by Compile). Every stream needs at

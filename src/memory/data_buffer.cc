@@ -1,28 +1,10 @@
 #include "memory/data_buffer.h"
 
-#include <algorithm>
-
 namespace resccl {
 
-void ApplyReduce(std::span<double> dst, std::span<const double> src,
-                 ReduceOp op) {
+void ApplyReduce(std::span<double> dst, std::span<const double> src) {
   RESCCL_CHECK(dst.size() == src.size());
-  switch (op) {
-    case ReduceOp::kSum:
-      for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
-      break;
-    case ReduceOp::kProd:
-      for (std::size_t i = 0; i < dst.size(); ++i) dst[i] *= src[i];
-      break;
-    case ReduceOp::kMax:
-      for (std::size_t i = 0; i < dst.size(); ++i)
-        dst[i] = std::max(dst[i], src[i]);
-      break;
-    case ReduceOp::kMin:
-      for (std::size_t i = 0; i < dst.size(); ++i)
-        dst[i] = std::min(dst[i], src[i]);
-      break;
-  }
+  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += src[i];
 }
 
 BufferSet::BufferSet(int nranks, int nchunks, int chunk_elems) {

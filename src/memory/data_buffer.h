@@ -13,7 +13,7 @@
 // tests rely on.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -22,21 +22,9 @@
 
 namespace resccl {
 
-enum class ReduceOp : std::uint8_t { kSum, kProd, kMax, kMin };
-
-[[nodiscard]] constexpr const char* ReduceOpName(ReduceOp op) {
-  switch (op) {
-    case ReduceOp::kSum: return "sum";
-    case ReduceOp::kProd: return "prod";
-    case ReduceOp::kMax: return "max";
-    case ReduceOp::kMin: return "min";
-  }
-  return "?";
-}
-
-// dst[i] = dst[i] ⊕ src[i]
-void ApplyReduce(std::span<double> dst, std::span<const double> src,
-                 ReduceOp op);
+// dst[i] += src[i]. The only reduction: ResCCLang's one reducing transfer
+// type, `rrc` (recvReduceCopy), takes no operator and sums.
+void ApplyReduce(std::span<double> dst, std::span<const double> src);
 
 // One rank's communication buffer: `nchunks` chunks of `chunk_elems` each.
 class DataBuffer {

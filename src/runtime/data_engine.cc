@@ -44,7 +44,7 @@ VerifyResult VerifyLoweredExecution(const CompiledCollective& compiled,
     const auto src = set.rank(t.src).Chunk(t.chunk);
     const auto dst = set.rank(t.dst).Chunk(t.chunk);
     if (t.op == TransferOp::kRecvReduceCopy) {
-      ApplyReduce(dst, src, ReduceOp::kSum);
+      ApplyReduce(dst, src);
     } else {
       std::copy(src.begin(), src.end(), dst.begin());
     }

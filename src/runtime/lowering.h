@@ -31,8 +31,8 @@
 namespace resccl {
 
 // Protocol (Simple / LL / LL128 / kAuto) and its per-protocol cost
-// parameters live in sim/cost_model.h; this header re-exports them through
-// its include for the runtime surface that historically defined them.
+// parameters live in sim/cost_model.h; this header includes it, so runtime
+// code that includes lowering.h sees them too.
 
 struct LaunchConfig {
   Size buffer = Size::MiB(64);   // bytes synchronized per rank

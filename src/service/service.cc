@@ -45,7 +45,6 @@ SchedulingService::SchedulingService(std::shared_ptr<const Topology> topo,
       config_(std::move(config)),
       metrics_(config_.metrics != nullptr ? *config_.metrics
                                           : obs::MetricsRegistry::Global()),
-      cache_(config_.cache),
       lanes_(static_cast<std::size_t>(std::max(1, config_.max_in_flight))),
       group_(ThreadPool::Shared()) {
   RESCCL_CHECK(topo_ != nullptr);

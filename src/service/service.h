@@ -104,7 +104,6 @@ struct ServiceConfig {
   // Virtual clock + explicit Step pump (true) vs background threads on the
   // shared pool (false). The scheduling state machine is identical.
   bool deterministic = true;
-  PlanCache::Config cache;
   // Tenants with non-default weights. Unknown tenants register on first
   // use with weight 1.0.
   std::vector<TenantSpec> tenants;

@@ -12,6 +12,11 @@ namespace resccl::service {
 
 namespace {
 
+// Launch buffers: a log-uniform power of two in [1, 8] MiB, i.e.
+// 1 MiB << {0..3}.
+constexpr int kMinBufferMib = 1;
+constexpr int kBufferSizeSteps = 3;
+
 // The compile-shape pool. Shapes differ in algorithm (and therefore
 // fingerprint); launch buffer size deliberately does NOT define a shape —
 // it never enters the fingerprint, so requests of different sizes still
@@ -41,11 +46,6 @@ std::vector<Arrival> GenerateWorkload(const Topology& topo,
   pool.reserve(static_cast<std::size_t>(shapes));
   for (int s = 0; s < shapes; ++s) pool.push_back(ShapeAlgorithm(s, topo));
 
-  const int min_mib = std::max(1, spec.min_buffer_mib);
-  const int max_mib = std::max(min_mib, spec.max_buffer_mib);
-  int size_steps = 0;
-  for (int m = min_mib; m < max_mib; m *= 2) ++size_steps;
-
   std::vector<Arrival> out;
   out.reserve(static_cast<std::size_t>(spec.requests));
   double clock_us = 0;
@@ -68,7 +68,7 @@ std::vector<Arrival> GenerateWorkload(const Topology& topo,
     a.req.algorithm =
         pool[static_cast<std::size_t>(rng.NextInt(0, shapes - 1))];
     a.req.run.launch.buffer =
-        Size::MiB(min_mib << rng.NextInt(0, size_steps));
+        Size::MiB(kMinBufferMib << rng.NextInt(0, kBufferSizeSteps));
     out.push_back(std::move(a));
   }
   return out;

@@ -31,9 +31,6 @@ struct WorkloadSpec {
   // Priority mix: P(high), P(low); the rest arrive as normal.
   double p_high = 0.2;
   double p_low = 0.3;
-  // Launch buffer bytes: log-uniform power-of-two in [min_mib, max_mib].
-  int min_buffer_mib = 1;
-  int max_buffer_mib = 8;
 };
 
 struct Arrival {
@@ -42,7 +39,8 @@ struct Arrival {
 };
 
 // Expands `spec` into a concrete arrival stream for `topo`, sorted by
-// arrival time. Same (spec, topo) -> identical stream, always.
+// arrival time. Same (spec, topo) -> identical stream, always. Launch
+// buffers are log-uniform powers of two in [1, 8] MiB.
 [[nodiscard]] std::vector<Arrival> GenerateWorkload(const Topology& topo,
                                                     const WorkloadSpec& spec);
 

@@ -116,9 +116,8 @@ struct DeadlockReport {
   std::vector<int> stuck_transfers;  // declarations that never completed
 };
 
-// Thrown by SimMachine::Run on deadlock. Derives std::runtime_error so
-// legacy catch sites keep working; new callers can read the structured
-// report.
+// Thrown by SimMachine::Run on deadlock. It is a std::runtime_error whose
+// what() carries the report's witness; report() has the structured form.
 class DeadlockError : public std::runtime_error {
  public:
   explicit DeadlockError(DeadlockReport report);

@@ -7,25 +7,38 @@
 
 namespace resccl {
 
-Topology::Topology(TopologySpec spec) : spec_(std::move(spec)) {
-  RESCCL_CHECK_MSG(spec_.nodes >= 1, "cluster needs at least one node");
-  RESCCL_CHECK_MSG(spec_.gpus_per_node >= 1, "node needs at least one GPU");
-  RESCCL_CHECK_MSG(spec_.nics_per_node >= 1, "node needs at least one NIC");
-  RESCCL_CHECK_MSG(spec_.gpus_per_node % spec_.nics_per_node == 0,
-                   "GPUs must stripe evenly across NICs");
-  RESCCL_CHECK_MSG(spec_.nodes_per_rack >= 1, "rack needs at least one node");
-  RESCCL_CHECK_MSG(spec_.racks_per_pod >= 0, "racks_per_pod must be >= 0");
-  RESCCL_CHECK_MSG(spec_.oversubscription >= 1.0,
-                   "oversubscription thins uplinks; must be >= 1");
-  if (!spec_.rail_of_gpu.empty()) {
-    RESCCL_CHECK_MSG(
-        static_cast<int>(spec_.rail_of_gpu.size()) == spec_.gpus_per_node,
-        "rail_of_gpu needs one entry per local GPU");
-    for (const int rail : spec_.rail_of_gpu) {
-      RESCCL_CHECK_MSG(rail >= 0 && rail < spec_.nics_per_node,
-                       "rail " << rail << " out of range");
+Status ValidateTopologySpec(const TopologySpec& spec) {
+  const auto invalid = [](std::string why) {
+    return Status::InvalidArgument(std::move(why));
+  };
+  if (spec.nodes < 1) return invalid("cluster needs at least one node");
+  if (spec.gpus_per_node < 1) return invalid("node needs at least one GPU");
+  if (spec.nics_per_node < 1) return invalid("node needs at least one NIC");
+  if (spec.gpus_per_node % spec.nics_per_node != 0) {
+    return invalid(std::to_string(spec.gpus_per_node) +
+                   " GPUs per node must stripe evenly across " +
+                   std::to_string(spec.nics_per_node) + " NICs");
+  }
+  if (spec.nodes_per_rack < 1) return invalid("rack needs at least one node");
+  if (spec.racks_per_pod < 0) return invalid("racks_per_pod must be >= 0");
+  if (spec.oversubscription < 1.0) {
+    return invalid("oversubscription thins uplinks; must be >= 1");
+  }
+  if (!spec.rail_of_gpu.empty() &&
+      static_cast<int>(spec.rail_of_gpu.size()) != spec.gpus_per_node) {
+    return invalid("rail_of_gpu needs one entry per local GPU");
+  }
+  for (const int rail : spec.rail_of_gpu) {
+    if (rail < 0 || rail >= spec.nics_per_node) {
+      return invalid("rail " + std::to_string(rail) + " out of range");
     }
   }
+  return Status::Ok();
+}
+
+Topology::Topology(TopologySpec spec) : spec_(std::move(spec)) {
+  const Status valid = ValidateTopologySpec(spec_);
+  RESCCL_CHECK_MSG(valid.ok(), valid.message());
 
   racks_ = (spec_.nodes + spec_.nodes_per_rack - 1) / spec_.nodes_per_rack;
   pods_ = spec_.racks_per_pod > 0

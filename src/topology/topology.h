@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "common/units.h"
 
@@ -134,6 +135,10 @@ struct TopologySpec {
   friend bool operator==(const TopologySpec&, const TopologySpec&) = default;
 };
 
+// InvalidArgument when `spec` describes a shape Topology cannot build
+// (e.g. GPUs that do not stripe evenly across NICs); OK otherwise.
+[[nodiscard]] Status ValidateTopologySpec(const TopologySpec& spec);
+
 class Topology {
  public:
   explicit Topology(TopologySpec spec);
@@ -174,9 +179,6 @@ class Topology {
   // default striping this is nics_per_node; an explicit rail_of_gpu map
   // may leave NICs idle. This is the rail-aware channel count: multi-rail
   // algorithms and TB allocation open one channel per driven rail.
-  [[nodiscard]] int num_rails() const { return num_rails_; }
-  // Channel count for multi-channel algorithms and default TB allocation:
-  // one channel per driven rail.
   [[nodiscard]] int CommChannels() const { return num_rails_; }
 
   [[nodiscard]] int RackOf(NodeId n) const { return n / spec_.nodes_per_rack; }

@@ -331,6 +331,55 @@ TEST(PerfRules, SingleRingOnRailedFabricDrawsAdvice) {
   EXPECT_TRUE(saw_rail_rule);
 }
 
+[[nodiscard]] bool Fires(const PerfReport& report, const char* rule) {
+  for (const Diagnostic& d : report.diagnostics) {
+    if (d.rule_id == rule) return true;
+  }
+  return false;
+}
+
+// The launch is pipeline-starved below 4 micro-batches, and only when
+// halving the chunk would yield more of them.
+TEST(PerfRules, PipelineStarvedBelowFourMicrobatches) {
+  const Topology topo(presets::A100(2, 4));
+  const Algorithm algo = algorithms::RingAllGather(topo.nranks());
+  const Result<PreparedPlan> prepared =
+      Prepare(algo, topo, BackendKind::kResCCL);
+  ASSERT_TRUE(prepared.ok());
+  PerfOptions opts = SmallLaunch();
+  const auto at = [&](int microbatches) {
+    opts.launch.buffer = opts.launch.chunk * algo.nchunks * microbatches;
+    EXPECT_EQ(opts.launch.MicroBatches(algo.nchunks), microbatches);
+    return AnalyzePlanPerf(prepared.value()->plan, topo, opts);
+  };
+  EXPECT_TRUE(Fires(at(3), rules::kPerfPipelineStarved));
+  EXPECT_FALSE(Fires(at(4), rules::kPerfPipelineStarved));
+  // At one micro-batch per byte-sized chunk, halving cannot help.
+  opts.launch.chunk = Size::Bytes(1);
+  EXPECT_FALSE(Fires(at(3), rules::kPerfPipelineStarved));
+}
+
+// The bound-gap threshold sits at twice the bound. On a 2:1 oversubscribed
+// rail-Clos, a single ring's static floor is 2.14x the bound and draws the
+// advice; the multi-channel ring's is 1.875x and does not.
+TEST(PerfRules, BoundGapFiresAtTwiceTheBound) {
+  const Topology topo(presets::RailClos(8, 2, 2, 4, /*oversubscription=*/2.0));
+  const auto report = [&](const Algorithm& algo) {
+    const Result<PreparedPlan> prepared =
+        Prepare(algo, topo, BackendKind::kResCCL);
+    EXPECT_TRUE(prepared.ok());
+    return AnalyzePlanPerf(prepared.value()->plan, topo, SmallLaunch());
+  };
+  const PerfReport ring = report(algorithms::RingAllGather(topo.nranks()));
+  EXPECT_GT(ring.static_floor_us, 2.0 * ring.bound.combined.us());
+  EXPECT_TRUE(Fires(ring, rules::kPerfBoundGap));
+  const PerfReport multi = report(
+      algorithms::MultiChannelRingAllReduce(topo, topo.CommChannels()));
+  EXPECT_GT(multi.static_floor_us, 1.8 * multi.bound.combined.us());
+  EXPECT_LT(multi.static_floor_us, 2.0 * multi.bound.combined.us());
+  EXPECT_FALSE(Fires(multi, rules::kPerfBoundGap));
+}
+
 // ---- severity plumbing & JSON -------------------------------------------
 
 TEST(AdviceSeverity, AdviceCountsSeparatelyAndStaysClean) {

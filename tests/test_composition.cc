@@ -140,14 +140,14 @@ TEST(CompositionTest, ChunkClassesCoverAllRails) {
   const Topology topo = SmallClos();
   const Algorithm algo = ComposedAllReduce(topo);
   std::vector<int> classes_per_rail(
-      static_cast<std::size_t>(topo.num_rails()), 0);
+      static_cast<std::size_t>(topo.CommChannels()), 0);
   for (ChunkId c = 0; c < algo.nchunks; ++c) {
     const int j = c % topo.gpus_per_node();
     ++classes_per_rail[static_cast<std::size_t>(
         topo.RailOf(j))];  // rank j is on node 0 with local index j
   }
   for (const int count : classes_per_rail) {
-    EXPECT_EQ(count, algo.nchunks / topo.num_rails());
+    EXPECT_EQ(count, algo.nchunks / topo.CommChannels());
   }
 }
 

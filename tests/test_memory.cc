@@ -26,37 +26,22 @@ TEST(DataBufferTest, OutOfRangeChunkThrows) {
   EXPECT_THROW((void)buf.Chunk(-1), std::logic_error);
 }
 
-TEST(ReduceTest, AllOps) {
+TEST(ReduceTest, Sums) {
   DataBuffer a(1, 4), b(1, 4);
   const double av[] = {1, 5, 3, 7};
   const double bv[] = {2, 4, 6, 1};
-  auto reset = [&] {
-    for (int i = 0; i < 4; ++i) {
-      a.Chunk(0)[static_cast<std::size_t>(i)] = av[i];
-      b.Chunk(0)[static_cast<std::size_t>(i)] = bv[i];
-    }
-  };
-  reset();
-  ApplyReduce(a.Chunk(0), b.Chunk(0), ReduceOp::kSum);
+  for (int i = 0; i < 4; ++i) {
+    a.Chunk(0)[static_cast<std::size_t>(i)] = av[i];
+    b.Chunk(0)[static_cast<std::size_t>(i)] = bv[i];
+  }
+  ApplyReduce(a.Chunk(0), b.Chunk(0));
   EXPECT_DOUBLE_EQ(a.Chunk(0)[0], 3);
   EXPECT_DOUBLE_EQ(a.Chunk(0)[3], 8);
-  reset();
-  ApplyReduce(a.Chunk(0), b.Chunk(0), ReduceOp::kProd);
-  EXPECT_DOUBLE_EQ(a.Chunk(0)[1], 20);
-  reset();
-  ApplyReduce(a.Chunk(0), b.Chunk(0), ReduceOp::kMax);
-  EXPECT_DOUBLE_EQ(a.Chunk(0)[0], 2);
-  EXPECT_DOUBLE_EQ(a.Chunk(0)[1], 5);
-  reset();
-  ApplyReduce(a.Chunk(0), b.Chunk(0), ReduceOp::kMin);
-  EXPECT_DOUBLE_EQ(a.Chunk(0)[0], 1);
-  EXPECT_DOUBLE_EQ(a.Chunk(0)[2], 3);
 }
 
 TEST(ReduceTest, SizeMismatchThrows) {
   DataBuffer a(1, 4), b(1, 5);
-  EXPECT_THROW(ApplyReduce(a.Chunk(0), b.Chunk(0), ReduceOp::kSum),
-               std::logic_error);
+  EXPECT_THROW(ApplyReduce(a.Chunk(0), b.Chunk(0)), std::logic_error);
 }
 
 TEST(BufferSetTest, PerRankIsolation) {
@@ -114,7 +99,7 @@ TEST(ReferenceTest, VerifyAcceptsCorrectAllReduce) {
   // Sum everything into rank 0, then broadcast.
   for (ChunkId c = 0; c < 3; ++c) {
     for (Rank r = 1; r < 3; ++r) {
-      ApplyReduce(set.rank(0).Chunk(c), set.rank(r).Chunk(c), ReduceOp::kSum);
+      ApplyReduce(set.rank(0).Chunk(c), set.rank(r).Chunk(c));
     }
     for (Rank r = 1; r < 3; ++r) {
       auto src = set.rank(0).Chunk(c);
@@ -138,8 +123,8 @@ TEST(ReferenceTest, VerifyDetectsCorruption) {
 TEST(ReferenceTest, ReduceScatterOnlyChecksOwnChunk) {
   BufferSet set(2, 2, 2);
   InitForCollective(CollectiveOp::kReduceScatter, set);
-  ApplyReduce(set.rank(0).Chunk(0), set.rank(1).Chunk(0), ReduceOp::kSum);
-  ApplyReduce(set.rank(1).Chunk(1), set.rank(0).Chunk(1), ReduceOp::kSum);
+  ApplyReduce(set.rank(0).Chunk(0), set.rank(1).Chunk(0));
+  ApplyReduce(set.rank(1).Chunk(1), set.rank(0).Chunk(1));
   // Scribble on an unspecified slot: must not affect verification.
   set.rank(0).FillChunk(1, -1.0);
   std::string why;

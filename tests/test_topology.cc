@@ -157,6 +157,17 @@ TEST(TopologyTest, InvalidSpecsRejected) {
   TopologySpec zero = presets::A100(2, 8);
   zero.nodes = 0;
   EXPECT_THROW(Topology{zero}, std::logic_error);
+  // The same checks, as a Status for callers that handle outside input.
+  EXPECT_TRUE(ValidateTopologySpec(presets::A100(2, 8)).ok());
+  const Status uneven = ValidateTopologySpec(bad);
+  EXPECT_EQ(uneven.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(uneven.message().find("8 GPUs per node must stripe evenly"),
+            std::string::npos)
+      << uneven.message();
+  TopologySpec rails = presets::A100(1, 8);
+  rails.rail_of_gpu = {0, 0, 1, 1, 2, 2, 3, 4};
+  EXPECT_NE(ValidateTopologySpec(rails).message().find("rail 4"),
+            std::string::npos);
 }
 
 TEST(TopologyTest, BoundsChecked) {
@@ -177,7 +188,6 @@ TEST(TopologyTest, RailClos1024RankFabric) {
   EXPECT_EQ(topo.pods(), 2);
   EXPECT_EQ(topo.PodOf(3), 0);
   EXPECT_EQ(topo.PodOf(4), 1);
-  EXPECT_EQ(topo.num_rails(), 4);
   EXPECT_EQ(topo.CommChannels(), 4);
   // The explicit rail map: GPU j drives NIC j/2.
   EXPECT_EQ(topo.RailOf(0), 0);

@@ -185,13 +185,23 @@ int PositiveInt(const Args& args, const std::string& key, int fallback) {
   return value;
 }
 
+// Exits 2 when `spec` is a shape Topology cannot build.
+TopologySpec Buildable(TopologySpec spec) {
+  if (const Status valid = ValidateTopologySpec(spec); !valid.ok()) {
+    std::fprintf(stderr, "invalid topology %s: %s\n", spec.name.c_str(),
+                 valid.message().c_str());
+    std::exit(2);
+  }
+  return spec;
+}
+
 TopologySpec MakeSpec(const Args& args) {
   const std::string topo = args.Get("topo", "a100");
   const int nodes = PositiveInt(args, "nodes", 2);
   const int gpus = PositiveInt(args, "gpus", 8);
-  if (topo == "a100") return presets::A100(nodes, gpus);
-  if (topo == "v100") return presets::V100(nodes, gpus);
-  if (topo == "h100") return presets::H100(nodes, gpus);
+  if (topo == "a100") return Buildable(presets::A100(nodes, gpus));
+  if (topo == "v100") return Buildable(presets::V100(nodes, gpus));
+  if (topo == "h100") return Buildable(presets::H100(nodes, gpus));
   std::fprintf(stderr, "unknown --topo '%s' (a100|v100|h100)\n", topo.c_str());
   std::exit(2);
 }
