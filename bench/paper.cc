@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -30,6 +29,7 @@
 #include "algorithms/synthesized.h"
 #include "bench/bench_util.h"
 #include "core/compiler.h"
+#include "lang/emit.h"
 #include "lang/eval.h"
 #include "obs/critical_path.h"
 #include "obs/timeline.h"
@@ -472,46 +472,6 @@ int Fig11(int jobs) {
 // Allocation (stage partition and TB allocation) and Lowering (plan
 // assembly). Host wall-clock, so it runs serially and is not pinned.
 
-// The Fig. 16 HM-AllReduce program, generated for an arbitrary cluster
-// shape; exercising the full DSL path keeps the Parsing phase honest.
-std::string HmAllReduceSource(int nodes, int gpus) {
-  std::ostringstream os;
-  os << "def ResCCLAlgo(nRanks=" << nodes * gpus
-     << ", AlgoName=\"HM\", OpType=\"Allreduce\"):\n"
-     << "    nNodes = " << nodes << "\n"
-     << "    nGpus = " << gpus << "\n"
-     << "    nChunks = nNodes * nGpus\n"
-     // Stage 1: intra-node full-mesh ReduceScatter.
-     << "    for n in range(0, nNodes):\n"
-     << "        for r in range(0, nGpus):\n"
-     << "            for x in range(0, nNodes):\n"
-     << "                for o in range(0, nGpus - 1):\n"
-     << "                    src = nGpus * n + r\n"
-     << "                    dst = (r + o + 1) % nGpus + nGpus * n\n"
-     << "                    transfer(src, dst, x * (nGpus - 1) + o, (dst + x "
-        "* nGpus) % nChunks, rrc)\n"
-     // Stage 2: inter-node ring ReduceScatter homing chunk c at rank c.
-     << "    for c in range(0, nChunks):\n"
-     << "        for b in range(0, nNodes - 1):\n"
-     << "            transfer((c + (b + 1) * nGpus) % nChunks, (c + (b + 2) * "
-        "nGpus) % nChunks, nNodes * (nGpus - 1) + b, c, rrc)\n"
-     // Stage 3: inter-node ring AllGather.
-     << "    for c in range(0, nChunks):\n"
-     << "        for b in range(0, nNodes - 1):\n"
-     << "            transfer((c + b * nGpus) % nChunks, (c + (b + 1) * nGpus) "
-        "% nChunks, nNodes * (nGpus - 1) + nNodes - 1 + b, c, recv)\n"
-     // Stage 4: intra-node full-mesh AllGather.
-     << "    for n in range(0, nNodes):\n"
-     << "        for r in range(0, nGpus):\n"
-     << "            for x in range(0, nNodes):\n"
-     << "                for o in range(0, nGpus - 1):\n"
-     << "                    src = nGpus * n + r\n"
-     << "                    dst = (r + o + 1) % nGpus + nGpus * n\n"
-     << "                    transfer(src, dst, nNodes * (nGpus - 1) + 2 * "
-        "nNodes - 2 + x, (r + x * nGpus) % nChunks, recv)\n";
-  return os.str();
-}
-
 double Ms(double us) { return us / 1000.0; }
 
 // Fig. 10(a) also checks its own shape: from 256 GPUs up, the schedule
@@ -527,7 +487,8 @@ int Fig10a(int /*jobs*/) {
   for (int gpus_total : {16, 32, 64, 128, 256, 512, 1024}) {
     const int nodes = gpus_total / 8;
     const auto t0 = std::chrono::steady_clock::now();
-    auto algo = lang::CompileSource(HmAllReduceSource(nodes, 8));
+    auto algo =
+        lang::CompileSource(lang::HierarchicalMeshAllReduceSource(nodes, 8));
     const double parse_us = std::chrono::duration<double, std::micro>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count();

@@ -102,9 +102,10 @@ Result<CompiledCollective> Compile(const Algorithm& algo,
   out.wave_of_task = out.schedule.WaveOf(dag.ntasks());
   out.preds.resize(static_cast<std::size_t>(dag.ntasks()));
   for (int t = 0; t < dag.ntasks(); ++t) {
-    for (TaskId p : dag.node(TaskId(t)).preds) {
-      out.preds[static_cast<std::size_t>(t)].push_back(p.value);
-    }
+    const std::span<const TaskId> preds = dag.node(TaskId(t)).preds;
+    std::vector<int>& out_preds = out.preds[static_cast<std::size_t>(t)];
+    out_preds.reserve(preds.size());
+    for (TaskId p : preds) out_preds.push_back(p.value);
   }
   out.stats.lowering_us = ElapsedUs(t0);
   return out;

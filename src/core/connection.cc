@@ -1,6 +1,7 @@
 #include "core/connection.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/check.h"
 
@@ -9,10 +10,11 @@ namespace resccl {
 LinkId ConnectionTable::Resolve(Rank src, Rank dst) {
   const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) |
                             static_cast<std::uint32_t>(dst);
-  const auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
+  if (const std::uint32_t* id = index_.Find(key)) {
+    return LinkId(static_cast<std::int32_t>(*id));
+  }
   const LinkId id(static_cast<std::int32_t>(paths_.size()));
-  const Path& path = topo_.PathBetween(src, dst);
+  const Path& path = topo_.PathBetween(src, dst);  // checks both ranks
   paths_.push_back(&path);
   // Fabric/PCIe pools multiplex without scheduling consequences; only
   // network-tier resources serialize (§4.4).
@@ -25,7 +27,8 @@ LinkId ConnectionTable::Resolve(Rank src, Rank dst) {
   }
   srcs_.push_back(src);
   dsts_.push_back(dst);
-  index_.emplace(key, id);
+  bool inserted = false;
+  index_.FindOrInsert(key, inserted) = static_cast<std::uint32_t>(id.value);
   return id;
 }
 

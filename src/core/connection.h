@@ -8,9 +8,9 @@
 // the same sub-pipeline.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "topology/topology.h"
 
@@ -42,7 +42,9 @@ class ConnectionTable {
 
  private:
   const Topology& topo_;
-  std::unordered_map<std::uint64_t, LinkId> index_;
+  // (src, dst) -> id. A hash lookup costs the same however many peers a
+  // rank has; one-shot AllGather gives every rank n-1 of them.
+  FlatMap64 index_;
   std::vector<const Path*> paths_;
   std::vector<std::vector<ResourceId>> serializing_;
   std::vector<Rank> srcs_, dsts_;

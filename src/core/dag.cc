@@ -18,15 +18,9 @@ struct SlotState {
   bool group_stamped = false;    // scratch: slot already reset this group
 };
 
-void AddEdge(std::vector<TaskNode>& nodes, TaskId from, TaskId to,
-             int& edges) {
-  RESCCL_CHECK(from != to);
-  auto& succs = nodes[static_cast<std::size_t>(from.value)].succs;
-  if (std::find(succs.begin(), succs.end(), to) != succs.end()) return;
-  succs.push_back(to);
-  nodes[static_cast<std::size_t>(to.value)].preds.push_back(from);
-  ++edges;
-}
+struct Edge {
+  TaskId from, to;
+};
 
 }  // namespace
 
@@ -49,6 +43,19 @@ DependencyGraph::DependencyGraph(const Algorithm& algo,
   // the per-rank slot state. Tasks in the same step group are concurrent:
   // edges are drawn only from strictly earlier steps, and the group's own
   // reads/writes are folded into the state afterwards.
+  //
+  // Edges are recorded in discovery order. Every edge into a task is found
+  // while that task is the sweep's current target, so a per-source stamp of
+  // the last target it fed is enough to drop duplicates.
+  std::vector<Edge> edges;
+  std::vector<std::int32_t> last_to(nodes_.size(), -1);
+  const auto add_edge = [&](TaskId from, TaskId to) {
+    RESCCL_CHECK(from != to);
+    std::int32_t& last = last_to[static_cast<std::size_t>(from.value)];
+    if (last == to.value) return;
+    last = to.value;
+    edges.push_back({from, to});
+  };
   std::vector<SlotState> slots(static_cast<std::size_t>(algo.nranks));
   for (auto& chunk : chunk_tasks_) {
     std::stable_sort(chunk.begin(), chunk.end(),
@@ -83,15 +90,15 @@ DependencyGraph::DependencyGraph(const Algorithm& algo,
         // RAW: reading t.src's slot requires every write that produced it —
         // concurrent same-step reductions form a write *group*.
         for (TaskId writer : src_slot.writers) {
-          AddEdge(nodes_, writer, id, total_edges_);
+          add_edge(writer, id);
         }
         // WAW: overwriting t.dst's slot after its previous write group.
         for (TaskId writer : dst_slot.writers) {
-          AddEdge(nodes_, writer, id, total_edges_);
+          add_edge(writer, id);
         }
         // WAR: overwriting t.dst's slot after pending reads of it.
         for (TaskId reader : dst_slot.readers) {
-          if (reader != id) AddEdge(nodes_, reader, id, total_edges_);
+          if (reader != id) add_edge(reader, id);
         }
       }
       // Phase 2: fold the group's accesses into the state. The group's
@@ -120,6 +127,37 @@ DependencyGraph::DependencyGraph(const Algorithm& algo,
       }
       group_begin = group_end;
     }
+  }
+
+  // CSR layout: count each node's edges, prefix-sum the counts into run
+  // offsets, then fill both pools in discovery order so every node's lists
+  // keep the order its edges were found in.
+  const std::size_t n = nodes_.size();
+  std::vector<std::size_t> pred_begin(n + 1, 0);
+  std::vector<std::size_t> succ_begin(n + 1, 0);
+  for (const Edge& e : edges) {
+    ++pred_begin[static_cast<std::size_t>(e.to.value) + 1];
+    ++succ_begin[static_cast<std::size_t>(e.from.value) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    pred_begin[i + 1] += pred_begin[i];
+    succ_begin[i + 1] += succ_begin[i];
+  }
+  pred_pool_.resize(edges.size());
+  succ_pool_.resize(edges.size());
+  std::vector<std::size_t> pred_fill(pred_begin.begin(), pred_begin.end() - 1);
+  std::vector<std::size_t> succ_fill(succ_begin.begin(), succ_begin.end() - 1);
+  for (const Edge& e : edges) {
+    pred_pool_[pred_fill[static_cast<std::size_t>(e.to.value)]++] = e.from;
+    succ_pool_[succ_fill[static_cast<std::size_t>(e.from.value)]++] = e.to;
+  }
+  const std::span<const TaskId> preds(pred_pool_);
+  const std::span<const TaskId> succs(succ_pool_);
+  for (std::size_t i = 0; i < n; ++i) {
+    nodes_[i].preds =
+        preds.subspan(pred_begin[i], pred_begin[i + 1] - pred_begin[i]);
+    nodes_[i].succs =
+        succs.subspan(succ_begin[i], succ_begin[i + 1] - succ_begin[i]);
   }
 }
 

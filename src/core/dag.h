@@ -15,6 +15,7 @@
 // (core/wave_occupancy.h).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/algorithm.h"
@@ -22,11 +23,13 @@
 
 namespace resccl {
 
+// `preds` and `succs` view the owning graph's edge pools (CSR): each list
+// is in edge-discovery order, and stays valid while the graph lives.
 struct TaskNode {
   Transfer transfer;
   LinkId connection;
-  std::vector<TaskId> preds;  // data-dependency predecessors
-  std::vector<TaskId> succs;
+  std::span<const TaskId> preds;  // data-dependency predecessors
+  std::span<const TaskId> succs;
 };
 
 class DependencyGraph {
@@ -34,6 +37,13 @@ class DependencyGraph {
   // `connections` outlives the graph; it is populated with every connection
   // the algorithm touches.
   DependencyGraph(const Algorithm& algo, ConnectionTable& connections);
+
+  // Move-only: the nodes' spans point into this graph's own pools, which a
+  // move carries along and a copy would not.
+  DependencyGraph(const DependencyGraph&) = delete;
+  DependencyGraph& operator=(const DependencyGraph&) = delete;
+  DependencyGraph(DependencyGraph&&) = default;
+  DependencyGraph& operator=(DependencyGraph&&) = default;
 
   [[nodiscard]] int ntasks() const { return static_cast<int>(nodes_.size()); }
   [[nodiscard]] const TaskNode& node(TaskId id) const;
@@ -47,12 +57,15 @@ class DependencyGraph {
     return static_cast<int>(chunk_tasks_.size());
   }
 
-  [[nodiscard]] int total_edges() const { return total_edges_; }
+  [[nodiscard]] int total_edges() const {
+    return static_cast<int>(pred_pool_.size());
+  }
 
  private:
   std::vector<TaskNode> nodes_;
   std::vector<std::vector<TaskId>> chunk_tasks_;
-  int total_edges_ = 0;
+  std::vector<TaskId> pred_pool_;  // every node's preds, node by node
+  std::vector<TaskId> succ_pool_;  // every node's succs, node by node
 };
 
 }  // namespace resccl

@@ -14,11 +14,20 @@ Schedule HpdsScheduler::Build(const DependencyGraph& dag,
   const int ntasks = dag.ntasks();
   const int nchunks = dag.nchunks();
 
+  // Flat per-task copies of what the loops below read: the task's link,
+  // that link's latency class, and its chunk.
+  std::vector<LinkId> link_of(static_cast<std::size_t>(ntasks));
+  std::vector<PathKind> kind_of(static_cast<std::size_t>(ntasks));
+  std::vector<ChunkId> chunk_of(static_cast<std::size_t>(ntasks));
   // Remaining unscheduled data-dependency predecessors per task.
   std::vector<int> preds_left(static_cast<std::size_t>(ntasks));
   for (int t = 0; t < ntasks; ++t) {
-    preds_left[static_cast<std::size_t>(t)] =
-        static_cast<int>(dag.node(TaskId(t)).preds.size());
+    const auto ti = static_cast<std::size_t>(t);
+    const TaskNode& node = dag.nodes()[ti];
+    link_of[ti] = node.connection;
+    kind_of[ti] = connections.path(node.connection).kind;
+    chunk_of[ti] = node.transfer.chunk;
+    preds_left[ti] = static_cast<int>(node.preds.size());
   }
 
   // Per-chunk list of currently dependency-free, unscheduled tasks.
@@ -31,22 +40,31 @@ Schedule HpdsScheduler::Build(const DependencyGraph& dag,
   }
   for (int t = 0; t < ntasks; ++t) {
     if (preds_left[static_cast<std::size_t>(t)] == 0) {
-      const ChunkId c = dag.node(TaskId(t)).transfer.chunk;
+      const ChunkId c = chunk_of[static_cast<std::size_t>(t)];
       free_tasks[static_cast<std::size_t>(c)].push_back(TaskId(t));
     }
   }
 
   std::vector<int> priority(static_cast<std::size_t>(nchunks), 0);
-  std::vector<bool> in_wave(static_cast<std::size_t>(ntasks), false);
+  // wave_of[t] == the current sub-pipeline's index iff t is in it.
+  std::vector<int> wave_of(static_cast<std::size_t>(ntasks), -1);
+  // Wave-order sort key: step, then chunk (both non-negative, packed into
+  // one word), then source rank.
+  struct WaveKey {
+    std::uint64_t step_chunk = 0;
+    Rank src = 0;
+    TaskId task;
+  };
+  std::vector<WaveKey> sorted;
   Schedule schedule;
   WaveOccupancy occupancy(connections);
   int scheduled_total = 0;
 
   while (scheduled_total < ntasks) {
     // --- one sub-pipeline (Algorithm 1 lines 6–24) ---
+    const int wave_index = schedule.nwaves();
     std::vector<TaskId> wave;
     occupancy.Clear();
-    std::fill(in_wave.begin(), in_wave.end(), false);
     std::vector<bool> flag(static_cast<std::size_t>(nchunks), true);
 
     // Max-priority queue over chunks, ties broken by chunk id for
@@ -74,16 +92,17 @@ Schedule HpdsScheduler::Build(const DependencyGraph& dag,
       auto& frees = free_tasks[ci];
       for (std::size_t i = 0; i < frees.size();) {
         const TaskId t = frees[i];
-        const LinkId link = dag.node(t).connection;
+        const auto ti = static_cast<std::size_t>(t.value);
+        const LinkId link = link_of[ti];
         // Bubble avoidance (§4.3): a task whose same-wave predecessor sits
         // on a different latency class (inter-node feeding intra-node or
         // vice versa) is deferred to a later sub-pipeline — the λ mismatch
         // would stall the faster link behind the slower one.
         bool latency_mismatch = false;
-        const PathKind kind = connections.path(link).kind;
-        for (TaskId pred : dag.node(t).preds) {
-          if (in_wave[static_cast<std::size_t>(pred.value)] &&
-              connections.path(dag.node(pred).connection).kind != kind) {
+        const PathKind kind = kind_of[ti];
+        for (TaskId pred : dag.nodes()[ti].preds) {
+          const auto pi = static_cast<std::size_t>(pred.value);
+          if (wave_of[pi] == wave_index && kind_of[pi] != kind) {
             latency_mismatch = true;
             break;
           }
@@ -110,14 +129,15 @@ Schedule HpdsScheduler::Build(const DependencyGraph& dag,
       // Scheduling decision: commit the tasks, unlock successors, and lower
       // this chunk's priority so under-scheduled chunks go first.
       for (TaskId t : node_list) {
+        const auto ti = static_cast<std::size_t>(t.value);
         wave.push_back(t);
-        in_wave[static_cast<std::size_t>(t.value)] = true;
+        wave_of[ti] = wave_index;
         ++scheduled_total;
         --unscheduled_in_chunk[ci];
-        for (TaskId succ : dag.node(t).succs) {
+        for (TaskId succ : dag.nodes()[ti].succs) {
           int& left = preds_left[static_cast<std::size_t>(succ.value)];
           if (--left == 0) {
-            const ChunkId sc = dag.node(succ).transfer.chunk;
+            const ChunkId sc = chunk_of[static_cast<std::size_t>(succ.value)];
             free_tasks[static_cast<std::size_t>(sc)].push_back(succ);
             // The successor's chunk may have been visited already; requeue
             // it so it gets another chance within this sub-pipeline.
@@ -140,13 +160,25 @@ Schedule HpdsScheduler::Build(const DependencyGraph& dag,
     // order data becomes available) avoids head-of-line blocking when a TB
     // owns several of the wave's tasks. Sorting by step keeps the schedule
     // valid — a data-dependency predecessor always has a smaller step.
-    std::sort(wave.begin(), wave.end(), [&](TaskId a, TaskId b) {
-      const Transfer& ta = dag.node(a).transfer;
-      const Transfer& tb = dag.node(b).transfer;
-      if (ta.step != tb.step) return ta.step < tb.step;
-      if (ta.chunk != tb.chunk) return ta.chunk < tb.chunk;
-      return ta.src < tb.src;
-    });
+    // Keys are computed once per task, and the comparator never reads the
+    // task: std::sort's permutation depends only on comparison outcomes,
+    // so tied tasks land exactly where sorting the ids would put them.
+    sorted.clear();
+    for (TaskId t : wave) {
+      const Transfer& tr =
+          dag.nodes()[static_cast<std::size_t>(t.value)].transfer;
+      sorted.push_back({(static_cast<std::uint64_t>(tr.step) << 32) |
+                            static_cast<std::uint32_t>(tr.chunk),
+                        tr.src, t});
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const WaveKey& a, const WaveKey& b) {
+                if (a.step_chunk != b.step_chunk) {
+                  return a.step_chunk < b.step_chunk;
+                }
+                return a.src < b.src;
+              });
+    for (std::size_t i = 0; i < wave.size(); ++i) wave[i] = sorted[i].task;
     schedule.sub_pipelines.push_back(std::move(wave));
   }
   return schedule;

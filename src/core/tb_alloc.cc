@@ -1,8 +1,6 @@
 #include "core/tb_alloc.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 #include <tuple>
 
 #include "common/check.h"
@@ -15,35 +13,59 @@ namespace {
 // to a dedicated TB.
 struct Stream {
   Rank rank = kInvalidRank;
+  Rank peer = kInvalidRank;
+  Direction dir = Direction::kSend;
+  int stage = 0;
   std::vector<TbTaskRef> refs;  // global order
   // Estimated activity window from the timeline analysis.
   double active_begin = 0;
   double active_end = 0;
 };
 
+// Streams in (rank, peer, direction, stage) order. A task's send stream is
+// its connection's send endpoint and its recv stream the connection's recv
+// endpoint, so streams are filled in a dense (connection, direction, stage)
+// table and sorted once at the end.
 std::vector<Stream> BuildStreams(const DependencyGraph& dag,
                                  const Schedule& schedule,
+                                 const ConnectionTable& connections,
                                  const std::vector<int>& stage_of_task) {
-  // Key: (rank, peer, direction, stage). std::map keeps stream order
-  // deterministic across runs.
-  std::map<std::tuple<Rank, Rank, int, int>, Stream> streams;
+  int nstages = 1;
+  for (int stage : stage_of_task) {
+    RESCCL_CHECK(stage >= 0);
+    nstages = std::max(nstages, stage + 1);
+  }
+  const auto slot = [nstages](LinkId c, Direction dir, int stage) {
+    return (static_cast<std::size_t>(c.value) * 2 +
+            static_cast<std::size_t>(dir)) *
+               static_cast<std::size_t>(nstages) +
+           static_cast<std::size_t>(stage);
+  };
+  std::vector<Stream> table(static_cast<std::size_t>(connections.count()) * 2 *
+                            static_cast<std::size_t>(nstages));
 
   int order = 0;
   for (std::size_t w = 0; w < schedule.sub_pipelines.size(); ++w) {
     for (TaskId t : schedule.sub_pipelines[w]) {
-      const Transfer& tr = dag.node(t).transfer;
+      const TaskNode& node = dag.node(t);
+      RESCCL_CHECK(node.connection.value < connections.count());
       const int stage = stage_of_task.empty()
                             ? 0
                             : stage_of_task[static_cast<std::size_t>(t.value)];
       const TbTaskRef base{t, Direction::kSend, static_cast<int>(w), order};
       {
-        Stream& s = streams[{tr.src, tr.dst, 0, stage}];
-        s.rank = tr.src;
+        Stream& s = table[slot(node.connection, Direction::kSend, stage)];
+        s.rank = node.transfer.src;
+        s.peer = node.transfer.dst;
+        s.stage = stage;
         s.refs.push_back(base);
       }
       {
-        Stream& s = streams[{tr.dst, tr.src, 1, stage}];
-        s.rank = tr.dst;
+        Stream& s = table[slot(node.connection, Direction::kRecv, stage)];
+        s.rank = node.transfer.dst;
+        s.peer = node.transfer.src;
+        s.dir = Direction::kRecv;
+        s.stage = stage;
         TbTaskRef ref = base;
         ref.dir = Direction::kRecv;
         s.refs.push_back(ref);
@@ -53,11 +75,13 @@ std::vector<Stream> BuildStreams(const DependencyGraph& dag,
   }
 
   std::vector<Stream> out;
-  out.reserve(streams.size());
-  for (auto& [key, s] : streams) {
-    (void)key;
-    out.push_back(std::move(s));
+  for (Stream& s : table) {
+    if (!s.refs.empty()) out.push_back(std::move(s));
   }
+  std::sort(out.begin(), out.end(), [](const Stream& a, const Stream& b) {
+    return std::tie(a.rank, a.peer, a.dir, a.stage) <
+           std::tie(b.rank, b.peer, b.dir, b.stage);
+  });
   return out;
 }
 
@@ -83,15 +107,10 @@ Timeline AnalyzeTimeline(const DependencyGraph& dag, const Schedule& schedule,
   tl.task_begin.assign(static_cast<std::size_t>(ntasks), 0.0);
   tl.task_end.assign(static_cast<std::size_t>(ntasks), 0.0);
 
-  // Endpoint FIFO availability: (rank, peer, dir) packed -> free time.
-  // unordered on a packed key: this map is hit twice per (task, window)
-  // invocation and dominates lowering time at 1000-GPU scale.
-  std::unordered_map<std::uint64_t, double> endpoint_free;
-  const auto endpoint_key = [](Rank a, Rank b, int dir) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 33) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(b)) << 1) |
-           static_cast<std::uint64_t>(dir);
-  };
+  // Endpoint FIFO availability per (connection, direction): a task's
+  // send endpoint is its connection's, and so is its recv endpoint.
+  std::vector<double> endpoint_free(
+      static_cast<std::size_t>(connections.count()) * 2, 0.0);
   // Per-invocation completion, filled in global pipeline order.
   std::vector<double> inv_end(static_cast<std::size_t>(ntasks) *
                               static_cast<std::size_t>(window));
@@ -104,10 +123,9 @@ Timeline AnalyzeTimeline(const DependencyGraph& dag, const Schedule& schedule,
           path.latency.us() +
           static_cast<double>(kTimelineChunk.bytes()) /
               path.bottleneck.bytes_per_us();
-      double& send_free = endpoint_free[endpoint_key(
-          node.transfer.src, node.transfer.dst, 0)];
-      double& recv_free = endpoint_free[endpoint_key(
-          node.transfer.dst, node.transfer.src, 1)];
+      const auto c = static_cast<std::size_t>(node.connection.value);
+      double& send_free = endpoint_free[c * 2];
+      double& recv_free = endpoint_free[c * 2 + 1];
       double prev_inv_end = 0.0;
       for (int m = 0; m < window; ++m) {
         double start = std::max({send_free, recv_free, prev_inv_end});
@@ -140,7 +158,8 @@ TbPlan AllocateTbs(const DependencyGraph& dag, const Schedule& schedule,
                    const std::vector<int>& stage_of_task) {
   RESCCL_CHECK(stage_of_task.empty() ||
                stage_of_task.size() == static_cast<std::size_t>(dag.ntasks()));
-  std::vector<Stream> streams = BuildStreams(dag, schedule, stage_of_task);
+  std::vector<Stream> streams =
+      BuildStreams(dag, schedule, connections, stage_of_task);
 
   // Channel-pool enforcement: streams per (rank, peer, direction) differ
   // only by stage and each needs at least one channel of the per-peer pool.
@@ -153,13 +172,9 @@ TbPlan AllocateTbs(const DependencyGraph& dag, const Schedule& schedule,
     for (std::size_t i = 0; i <= streams.size(); ++i) {
       const bool boundary =
           i == streams.size() ||
-          (i > run_start &&
-           (streams[i].rank != streams[run_start].rank ||
-            streams[i].refs.front().dir != streams[run_start].refs.front().dir ||
-            dag.node(streams[i].refs.front().task).transfer.src !=
-                dag.node(streams[run_start].refs.front().task).transfer.src ||
-            dag.node(streams[i].refs.front().task).transfer.dst !=
-                dag.node(streams[run_start].refs.front().task).transfer.dst));
+          (i > run_start && (streams[i].rank != streams[run_start].rank ||
+                             streams[i].peer != streams[run_start].peer ||
+                             streams[i].dir != streams[run_start].dir));
       if (!boundary) continue;
       RESCCL_CHECK_MSG(
           i - run_start <= static_cast<std::size_t>(params.channels_per_peer),
@@ -203,9 +218,10 @@ TbPlan AllocateTbs(const DependencyGraph& dag, const Schedule& schedule,
       // Disjoint activity intervals of the merged streams, kept sorted.
       std::vector<std::pair<double, double>> windows;
     };
-    std::map<Rank, std::vector<OpenTb>> per_rank;
+    std::vector<std::vector<OpenTb>> per_rank(
+        static_cast<std::size_t>(connections.topology().nranks()));
     for (Stream& s : streams) {
-      auto& open = per_rank[s.rank];
+      auto& open = per_rank[static_cast<std::size_t>(s.rank)];
       OpenTb* target = nullptr;
       for (OpenTb& cand : open) {
         const bool overlaps = std::any_of(
@@ -226,8 +242,7 @@ TbPlan AllocateTbs(const DependencyGraph& dag, const Schedule& schedule,
                              s.refs.end());
       target->windows.emplace_back(s.active_begin, s.active_end);
     }
-    for (auto& [rank, open] : per_rank) {
-      (void)rank;
+    for (auto& open : per_rank) {
       for (OpenTb& o : open) {
         std::sort(o.tb.refs.begin(), o.tb.refs.end(),
                   [](const TbTaskRef& a, const TbTaskRef& b) {

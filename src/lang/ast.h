@@ -6,12 +6,19 @@
 //   for ::= 'for' id 'in' 'range' '(' exp [',' exp] ')' ':' suite
 //   transfer ::= 'transfer' '(' exp ',' exp ',' exp ',' exp ',' commType ')'
 //   exp ::= number | id | exp mop exp | '(' exp ')',  mop ∈ {+ - * / %}
+//
+// The parser resolves every variable name to a slot, an index into the
+// evaluator's variable table in [0, Program::nslots). Header parameters,
+// assignment targets, loop variables and variable reads that spell the
+// same name share one slot.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "core/algorithm.h"
 
 namespace resccl::lang {
 
@@ -25,6 +32,7 @@ struct Expr {
 
   std::int64_t number = 0;  // kNumber
   std::string name;         // kVariable
+  int slot = -1;            // kVariable
   char op = 0;              // kBinary: one of + - * / %
   ExprPtr lhs, rhs;
 };
@@ -38,7 +46,8 @@ struct Stmt {
   int line = 0;
 
   // kAssign: name = value
-  std::string name;
+  std::string name;  // also kFor's loop variable
+  int slot = -1;     // name's slot
   ExprPtr value;
 
   // kFor: for name in range(begin, end): body   (begin defaults to 0)
@@ -47,7 +56,7 @@ struct Stmt {
 
   // kTransfer: transfer(src, dst, step, chunk, comm_type)
   ExprPtr src, dst, step, chunk;
-  std::string comm_type;  // "recv" | "rrc"
+  TransferOp op = TransferOp::kRecv;  // comm_type: recv | rrc
 };
 
 // Header parameters: `name = <number|string>` pairs.
@@ -57,12 +66,14 @@ struct Param {
   std::int64_t number = 0;
   std::string text;
   int line = 0;
+  int slot = -1;  // parameters such as nRanks are readable as variables
 };
 
 struct Program {
   std::string func_name;       // must be "ResCCLAlgo"
   std::vector<Param> params;
   std::vector<StmtPtr> body;
+  int nslots = 0;  // distinct variable names
 };
 
 }  // namespace resccl::lang

@@ -58,4 +58,42 @@ std::string EmitSource(const Algorithm& algo) {
   return os.str();
 }
 
+std::string HierarchicalMeshAllReduceSource(int nodes, int gpus) {
+  std::ostringstream os;
+  os << "def ResCCLAlgo(nRanks=" << nodes * gpus
+     << ", AlgoName=\"HM\", OpType=\"Allreduce\"):\n"
+     << "    nNodes = " << nodes << "\n"
+     << "    nGpus = " << gpus << "\n"
+     << "    nChunks = nNodes * nGpus\n"
+     // Stage 1: intra-node full-mesh ReduceScatter.
+     << "    for n in range(0, nNodes):\n"
+     << "        for r in range(0, nGpus):\n"
+     << "            for x in range(0, nNodes):\n"
+     << "                for o in range(0, nGpus - 1):\n"
+     << "                    src = nGpus * n + r\n"
+     << "                    dst = (r + o + 1) % nGpus + nGpus * n\n"
+     << "                    transfer(src, dst, x * (nGpus - 1) + o, (dst + x "
+        "* nGpus) % nChunks, rrc)\n"
+     // Stage 2: inter-node ring ReduceScatter homing chunk c at rank c.
+     << "    for c in range(0, nChunks):\n"
+     << "        for b in range(0, nNodes - 1):\n"
+     << "            transfer((c + (b + 1) * nGpus) % nChunks, (c + (b + 2) * "
+        "nGpus) % nChunks, nNodes * (nGpus - 1) + b, c, rrc)\n"
+     // Stage 3: inter-node ring AllGather.
+     << "    for c in range(0, nChunks):\n"
+     << "        for b in range(0, nNodes - 1):\n"
+     << "            transfer((c + b * nGpus) % nChunks, (c + (b + 1) * nGpus) "
+        "% nChunks, nNodes * (nGpus - 1) + nNodes - 1 + b, c, recv)\n"
+     // Stage 4: intra-node full-mesh AllGather.
+     << "    for n in range(0, nNodes):\n"
+     << "        for r in range(0, nGpus):\n"
+     << "            for x in range(0, nNodes):\n"
+     << "                for o in range(0, nGpus - 1):\n"
+     << "                    src = nGpus * n + r\n"
+     << "                    dst = (r + o + 1) % nGpus + nGpus * n\n"
+     << "                    transfer(src, dst, nNodes * (nGpus - 1) + 2 * "
+        "nNodes - 2 + x, (r + x * nGpus) % nChunks, recv)\n";
+  return os.str();
+}
+
 }  // namespace resccl::lang

@@ -17,4 +17,11 @@ namespace resccl::lang {
 
 [[nodiscard]] std::string EmitSource(const Algorithm& algo);
 
+// The Fig. 16 HM-AllReduce program written with loops, for any cluster of
+// `nodes` x `gpus` ranks: intra-node full-mesh ReduceScatter, inter-node
+// ring ReduceScatter, inter-node ring AllGather, intra-node full-mesh
+// AllGather. The Fig. 10(a) workflow benchmark compiles it at up to 1024
+// GPUs, so the Parsing phase pays for real loops and arithmetic.
+[[nodiscard]] std::string HierarchicalMeshAllReduceSource(int nodes, int gpus);
+
 }  // namespace resccl::lang

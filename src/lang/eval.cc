@@ -1,8 +1,9 @@
 #include "lang/eval.h"
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "common/check.h"
 #include "lang/parser.h"
 
 namespace resccl::lang {
@@ -32,7 +33,10 @@ struct EvalError {
 class Evaluator {
  public:
   Evaluator(const Program& program, const EvalLimits& limits)
-      : program_(program), limits_(limits) {}
+      : program_(program),
+        limits_(limits),
+        env_(static_cast<std::size_t>(program.nslots), 0),
+        defined_(static_cast<std::size_t>(program.nslots), false) {}
 
   Algorithm Run() {
     Algorithm algo;
@@ -40,9 +44,11 @@ class Evaluator {
     algo.collective = CollectiveOp::kAllReduce;
 
     std::int64_t nranks = 0;
+    int nranks_slot = -1;
     for (const Param& p : program_.params) {
       if (p.name == "nRanks") {
         nranks = RequireNumber(p);
+        nranks_slot = p.slot;
       } else if (p.name == "AlgoName") {
         RequireString(p);
         algo.name = p.text;
@@ -69,8 +75,7 @@ class Evaluator {
                  p.name == "GPUPerNode" || p.name == "NICPerNode") {
         // Accepted for compatibility with the BNF; execution parameters are
         // decided by the ResCCL compiler, not the algorithm (§4.2).
-        (void)RequireNumber(p);
-        env_[p.name] = p.number;
+        Define(p.slot, RequireNumber(p));
       } else {
         Fail(p.line, "unknown parameter '" + p.name + "'");
       }
@@ -81,7 +86,7 @@ class Evaluator {
     }
     algo.nranks = static_cast<int>(nranks);
     algo.nchunks = static_cast<int>(nranks);
-    env_["nRanks"] = nranks;
+    Define(nranks_slot, nranks);
 
     for (const StmtPtr& stmt : program_.body) Exec(*stmt, algo);
     return algo;
@@ -96,6 +101,14 @@ class Evaluator {
     if (!p.is_string) Fail(p.line, "parameter '" + p.name + "' must be a string");
   }
 
+  void Define(int slot, std::int64_t value) {
+    const auto i = static_cast<std::size_t>(slot);
+    RESCCL_CHECK_MSG(i < env_.size(), "variable slot " << slot
+                                          << " was never resolved");
+    env_[i] = value;
+    defined_[i] = true;
+  }
+
   void Tick(int line) {
     if (++operations_ > limits_.max_operations) {
       Fail(line, "program exceeded the operation limit");
@@ -108,9 +121,11 @@ class Evaluator {
       case Expr::Kind::kNumber:
         return e.number;
       case Expr::Kind::kVariable: {
-        const auto it = env_.find(e.name);
-        if (it == env_.end()) Fail(e.line, "undefined variable '" + e.name + "'");
-        return it->second;
+        const auto i = static_cast<std::size_t>(e.slot);
+        if (i >= env_.size() || !defined_[i]) {
+          Fail(e.line, "undefined variable '" + e.name + "'");
+        }
+        return env_[i];
       }
       case Expr::Kind::kBinary: {
         const std::int64_t a = Eval(*e.lhs);
@@ -136,13 +151,13 @@ class Evaluator {
     Tick(s.line);
     switch (s.kind) {
       case Stmt::Kind::kAssign:
-        env_[s.name] = Eval(*s.value);
+        Define(s.slot, Eval(*s.value));
         return;
       case Stmt::Kind::kFor: {
         const std::int64_t begin = Eval(*s.range_begin);
         const std::int64_t end = Eval(*s.range_end);
         for (std::int64_t i = begin; i < end; ++i) {
-          env_[s.name] = i;
+          Define(s.slot, i);
           for (const StmtPtr& inner : s.body) Exec(*inner, algo);
         }
         return;
@@ -175,8 +190,7 @@ class Evaluator {
         t.dst = static_cast<Rank>(dst);
         t.step = static_cast<Step>(step);
         t.chunk = static_cast<ChunkId>(chunk);
-        t.op = s.comm_type == "rrc" ? TransferOp::kRecvReduceCopy
-                                    : TransferOp::kRecv;
+        t.op = s.op;
         algo.transfers.push_back(t);
         return;
       }
@@ -185,7 +199,9 @@ class Evaluator {
 
   const Program& program_;
   const EvalLimits& limits_;
-  std::unordered_map<std::string, std::int64_t> env_;
+  // Variable values and whether each has been assigned yet, by slot.
+  std::vector<std::int64_t> env_;
+  std::vector<bool> defined_;
   std::int64_t operations_ = 0;
 };
 

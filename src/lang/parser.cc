@@ -1,5 +1,6 @@
 #include "lang/parser.h"
 
+#include <unordered_map>
 #include <utility>
 
 #include "lang/lexer.h"
@@ -45,6 +46,7 @@ class Parser {
     if (!Check(TokenKind::kEndOfFile)) {
       Fail(Peek(), "unexpected trailing content");
     }
+    prog.nslots = static_cast<int>(slot_of_.size());
     return prog;
   }
 
@@ -62,10 +64,17 @@ class Parser {
     return Advance();
   }
 
+  // The slot of `name`, allocated on first sight.
+  int SlotOf(const std::string& name) {
+    return slot_of_.emplace(name, static_cast<int>(slot_of_.size()))
+        .first->second;
+  }
+
   Param ParseParam() {
     Param p;
     const Token& name = Expect(TokenKind::kIdentifier, "expected parameter name");
     p.name = name.text;
+    p.slot = SlotOf(p.name);
     p.line = name.line;
     Expect(TokenKind::kAssign, "expected '=' in parameter");
     if (Check(TokenKind::kString)) {
@@ -102,6 +111,7 @@ class Parser {
     stmt->kind = Stmt::Kind::kAssign;
     const Token& name = Expect(TokenKind::kIdentifier, "expected name");
     stmt->name = name.text;
+    stmt->slot = SlotOf(stmt->name);
     stmt->line = name.line;
     Expect(TokenKind::kAssign, "expected '='");
     stmt->value = ParseExpr();
@@ -115,6 +125,7 @@ class Parser {
     stmt->line = Expect(TokenKind::kFor, "expected 'for'").line;
     const Token& var = Expect(TokenKind::kIdentifier, "expected loop variable");
     stmt->name = var.text;
+    stmt->slot = SlotOf(stmt->name);
     Expect(TokenKind::kIn, "expected 'in'");
     Expect(TokenKind::kRange, "expected 'range'");
     Expect(TokenKind::kLParen, "expected '('");
@@ -155,7 +166,8 @@ class Parser {
     if (comm.text != "recv" && comm.text != "rrc") {
       Fail(comm, "communication type must be 'recv' or 'rrc'");
     }
-    stmt->comm_type = comm.text;
+    stmt->op = comm.text == "rrc" ? TransferOp::kRecvReduceCopy
+                                  : TransferOp::kRecv;
     Expect(TokenKind::kRParen, "expected ')'");
     Expect(TokenKind::kNewline, "expected end of line");
     return stmt;
@@ -226,6 +238,7 @@ class Parser {
       const Token& t = Advance();
       expr->kind = Expr::Kind::kVariable;
       expr->name = t.text;
+      expr->slot = SlotOf(expr->name);
       expr->line = t.line;
       return expr;
     }
@@ -239,6 +252,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::unordered_map<std::string, int> slot_of_;
 };
 
 }  // namespace

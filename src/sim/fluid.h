@@ -53,7 +53,7 @@
 // discipline"): flow state is struct-of-arrays. Per-flow path resources
 // and bucket refs live in one shared CSR arena (sim/span_arena.h) as
 // {begin, len} spans instead of per-flow heap vectors; the per-resource
-// bucket-key index is an open-addressed flat table (sim/flat_map.h); the
+// bucket-key index is an open-addressed flat table (common/flat_map.h); the
 // hot scalars (rate, remaining, last_update, span) are parallel arrays the
 // flush walks contiguously.
 //
@@ -72,7 +72,7 @@
 #include "common/units.h"
 #include "sim/cost_model.h"
 #include "sim/event_queue.h"
-#include "sim/flat_map.h"
+#include "common/flat_map.h"
 #include "sim/span_arena.h"
 #include "topology/topology.h"
 

@@ -74,6 +74,20 @@ TEST(AlgorithmValidateTest, RejectsDuplicateTask) {
   EXPECT_NE(a.Validate().message().find("duplicate task"), std::string::npos);
 }
 
+// Chunk ids past 16 bits stay distinct: duplicates compare the whole
+// (src, dst, step, chunk) tuple.
+TEST(AlgorithmValidateTest, ChunksBeyondSixteenBitsAreDistinctTasks) {
+  Algorithm a = Base();
+  a.nchunks = 65537;
+  a.transfers.push_back({0, 1, 0, 65536, TransferOp::kRecv});
+  EXPECT_TRUE(a.Validate().ok()) << a.Validate().ToString();
+  a.transfers.push_back({0, 1, 0, 65536, TransferOp::kRecv});
+  EXPECT_NE(a.Validate().message().find("transfer #2 (r0->r1, step 0, chunk "
+                                        "65536, recv): duplicate task"),
+            std::string::npos)
+      << a.Validate().ToString();
+}
+
 TEST(AlgorithmValidateTest, SameTupleDifferentOpIsStillDuplicate) {
   // A task is identified by (src, dst, step, chunk) — §4.2.
   Algorithm a = Base();

@@ -2,9 +2,16 @@
 // error handling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "algo_cases.h"
 #include "algorithms/hierarchical.h"
 #include "algorithms/ring.h"
 #include "core/compiler.h"
+#include "lang/emit.h"
+#include "lang/eval.h"
+#include "runtime/backend.h"
 #include "topology/topology.h"
 
 namespace resccl {
@@ -123,6 +130,90 @@ TEST(CompilerTest, DeterministicAcrossRuns) {
               b.schedule.sub_pipelines[static_cast<std::size_t>(w)]);
   }
   EXPECT_EQ(a.tbs.total_tbs(), b.tbs.total_tbs());
+}
+
+// FNV-1a, byte by byte, over compiled plans' outputs: wave_of_task, preds,
+// the schedule's sub-pipelines, every TB's rank and refs (task, direction,
+// wave, order), then send_tb and recv_tb.
+class PlanHasher {
+ public:
+  void Add(const CompiledCollective& cc) {
+    Add(cc.wave_of_task);
+    Add(cc.preds.size());
+    for (const std::vector<int>& p : cc.preds) Add(p);
+    Add(cc.schedule.sub_pipelines.size());
+    for (const std::vector<TaskId>& wave : cc.schedule.sub_pipelines) {
+      Add(wave.size());
+      for (TaskId t : wave) Add(t.value);
+    }
+    Add(cc.tbs.tbs.size());
+    for (const TbPlan::Tb& tb : cc.tbs.tbs) {
+      Add(tb.rank);
+      Add(tb.refs.size());
+      for (const TbTaskRef& ref : tb.refs) {
+        Add(ref.task.value);
+        Add(static_cast<int>(ref.dir));
+        Add(ref.wave);
+        Add(ref.order);
+      }
+    }
+    Add(cc.tbs.send_tb);
+    Add(cc.tbs.recv_tb);
+  }
+
+  [[nodiscard]] std::uint64_t digest() const { return h_; }
+
+ private:
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) h_ = (h_ ^ ((v >> (8 * i)) & 0xff)) * kPrime;
+  }
+  void Add(int v) {
+    Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  }
+  void Add(const std::vector<int>& v) {
+    Add(v.size());
+    for (int x : v) Add(x);
+  }
+
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// Pins the compiler's output bit for bit: every library algorithm on every
+// shared fabric under the three backends' options, plus the Fig. 16 HM
+// program through the DSL at 16x8. Any change to waves, dependencies, TB
+// packing or issue order moves the digest. The pinned value was computed
+// before the flat-array rewrite of the source-to-plan pipeline; a change
+// that means to alter plans must say so and re-pin it.
+TEST(CompilerTest, PlansMatchPinnedDigest) {
+  constexpr BackendKind kBackends[] = {
+      BackendKind::kResCCL, BackendKind::kMscclLike, BackendKind::kNcclLike};
+  PlanHasher hasher;
+  for (const tests::TopoCase& tc : tests::TopoCases()) {
+    const Topology topo(tc.make());
+    for (const tests::AlgoCase& ac : tests::AlgorithmCases()) {
+      const Algorithm algo = ac.make(topo);
+      for (BackendKind kind : kBackends) {
+        const Result<CompiledCollective> cc =
+            Compile(algo, topo, DefaultCompileOptions(kind));
+        ASSERT_TRUE(cc.ok()) << tc.label << "/" << ac.label << ": "
+                             << cc.status().ToString();
+        hasher.Add(cc.value());
+      }
+    }
+  }
+  const Result<Algorithm> hm =
+      lang::CompileSource(lang::HierarchicalMeshAllReduceSource(16, 8));
+  ASSERT_TRUE(hm.ok()) << hm.status().ToString();
+  const Topology a100(presets::A100(16, 8));
+  for (BackendKind kind : kBackends) {
+    const Result<CompiledCollective> cc =
+        Compile(hm.value(), a100, DefaultCompileOptions(kind));
+    ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+    hasher.Add(cc.value());
+  }
+  EXPECT_EQ(hasher.digest(), 0x65eff1d250cf2ed6ULL)
+      << std::hex << "digest 0x" << hasher.digest();
 }
 
 }  // namespace

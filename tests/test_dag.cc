@@ -118,6 +118,34 @@ TEST_F(DagTest, ConnectionsResolvedPerPair) {
   EXPECT_NE(dag.node(TaskId(0)).connection, dag.node(TaskId(2)).connection);
 }
 
+// Every rank talks to every other one, as in one-shot AllGather: ids come
+// out dense in first-use order, each pair keeps its id, and the pair's
+// endpoints read back.
+TEST_F(DagTest, ConnectionIdsDenseInFirstUseOrderAcrossAllPairs) {
+  const Topology topo(presets::A100(2, 8));
+  ConnectionTable conns(topo);
+  int next = 0;
+  for (Rank src = 0; src < 16; ++src) {
+    for (Rank dst = 0; dst < 16; ++dst) {
+      if (src == dst) continue;
+      EXPECT_EQ(conns.Resolve(src, dst).value, next++);
+    }
+  }
+  EXPECT_EQ(conns.count(), 16 * 15);
+  for (Rank src = 0; src < 16; ++src) {
+    for (Rank dst = 0; dst < 16; ++dst) {
+      if (src == dst) continue;
+      const LinkId id = conns.Resolve(src, dst);
+      EXPECT_EQ(conns.src(id), src);
+      EXPECT_EQ(conns.dst(id), dst);
+    }
+  }
+  EXPECT_EQ(conns.count(), 16 * 15);
+  EXPECT_THROW((void)conns.Resolve(0, 16), std::logic_error);
+  EXPECT_THROW((void)conns.Resolve(-1, 0), std::logic_error);
+  EXPECT_EQ(conns.count(), 16 * 15);
+}
+
 TEST_F(DagTest, ConflictSemantics) {
   ConnectionTable conns(topo_);
   const LinkId intra_a = conns.Resolve(0, 1);

@@ -101,7 +101,7 @@ TEST(ParserTest, ParsesRingProgram) {
   ASSERT_EQ(outer.body.size(), 3u);
   EXPECT_EQ(outer.body[2]->kind, Stmt::Kind::kFor);
   EXPECT_EQ(outer.body[2]->body[0]->kind, Stmt::Kind::kTransfer);
-  EXPECT_EQ(outer.body[2]->body[0]->comm_type, "recv");
+  EXPECT_EQ(outer.body[2]->body[0]->op, TransferOp::kRecv);
 }
 
 TEST(ParserTest, OperatorPrecedence) {
@@ -249,6 +249,87 @@ TEST(EvalTest, UndefinedVariable) {
       "def ResCCLAlgo(nRanks=2):\n    transfer(bogus, 1, 0, 0, recv)\n");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("bogus"), std::string::npos);
+}
+
+// Variables resolve to slots before evaluation; a slot still reads as
+// undefined until an executed statement assigns it.
+TEST(EvalTest, ReadBeforeLaterAssignmentIsUndefined) {
+  auto r = CompileSource(
+      "def ResCCLAlgo(nRanks=2):\n"
+      "    transfer(0, x, 0, 0, recv)\n"
+      "    x = 1\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("undefined variable 'x'"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(EvalTest, LoopVariableDefinedOnlyByExecutedIterations) {
+  auto empty = CompileSource(
+      "def ResCCLAlgo(nRanks=4):\n"
+      "    for i in range(0, 0):\n"
+      "        transfer(0, 1, 0, 0, recv)\n"
+      "    transfer(i, 1, 0, 0, recv)\n");
+  ASSERT_FALSE(empty.ok());
+  EXPECT_NE(empty.status().message().find("undefined variable 'i'"),
+            std::string::npos)
+      << empty.status().ToString();
+
+  auto ran = CompileSource(
+      "def ResCCLAlgo(nRanks=4):\n"
+      "    for i in range(0, 3):\n"
+      "        transfer(0, 1, i, 0, recv)\n"
+      "    transfer(i, 0, 0, 0, recv)\n");
+  ASSERT_TRUE(ran.ok()) << ran.status().ToString();
+  EXPECT_EQ(ran.value().transfers.back().src, 2);  // the last value, not 3
+}
+
+TEST(EvalTest, HeaderParametersReadAsVariables) {
+  auto r = CompileSource(
+      "def ResCCLAlgo(nRanks=4, nChannels=3):\n"
+      "    transfer(0, nChannels, nRanks, 0, recv)\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().transfers[0].dst, 3);
+  EXPECT_EQ(r.value().transfers[0].step, 4);
+}
+
+TEST(EvalTest, OperationCountIsExact) {
+  // Every executed statement and every evaluated expression node is one
+  // operation: 4 for the assignment, 3 for the loop header, 7 for each of
+  // the 3 transfers (the statement plus 6 expression nodes) -- 28 in all.
+  constexpr const char* kProgram =
+      "def ResCCLAlgo(nRanks=4):\n"
+      "    x = 1 + 2\n"
+      "    for i in range(0, 3):\n"
+      "        transfer(i, i + 1, x, 0, recv)\n";
+  EvalLimits limits;
+  limits.max_operations = 28;
+  EXPECT_TRUE(CompileSource(kProgram, limits).ok());
+  limits.max_operations = 27;
+  const auto r = CompileSource(kProgram, limits);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("operation limit"), std::string::npos);
+}
+
+// Steps 0 and 65536 are distinct tasks; only the full (src, dst, step,
+// chunk) tuple makes a duplicate.
+TEST(EvalTest, StepsBeyondSixteenBitsAreDistinctTasks) {
+  auto r = CompileSource(
+      "def ResCCLAlgo(nRanks=2):\n"
+      "    transfer(0, 1, 0, 0, recv)\n"
+      "    transfer(0, 1, 65536, 0, recv)\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().transfers.size(), 2u);
+
+  auto dup = CompileSource(
+      "def ResCCLAlgo(nRanks=2):\n"
+      "    transfer(0, 1, 65536, 0, recv)\n"
+      "    transfer(0, 1, 65536, 0, rrc)\n");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_NE(dup.status().message().find("transfer #1 (r0->r1, step 65536, "
+                                        "chunk 0, rrc): duplicate task"),
+            std::string::npos)
+      << dup.status().ToString();
 }
 
 TEST(EvalTest, DivisionAndModuloByZero) {
