@@ -198,10 +198,10 @@ inline CollectiveReport MeasurePrepared(const PreparedCollective& prepared,
 inline double OptimalityPct(const Topology& topo, const Algorithm& algo,
                             SimTime elapsed, Size buffer,
                             Size chunk = Size::MiB(1)) {
-  RunRequest request;
-  request.launch.buffer = buffer;
-  request.launch.chunk = chunk;
-  return ComputeLowerBound(topo, request.cost, algo, request.launch)
+  LaunchConfig launch;
+  launch.buffer = buffer;
+  launch.chunk = chunk;
+  return ComputeLowerBound(topo, CostModel{}, algo, launch)
       .OptimalityPct(elapsed);
 }
 

@@ -6,8 +6,6 @@ namespace resccl::algorithms {
 
 namespace {
 
-bool IsPowerOfTwo(int n) { return n > 0 && (n & (n - 1)) == 0; }
-
 int Log2(int n) {
   int l = 0;
   while ((1 << l) < n) ++l;

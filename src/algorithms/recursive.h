@@ -1,12 +1,18 @@
 // Recursive-distance algorithms — the classic MPI-style collectives, useful
 // as additional expert baselines and for latency-oriented regimes.
 //
-// All of them require a power-of-two rank count (checked).
+// The two recursive ones require a power-of-two rank count (checked).
 #pragma once
 
 #include "core/algorithm.h"
 
 namespace resccl::algorithms {
+
+// True for 1, 2, 4, 8, ...: the recursive algorithms below accept these
+// rank counts from 2 up.
+[[nodiscard]] constexpr bool IsPowerOfTwo(int n) {
+  return n > 0 && (n & (n - 1)) == 0;
+}
 
 // Recursive halving ReduceScatter followed by recursive doubling AllGather:
 // log2(N) exchange rounds each way, each rank pairing with r XOR 2^k.

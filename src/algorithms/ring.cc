@@ -1,14 +1,9 @@
 #include "algorithms/ring.h"
 
+#include "algorithms/emit_util.h"
 #include "common/check.h"
 
 namespace resccl::algorithms {
-
-namespace {
-
-int Mod(int a, int n) { return ((a % n) + n) % n; }
-
-}  // namespace
 
 Algorithm RingAllGather(int nranks) {
   RESCCL_CHECK(nranks >= 2);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "core/connection.h"
 #include "obs/json.h"
 #include "sim/witness.h"
@@ -26,11 +27,6 @@ namespace {
 // Witness strings are built only when a rule fires, so the clean path (the
 // strict-mode Prepare() hot path) stays allocation-light.
 constexpr int kMaxDiagsPerRule = 16;
-
-double ElapsedUs(std::chrono::steady_clock::time_point start) {
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(end - start).count();
-}
 
 // Runs one check and charges its wall-clock to `rule` in report.rule_us.
 template <typename Check>
@@ -989,8 +985,8 @@ void CheckTbMerge(const CompiledCollective& plan, const Topology& topo,
   // used, so the timeline replay reads plan.preds directly — no
   // DependencyGraph reconstruction on this hot path.
   ConnectionTable connections(topo);
-  // Compile() runs the allocator with the default window.
-  const int window = std::max(1, TbAllocParams{}.window_microbatches);
+  // The allocator's window: Compile() models the same micro-batches.
+  const int window = kTimelineWindow;
   const int ntasks = plan.algo.ntasks();
 
   // Static FIFO replay of the pipeline, identical to AnalyzeTimeline: every

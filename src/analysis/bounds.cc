@@ -128,13 +128,7 @@ BoundReport ComputeLowerBound(const Topology& topo, const CostModel& cost,
   // Every collective here has a required pair spanning the whole fabric
   // (for rooted ops: pods > 1 implies some rank sits in another pod than
   // the root, and likewise for racks and nodes).
-  SimTime widest = spec.intra_latency;
-  if (topo.nodes() > 1) widest = spec.inter_latency;
-  if (topo.racks() > 1) widest = spec.inter_latency + spec.cross_rack_extra;
-  if (topo.pods() > 1) {
-    widest =
-        spec.inter_latency + spec.cross_rack_extra + spec.cross_pod_extra;
-  }
+  const SimTime widest = topo.WidestHopLatency();
   // The boundary-crossing invocation also pays the protocol's per-slot flag
   // synchronization for its chunk's wire bytes (every invocation does; the
   // cheaper pipelined handshake only replaces the α term, not the slots).

@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/clock.h"
 #include "obs/json.h"
 
 namespace resccl {
@@ -45,7 +46,7 @@ void Advise(PerfReport& report, const char* rule, std::string location,
 
 PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
                            const LoweredProgram& lowered,
-                           const Topology& topo, const PerfOptions& opts) {
+                           const Topology& topo, const LaunchConfig& launch) {
   const auto t0 = std::chrono::steady_clock::now();
   PerfReport report;
   const int n = topo.nranks();
@@ -81,7 +82,7 @@ PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
     }
   }
 
-  report.bound = ComputeLowerBound(topo, opts.cost, plan.algo, opts.launch);
+  report.bound = ComputeLowerBound(topo, CostModel{}, plan.algo, launch);
   const double floor =
       std::max(report.static_floor_us, report.bound.combined.us());
   report.optimality_pct =
@@ -161,15 +162,14 @@ PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
 
   // --- perf-pipeline-starved: too few micro-batches to mask bubbles when
   // a smaller chunk would create more. ---
-  if (lowered.nmicrobatches < kMinMicrobatches &&
-      opts.launch.chunk.bytes() >= 2) {
-    LaunchConfig halved = opts.launch;
-    halved.chunk = Size::Bytes(opts.launch.chunk.bytes() / 2);
+  if (lowered.nmicrobatches < kMinMicrobatches && launch.chunk.bytes() >= 2) {
+    LaunchConfig halved = launch;
+    halved.chunk = Size::Bytes(launch.chunk.bytes() / 2);
     const int more = halved.MicroBatches(plan.algo.nchunks);
     if (more > lowered.nmicrobatches) {
       std::ostringstream os;
       os << "launch yields " << lowered.nmicrobatches
-         << " micro-batch(es); halving the " << opts.launch.chunk.bytes()
+         << " micro-batch(es); halving the " << launch.chunk.bytes()
          << "-byte chunk would yield " << more
          << " and deepen the pipeline (§4.5)";
       Advise(report, rules::kPerfPipelineStarved, "launch", os.str());
@@ -188,14 +188,12 @@ PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
     Advise(report, rules::kPerfBoundGap, resources[hottest].name, os.str());
   }
 
-  const auto t1 = std::chrono::steady_clock::now();
-  report.analysis_us =
-      std::chrono::duration<double, std::micro>(t1 - t0).count();
+  report.analysis_us = ElapsedUs(t0);
   return report;
 }
 
 PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
-                           const Topology& topo, const PerfOptions& opts) {
+                           const Topology& topo, const LaunchConfig& launch) {
   if (plan.algo.nranks != topo.nranks()) {
     PerfReport report;
     report.applicable = false;
@@ -203,13 +201,12 @@ PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
   }
   // Lowering refuses kAuto (it is a launch-time request, not a protocol),
   // so resolve it here the same way the runtime does before lowering.
-  LaunchConfig launch = opts.launch;
-  launch.protocol =
-      ResolveProtocol(topo, opts.cost, launch, plan.algo.nchunks);
+  const CostModel cost;
+  LaunchConfig resolved = launch;
+  resolved.protocol =
+      ResolveProtocol(topo, cost, resolved, plan.algo.nchunks);
   const LoweredProgram lowered =
-      Lower(plan, opts.cost, launch, topo.spec().channels_per_peer);
-  PerfOptions resolved = opts;
-  resolved.launch = launch;
+      Lower(plan, cost, resolved, topo.spec().channels_per_peer);
   return AnalyzePlanPerf(plan, lowered, topo, resolved);
 }
 

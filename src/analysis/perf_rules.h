@@ -43,11 +43,6 @@ inline constexpr const char* kPerfPipelineStarved = "perf-pipeline-starved";
 inline constexpr const char* kPerfBoundGap = "perf-bound-gap";
 }  // namespace rules
 
-struct PerfOptions {
-  LaunchConfig launch;  // geometry the plan is judged at
-  CostModel cost;
-};
-
 struct PerfReport {
   std::vector<Diagnostic> diagnostics;  // every entry is kAdvice
   // Statically implied wire bytes per topology resource, indexed by
@@ -69,16 +64,18 @@ struct PerfReport {
   [[nodiscard]] std::string Summary() const;
 };
 
-// Walks `lowered` (the program the runtime would execute) against `topo`.
+// Walks `lowered` (the program the runtime would execute) against `topo`;
+// `launch` is the geometry the plan is judged at, under the default
+// CostModel the runtime simulates with.
 [[nodiscard]] PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
                                          const LoweredProgram& lowered,
                                          const Topology& topo,
-                                         const PerfOptions& opts = {});
+                                         const LaunchConfig& launch = {});
 
-// Convenience: lowers `plan` with opts.launch first.
+// Convenience: lowers `plan` with `launch` first.
 [[nodiscard]] PerfReport AnalyzePlanPerf(const CompiledCollective& plan,
                                          const Topology& topo,
-                                         const PerfOptions& opts = {});
+                                         const LaunchConfig& launch = {});
 
 // Stable JSON rendering (embedded by `resccl lint --perf --json`).
 [[nodiscard]] std::string PerfReportToJson(const PerfReport& report);

@@ -6,15 +6,11 @@
 #include <chrono>
 
 #include "common/check.h"
+#include "common/clock.h"
 
 namespace resccl {
 
 namespace {
-
-double ElapsedUs(std::chrono::steady_clock::time_point start) {
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(end - start).count();
-}
 
 // Stage (channel-instance) partition for stage-level execution: MSCCL
 // replicates the algorithm across channel instances, striping the chunks
@@ -45,9 +41,6 @@ Result<CompiledCollective> Compile(const Algorithm& algo,
   if (options.nstages < 1) {
     return Status::InvalidArgument("nstages must be >= 1");
   }
-  if (options.warps_per_tb < 1) {
-    return Status::InvalidArgument("warps_per_tb must be >= 1");
-  }
   if (topo.spec().channels_per_peer < 1) {
     return Status::InvalidArgument("channels_per_peer must be >= 1");
   }
@@ -71,13 +64,17 @@ Result<CompiledCollective> Compile(const Algorithm& algo,
 
   // --- Scheduling: HPDS or the RR baseline (Fig. 5(c)-(d)). ---
   t0 = std::chrono::steady_clock::now();
-  HpdsScheduler hpds;
-  RoundRobinScheduler rr;
-  StepOrderScheduler step_order;
-  Scheduler* scheduler = &hpds;
-  if (options.scheduler == SchedulerKind::kRoundRobin) scheduler = &rr;
-  if (options.scheduler == SchedulerKind::kStepOrder) scheduler = &step_order;
-  out.schedule = scheduler->Build(dag, connections);
+  switch (options.scheduler) {
+    case SchedulerKind::kHpds:
+      out.schedule = HpdsScheduler().Build(dag, connections);
+      break;
+    case SchedulerKind::kRoundRobin:
+      out.schedule = RoundRobinScheduler().Build(dag, connections);
+      break;
+    case SchedulerKind::kStepOrder:
+      out.schedule = StepOrderScheduler().Build(dag, connections);
+      break;
+  }
   out.stats.scheduling_us = ElapsedUs(t0);
 
   t0 = std::chrono::steady_clock::now();

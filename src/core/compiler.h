@@ -46,7 +46,6 @@ struct CompileOptions {
   ExecutionMode mode = ExecutionMode::kTaskLevel;
   RuntimeEngine engine = RuntimeEngine::kGeneratedKernel;
   int nstages = 2;      // stage count for kStageLevel
-  int warps_per_tb = 16;
   // Run the static plan verifier (analysis/analyzer.h) inside Prepare and
   // refuse artifacts with any error-severity diagnostic. Verification is a
   // property of this Prepare call, not of the produced plan, so the flag is

@@ -102,7 +102,6 @@ Fingerprint FingerprintOf(const Algorithm& algo, const TopologySpec& topo,
   h.I32(static_cast<std::int32_t>(options.mode));
   h.I32(static_cast<std::int32_t>(options.engine));
   h.I32(options.nstages);
-  h.I32(options.warps_per_tb);
 
   return h.Finish();
 }

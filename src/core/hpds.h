@@ -18,11 +18,10 @@
 
 namespace resccl {
 
-class HpdsScheduler final : public Scheduler {
+class HpdsScheduler {
  public:
-  [[nodiscard]] std::string name() const override { return "HPDS"; }
   [[nodiscard]] Schedule Build(const DependencyGraph& dag,
-                               const ConnectionTable& connections) override;
+                               const ConnectionTable& connections);
 };
 
 }  // namespace resccl

@@ -3,8 +3,10 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "analysis/analyzer.h"
+#include "sim/cost_model.h"
 
 namespace resccl {
 
@@ -83,7 +85,7 @@ void SavePlan(const CompiledCollective& plan, std::ostream& out) {
       << static_cast<int>(plan.options.tb_alloc) << " "
       << static_cast<int>(plan.options.mode) << " "
       << static_cast<int>(plan.options.engine) << " " << plan.options.nstages
-      << " " << plan.options.warps_per_tb << "\n";
+      << " " << kWarpsPerTb << "\n";
   out << "nstages " << plan.nstages << "\n";
   out << "schedule " << plan.schedule.nwaves() << "\n";
   for (const auto& wave : plan.schedule.sub_pipelines) {
@@ -166,17 +168,21 @@ Result<CompiledCollective> LoadPlan(std::istream& in) {
   if (!reader.NextLine()) return Status::InvalidArgument("truncated plan");
   {
     std::string keyword;
-    int scheduler = 0, alloc = 0, mode = 0, engine = 0;
+    int scheduler = 0, alloc = 0, mode = 0, engine = 0, warps = 0;
     if (!reader.Read(keyword) || keyword != "options" ||
         !reader.Read(scheduler) || !reader.Read(alloc) || !reader.Read(mode) ||
         !reader.Read(engine) || !reader.Read(plan.options.nstages) ||
-        !reader.Read(plan.options.warps_per_tb)) {
+        !reader.Read(warps)) {
       return reader.Error("bad options record");
     }
     if (scheduler < 0 || scheduler > 2 || alloc < 0 || alloc > 1 || mode < 0 ||
-        mode > 2 || engine < 0 || engine > 1 || plan.options.nstages < 1 ||
-        plan.options.warps_per_tb < 1) {
+        mode > 2 || engine < 0 || engine > 1 || plan.options.nstages < 1) {
       return reader.Error("options out of range");
+    }
+    // v1's sixth column is the TB width, which lowering fixes at 16.
+    if (warps != kWarpsPerTb) {
+      return reader.Error("options warps column must be " +
+                          std::to_string(kWarpsPerTb));
     }
     plan.options.scheduler = static_cast<SchedulerKind>(scheduler);
     plan.options.tb_alloc = static_cast<TbAllocPolicy>(alloc);

@@ -12,11 +12,10 @@
 
 namespace resccl {
 
-class RoundRobinScheduler final : public Scheduler {
+class RoundRobinScheduler {
  public:
-  [[nodiscard]] std::string name() const override { return "RR"; }
   [[nodiscard]] Schedule Build(const DependencyGraph& dag,
-                               const ConnectionTable& connections) override;
+                               const ConnectionTable& connections);
 };
 
 }  // namespace resccl

@@ -8,7 +8,6 @@
 // scheduling pass valid for every micro-batch (§3).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -48,15 +47,5 @@ struct Schedule {
 [[nodiscard]] Status ValidateSchedule(const Schedule& schedule,
                                       const DependencyGraph& dag,
                                       const ConnectionTable& connections);
-
-// Scheduling interface: HPDS, the round-robin baseline and the step-order
-// scheduler (core/step_order.h) implement this.
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] virtual Schedule Build(const DependencyGraph& dag,
-                                       const ConnectionTable& connections) = 0;
-};
 
 }  // namespace resccl

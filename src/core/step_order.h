@@ -12,11 +12,10 @@
 
 namespace resccl {
 
-class StepOrderScheduler final : public Scheduler {
+class StepOrderScheduler {
  public:
-  [[nodiscard]] std::string name() const override { return "StepOrder"; }
   [[nodiscard]] Schedule Build(const DependencyGraph& dag,
-                               const ConnectionTable& connections) override;
+                               const ConnectionTable& connections);
 };
 
 }  // namespace resccl

@@ -98,10 +98,9 @@ struct Timeline {
 };
 
 Timeline AnalyzeTimeline(const DependencyGraph& dag, const Schedule& schedule,
-                         const ConnectionTable& connections,
-                         const TbAllocParams& params) {
+                         const ConnectionTable& connections) {
   const int ntasks = dag.ntasks();
-  const int window = std::max(1, params.window_microbatches);
+  const int window = kTimelineWindow;
 
   Timeline tl;
   tl.task_begin.assign(static_cast<std::size_t>(ntasks), 0.0);
@@ -198,7 +197,7 @@ TbPlan AllocateTbs(const DependencyGraph& dag, const Schedule& schedule,
     // State-based merging: estimate every connection's active window, then
     // per rank greedily pack streams whose windows never overlap (Eq. 7's
     // "never active simultaneously") onto shared TBs.
-    const Timeline tl = AnalyzeTimeline(dag, schedule, connections, params);
+    const Timeline tl = AnalyzeTimeline(dag, schedule, connections);
     for (Stream& s : streams) {
       s.active_begin = tl.task_begin[static_cast<std::size_t>(
           s.refs.front().task.value)];

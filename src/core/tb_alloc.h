@@ -38,15 +38,14 @@ struct TbTaskRef {
   int order = 0;   // global wave-major position (issue order)
 };
 
-// Transfer granularity the timeline analysis models (plans compile before
-// any launch size is known). The analyzer's tb-merge replay reads it too.
+// Transfer granularity and micro-batches of pipelining the timeline
+// analysis models when estimating activity windows (plans compile before
+// any launch size is known). The analyzer's tb-merge replay reads both.
 inline constexpr Size kTimelineChunk = Size::MiB(1);
+inline constexpr int kTimelineWindow = 8;
 
 struct TbAllocParams {
   TbAllocPolicy policy = TbAllocPolicy::kStateBased;
-  // Timeline-analysis input: how many micro-batches of pipelining to model
-  // when estimating activity windows.
-  int window_microbatches = 8;
   // Per-(rank, peer) connection-channel pool (TopologySpec::
   // channels_per_peer, wired through by Compile). Every stream needs at
   // least one channel, so allocation refuses plans that open more streams

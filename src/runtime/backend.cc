@@ -7,18 +7,10 @@
 
 #include "analysis/analyzer.h"
 #include "common/check.h"
+#include "common/clock.h"
 #include "runtime/exec_context.h"
 
 namespace resccl {
-
-namespace {
-
-double ElapsedUs(std::chrono::steady_clock::time_point start) {
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(end - start).count();
-}
-
-}  // namespace
 
 CompileOptions DefaultCompileOptions(BackendKind kind) {
   CompileOptions opts;

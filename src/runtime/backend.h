@@ -53,9 +53,10 @@ enum class BackendKind : std::uint8_t { kResCCL, kMscclLike, kNcclLike };
 // The CompileOptions each backend personality uses by default.
 [[nodiscard]] CompileOptions DefaultCompileOptions(BackendKind kind);
 
+// Every Execute simulates under the default-constructed CostModel
+// (sim/cost_model.h): the calibration is the library's, not the request's.
 struct RunRequest {
   LaunchConfig launch;
-  CostModel cost;
   bool verify = false;       // run the data engine afterwards
   int verify_elems = 2;      // elements per chunk in the data engine
   // Execute-time fabric perturbation (sim/faults.h). Empty = clean run.

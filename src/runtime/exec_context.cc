@@ -13,16 +13,9 @@ namespace resccl {
 
 namespace {
 
-// Cache keys are raw byte snapshots: both structs are flat value types, so
-// bytewise equality is exact equality (padding is copied consistently).
+// The cache key is a raw byte snapshot: LaunchConfig is a flat value type,
+// so bytewise equality is exact equality (padding is copied consistently).
 static_assert(std::is_trivially_copyable_v<LaunchConfig>);
-static_assert(std::is_trivially_copyable_v<CostModel>);
-
-template <typename T, std::size_t N>
-void SnapshotBytes(const T& value, std::array<std::byte, N>& out) {
-  static_assert(sizeof(T) == N);
-  std::memcpy(out.data(), &value, sizeof(T));
-}
 
 // Appends `job` to a co-run's `merged` program, rebasing its indices so jobs
 // interact only through the network; invocation_of keeps indexing its plan.
@@ -95,29 +88,25 @@ const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
 
     // Resolve kAuto BEFORE snapshotting the cache key, so auto and explicit
     // requests resolving to one protocol share an entry and autos resolving
-    // differently never alias. Resolution is pure in (topo, cost, launch,
-    // nchunks), all covered by the key (topo via plan identity).
+    // differently never alias. Resolution is pure in (topo, launch, nchunks),
+    // all covered by the key (topo via plan identity).
     LaunchConfig launch = jobs[j].launch;
-    launch.protocol = ResolveProtocol(topo, request.cost, launch,
-                                      prepared->plan.algo.nchunks);
+    launch.protocol =
+        ResolveProtocol(topo, cost_, launch, prepared->plan.algo.nchunks);
     report_.jobs[j].protocol = launch.protocol;
 
-    // --- Lowered-program cache: (plan identity, launch bytes, cost bytes).
-    // The slot still holds its previous plan, which was alive when
-    // `prepared` was allocated, so a new plan cannot reuse its address.
+    // --- Lowered-program cache: (plan identity, launch bytes). The slot
+    // still holds its previous plan, which was alive when `prepared` was
+    // allocated, so a new plan cannot reuse its address.
     LaunchKey launch_key;
-    CostKey cost_key;
-    SnapshotBytes(launch, launch_key);
-    SnapshotBytes(request.cost, cost_key);
-    if (!slot.valid || slot.plan != prepared || launch_key != slot.launch_key ||
-        cost_key != slot.cost_key) {
+    std::memcpy(launch_key.data(), &launch, sizeof(launch));
+    if (!slot.valid || slot.plan != prepared || launch_key != slot.launch_key) {
       slot.valid = false;
       Unshare(slot.lowered);
-      LowerInto(prepared->plan, request.cost, launch, *slot.lowered,
+      LowerInto(prepared->plan, cost_, launch, *slot.lowered,
                 topo.spec().channels_per_peer);
       slot.plan = prepared;
       slot.launch_key = launch_key;
-      slot.cost_key = cost_key;
       slot.valid = true;
       merged_jobs_ = 0;
       clean_jobs_ = 0;
@@ -140,9 +129,7 @@ const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
   const std::shared_ptr<LoweredProgram>& lowered =
       njobs > 1 ? merged_ : first.lowered;
 
-  // --- Machine reuse: rebuilt only on topology change. It references cost_
-  // by address, so refresh the value first for a reused machine.
-  cost_ = request.cost;
+  // --- Machine reuse: rebuilt only on topology change. ---
   if (!machine_ || machine_topo_ != &topo) {
     machine_.reset();  // drop any reference to a previous topology first
     machine_.emplace(topo, cost_);

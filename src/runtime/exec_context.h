@@ -8,9 +8,9 @@
 // alike for any N; N = 1, the common case, runs the plan's own program.
 // State a steady-state driver would otherwise rebuild per call is hoisted:
 //
-//   lowered programs  one slot per job, cached per (plan, launch bytes, cost
-//                     bytes); re-lowered in place (LowerInto) on key change,
-//                     or into a fresh program while a report copy holds it.
+//   lowered programs  one slot per job, cached per (plan, launch bytes);
+//                     re-lowered in place (LowerInto) on key change, or into
+//                     a fresh program while a report copy holds it.
 //   merged program    N > 1: the slots' programs, index-rebased and joined;
 //                     rebuilt only when a slot re-lowers or N changes.
 //   SimMachine        reused, Reset rather than rebuilt, until the topology
@@ -73,7 +73,6 @@ class ExecContext {
 
  private:
   using LaunchKey = std::array<std::byte, sizeof(LaunchConfig)>;
-  using CostKey = std::array<std::byte, sizeof(CostModel)>;
 
   // One job's lowering cache. `plan` is retained so pointer identity stays
   // trustworthy and the machine's topology reference never dangles;
@@ -83,7 +82,6 @@ class ExecContext {
     std::shared_ptr<LoweredProgram> lowered =
         std::make_shared<LoweredProgram>();
     LaunchKey launch_key{};
-    CostKey cost_key{};
     bool valid = false;
   };
   std::vector<Slot> slots_;
@@ -91,9 +89,8 @@ class ExecContext {
       std::make_shared<LoweredProgram>();
   std::size_t merged_jobs_ = 0;  // job count merged_ was built from; 0: stale
 
-  // The machine holds `const CostModel&`: it references this member (stable
-  // address, value refreshed each call), not the caller's RunRequest.
-  CostModel cost_;
+  // The library's calibration; the machine holds a reference to it.
+  const CostModel cost_;
   std::optional<SimMachine> machine_;
   const Topology* machine_topo_ = nullptr;
 

@@ -27,16 +27,11 @@ Protocol ResolveProtocol(const Topology& topo, const CostModel& cost,
   if (launch.protocol != Protocol::kAuto) return launch.protocol;
   const TopologySpec& spec = topo.spec();
 
-  // Widest one-hop handshake a contribution must cross, and the per-rank
-  // bottleneck bandwidth — the same boundary logic the lower bound uses.
-  SimTime alpha = spec.intra_latency;
-  Bandwidth bw = spec.gpu_fabric;
-  if (topo.nodes() > 1) {
-    alpha = spec.inter_latency;
-    bw = std::min(spec.pcie, spec.nic);
-  }
-  if (topo.racks() > 1) alpha += spec.cross_rack_extra;
-  if (topo.pods() > 1) alpha += spec.cross_pod_extra;
+  // Widest one-hop handshake a contribution must cross (the same α the
+  // lower bound uses), and the per-rank bottleneck bandwidth.
+  const SimTime alpha = topo.WidestHopLatency();
+  const Bandwidth bw =
+      topo.nodes() > 1 ? std::min(spec.pcie, spec.nic) : spec.gpu_fabric;
 
   const int steps = nchunks > 0 ? nchunks : topo.nranks();
   const int nmb = launch.MicroBatches(steps);
@@ -163,7 +158,6 @@ void LowerInto(const CompiledCollective& compiled, const CostModel& cost,
   out.program.tbs.resize(compiled.tbs.tbs.size());
   const auto reset_tb = [&](SimTb& sim_tb, const TbPlan::Tb& tb) {
     sim_tb.rank = tb.rank;
-    sim_tb.warps = compiled.options.warps_per_tb;
     sim_tb.injection_scale =
         (compiled.options.engine == RuntimeEngine::kInterpreter
              ? 1.0 - cost.interp_throughput_tax

@@ -11,8 +11,8 @@
 namespace resccl {
 
 CoRunReport RunConcurrently(const std::vector<JobSpec>& jobs,
-                            const Topology& topo, const CostModel& cost,
-                            PlanCache* cache, int sim_jobs) {
+                            const Topology& topo, PlanCache* cache,
+                            int sim_jobs) {
   if (jobs.empty()) throw std::invalid_argument("need at least one job");
 
   PlanCache local;
@@ -38,7 +38,6 @@ CoRunReport RunConcurrently(const std::vector<JobSpec>& jobs,
   }
 
   RunRequest request;
-  request.cost = cost;
   request.verify = true;
   ExecContext ctx;
   report.merged = ctx.Execute(plans, request);
@@ -52,7 +51,6 @@ CoRunReport RunConcurrently(const std::vector<JobSpec>& jobs,
                 outcome.verified = report.merged.jobs[j].verified;
                 RunRequest alone_request;
                 alone_request.launch = plans[j].launch;
-                alone_request.cost = cost;
                 ExecContext alone;
                 outcome.isolated =
                     alone.Execute(plans[j].plan, alone_request).elapsed;

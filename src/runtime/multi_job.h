@@ -59,7 +59,6 @@ struct CoRunReport {
 // as Executes of their own.
 [[nodiscard]] CoRunReport RunConcurrently(const std::vector<JobSpec>& jobs,
                                           const Topology& topo,
-                                          const CostModel& cost = {},
                                           PlanCache* cache = nullptr,
                                           int sim_jobs = 0);
 

@@ -8,18 +8,10 @@
 
 #include "analysis/analyzer.h"
 #include "common/check.h"
+#include "common/clock.h"
 #include "core/plan_io.h"
 
 namespace resccl {
-
-namespace {
-
-double ElapsedUs(std::chrono::steady_clock::time_point start) {
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(end - start).count();
-}
-
-}  // namespace
 
 PlanCache::PlanCache() : PlanCache(Config()) {}
 

@@ -17,8 +17,6 @@ namespace resccl {
 
 namespace {
 
-bool IsPowerOfTwo(int n) { return n > 0 && (n & (n - 1)) == 0; }
-
 struct PreparedCandidate {
   PreparedPlan plan;
   double prepare_us = 0;        // this-sweep prepare cost
@@ -91,7 +89,7 @@ SelectionResult SelectAtSize(const std::vector<PreparedCandidate>& prepared,
       LaunchConfig launch = request.launch;
       launch.protocol = protos[k];
       const BoundReport bound = ComputeLowerBound(
-          *c.plan->topo, request.cost, c.plan->plan.algo, launch);
+          *c.plan->topo, CostModel{}, c.plan->plan.algo, launch);
       result.scoreboard.push_back({c.plan->plan.algo.name, protos[k],
                                    report.algo_bw.gbps(), report.elapsed,
                                    report.prepare_us, report.plan_cache_hit,
@@ -136,7 +134,7 @@ std::vector<Algorithm> CandidateAlgorithms(CollectiveOp op,
       out.push_back(algorithms::HierarchicalMeshAllGather(topo));
       out.push_back(algorithms::MultiChannelRingAllGather(topo, channels));
       out.push_back(algorithms::OneShotAllGather(n));
-      if (IsPowerOfTwo(n)) {
+      if (algorithms::IsPowerOfTwo(n)) {
         out.push_back(algorithms::RecursiveDoublingAllGather(n));
       }
       if (composed) out.push_back(algorithms::ComposedAllGather(topo));
@@ -150,7 +148,7 @@ std::vector<Algorithm> CandidateAlgorithms(CollectiveOp op,
       out.push_back(algorithms::HierarchicalMeshAllReduce(topo));
       out.push_back(algorithms::MultiChannelRingAllReduce(topo, channels));
       out.push_back(algorithms::DoubleBinaryTreeAllReduce(n));
-      if (IsPowerOfTwo(n)) {
+      if (algorithms::IsPowerOfTwo(n)) {
         out.push_back(algorithms::RecursiveHalvingDoublingAllReduce(n));
       }
       if (composed) {

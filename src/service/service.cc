@@ -6,19 +6,10 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "obs/publish.h"
 
 namespace resccl::service {
-
-namespace {
-
-double SteadyNowUs() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 const char* PriorityName(Priority p) {
   switch (p) {
@@ -54,7 +45,7 @@ SchedulingService::SchedulingService(std::shared_ptr<const Topology> topo,
     (void)TenantIndexLocked(t.name);
     tenants_[tenant_index_.at(t.name)].weight = t.weight > 0 ? t.weight : 1.0;
   }
-  wall_epoch_us_ = SteadyNowUs();
+  wall_epoch_ = std::chrono::steady_clock::now();
 }
 
 SchedulingService::~SchedulingService() {
@@ -66,7 +57,7 @@ SchedulingService::~SchedulingService() {
 }
 
 double SchedulingService::WallNowUs() const {
-  return SteadyNowUs() - wall_epoch_us_;
+  return ElapsedUs(wall_epoch_);
 }
 
 std::size_t SchedulingService::TenantIndexLocked(const std::string& name) {

@@ -53,6 +53,7 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -269,7 +270,7 @@ class SchedulingService {
   int in_flight_ = 0;
   std::uint64_t next_id_ = 0;
   double virtual_now_us_ = 0;
-  double wall_epoch_us_ = 0;  // live mode: steady_clock at construction
+  std::chrono::steady_clock::time_point wall_epoch_;  // live mode: construction
   Stats stats_;
   std::vector<Response> completed_;
   std::vector<Lane> lanes_;  // max_in_flight of them, never resized

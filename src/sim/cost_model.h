@@ -58,6 +58,11 @@ struct ProtocolSpec {
   int channel_width = 4;        // per-peer channels the protocol drives
 };
 
+// Warps per thread block: the one TB width lowering produces, and the one
+// the calibration below assumes. No compile option narrows it; only a
+// hand-built SimProgram sets SimTb::warps otherwise (Fig. 4's 4-warp TBs).
+inline constexpr int kWarpsPerTb = 16;
+
 struct CostModel {
   // Per-warp copy throughput. Intra-node warps move data over the NVSwitch
   // fabric; inter-node warps stage into the proxy FIFO feeding the NIC.

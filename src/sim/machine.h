@@ -63,7 +63,7 @@ struct SimInstr {
 
 struct SimTb {
   Rank rank = kInvalidRank;
-  int warps = 16;
+  int warps = kWarpsPerTb;
   // Fraction of the TB's copy throughput available to data movement; an
   // interpreted runtime spends the rest on control flow (Fig. 3).
   double injection_scale = 1.0;

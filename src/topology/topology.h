@@ -190,6 +190,18 @@ class Topology {
   }
   [[nodiscard]] int pods() const { return pods_; }
 
+  // One-hop startup latency of the widest boundary the fabric has: the
+  // intra-node α on one node, else the inter-node α plus the cross-rack
+  // and then the cross-pod extra where those tiers exist. Protocol
+  // resolution and the lower bound's α term both read it.
+  [[nodiscard]] SimTime WidestHopLatency() const {
+    if (nodes() <= 1) return spec_.intra_latency;
+    SimTime alpha = spec_.inter_latency;
+    if (racks_ > 1) alpha += spec_.cross_rack_extra;
+    if (pods_ > 1) alpha += spec_.cross_pod_extra;
+    return alpha;
+  }
+
   // The peer with the same local index on the next node — the "ring-aligned"
   // peer used by hierarchical algorithms (Appendix A).
   [[nodiscard]] Rank RingAlignedNext(Rank r) const {

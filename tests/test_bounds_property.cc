@@ -51,7 +51,7 @@ TEST_P(BoundSoundness, CleanRunNeverBeatsLowerBound) {
 
   const CollectiveReport r = Execute(*prepared.value(), request);
   const BoundReport bound =
-      ComputeLowerBound(topo, request.cost, algo, request.launch);
+      ComputeLowerBound(topo, CostModel{}, algo, request.launch);
 
   // Structure: combined is the max of its parts, the binding cut leads the
   // sorted cut table, and some cut was evaluated on every multi-rank topo.
@@ -186,7 +186,7 @@ TEST(BoundProperties, SoundAcrossProtocolsAndTopologies) {
       request.launch.protocol = proto;
       const CollectiveReport r = Execute(*prepared.value(), request);
       const BoundReport bound =
-          ComputeLowerBound(topo, request.cost, algo, request.launch);
+          ComputeLowerBound(topo, CostModel{}, algo, request.launch);
       EXPECT_GE(r.elapsed.us(), bound.combined.us() * (1.0 - 1e-9))
           << topo_case.label << " " << ProtocolName(proto) << ": "
           << bound.Summary();
@@ -263,11 +263,11 @@ TEST(BoundProperties, SingleRankIsFree) {
 
 // ---- perf rules ----------------------------------------------------------
 
-PerfOptions SmallLaunch() {
-  PerfOptions opts;
-  opts.launch.buffer = Size::MiB(64);
-  opts.launch.chunk = Size::MiB(1);
-  return opts;
+LaunchConfig SmallLaunch() {
+  LaunchConfig launch;
+  launch.buffer = Size::MiB(64);
+  launch.chunk = Size::MiB(1);
+  return launch;
 }
 
 // Every perf finding is advisory, the static floor respects the bound, and
@@ -346,16 +346,16 @@ TEST(PerfRules, PipelineStarvedBelowFourMicrobatches) {
   const Result<PreparedPlan> prepared =
       Prepare(algo, topo, BackendKind::kResCCL);
   ASSERT_TRUE(prepared.ok());
-  PerfOptions opts = SmallLaunch();
+  LaunchConfig launch = SmallLaunch();
   const auto at = [&](int microbatches) {
-    opts.launch.buffer = opts.launch.chunk * algo.nchunks * microbatches;
-    EXPECT_EQ(opts.launch.MicroBatches(algo.nchunks), microbatches);
-    return AnalyzePlanPerf(prepared.value()->plan, topo, opts);
+    launch.buffer = launch.chunk * algo.nchunks * microbatches;
+    EXPECT_EQ(launch.MicroBatches(algo.nchunks), microbatches);
+    return AnalyzePlanPerf(prepared.value()->plan, topo, launch);
   };
   EXPECT_TRUE(Fires(at(3), rules::kPerfPipelineStarved));
   EXPECT_FALSE(Fires(at(4), rules::kPerfPipelineStarved));
   // At one micro-batch per byte-sized chunk, halving cannot help.
-  opts.launch.chunk = Size::Bytes(1);
+  launch.chunk = Size::Bytes(1);
   EXPECT_FALSE(Fires(at(3), rules::kPerfPipelineStarved));
 }
 

@@ -102,9 +102,6 @@ TEST(CompilerTest, InvalidOptionsRejected) {
   CompileOptions opts;
   opts.nstages = 0;
   EXPECT_FALSE(Compile(algo, topo, opts).ok());
-  opts = {};
-  opts.warps_per_tb = 0;
-  EXPECT_FALSE(Compile(algo, topo, opts).ok());
 }
 
 TEST(CompilerTest, SchedulerChoiceChangesSchedule) {

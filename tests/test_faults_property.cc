@@ -248,9 +248,7 @@ TEST(FaultMemoTest, ReusedContextMatchesFreshThroughEveryInvalidation) {
   small.launch.chunk = Size::KiB(128);
   RunRequest big = small;
   big.launch.buffer = Size::MiB(8);
-  RunRequest costly = big;
-  costly.cost.primitive_launch = SimTime::Us(2.0);
-  RunRequest ll = costly;
+  RunRequest ll = big;
   ll.launch.protocol = Protocol::kLL;
 
   std::vector<FaultPlan> faults;
@@ -281,7 +279,6 @@ TEST(FaultMemoTest, ReusedContextMatchesFreshThroughEveryInvalidation) {
       {"A, fault plan 1", one(a, small), faulted(small, 1), false},
       {"A, fault plan 2", one(a, small), faulted(small, 2), false},
       {"buffer change", one(a, big), faulted(big, 0), true},
-      {"cost change", one(a, costly), faulted(costly, 0), true},
       {"Simple to LL", one(a, ll), faulted(ll, 1), true},
       {"plan B", one(b, ll), faulted(ll, 1), true},
       {"clean B", one(b, ll), ll, false},

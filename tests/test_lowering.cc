@@ -130,14 +130,5 @@ TEST_F(LoweringTest, InterpreterChargesMoreOverhead) {
   EXPECT_GT(total_overhead(lp_int).us(), total_overhead(lp_gen).us());
 }
 
-TEST_F(LoweringTest, WarpsPropagate) {
-  const Algorithm algo = algorithms::RingAllReduce(8);
-  CompileOptions opts;
-  opts.warps_per_tb = 4;
-  const CompiledCollective cc = Compile(algo, topo_, opts).value();
-  const LoweredProgram lp = Lower(cc, cost_, launch_);
-  for (const SimTb& tb : lp.program.tbs) EXPECT_EQ(tb.warps, 4);
-}
-
 }  // namespace
 }  // namespace resccl

@@ -94,7 +94,7 @@ TEST(MultiJobTest, JobsShareAPlanCache) {
   };
 
   PlanCache cache;
-  const CoRunReport first = RunConcurrently(jobs, topo, {}, &cache);
+  const CoRunReport first = RunConcurrently(jobs, topo, &cache);
   ASSERT_EQ(first.jobs.size(), 2u);
   // Identical (algorithm, options): the second job reuses the first's plan.
   EXPECT_FALSE(first.jobs[0].plan_cache_hit);
@@ -105,7 +105,7 @@ TEST(MultiJobTest, JobsShareAPlanCache) {
   for (const JobOutcome& job : first.jobs) EXPECT_TRUE(job.verified);
 
   // Re-running the experiment compiles nothing and reproduces the makespan.
-  const CoRunReport second = RunConcurrently(jobs, topo, {}, &cache);
+  const CoRunReport second = RunConcurrently(jobs, topo, &cache);
   EXPECT_TRUE(second.jobs[0].plan_cache_hit);
   EXPECT_TRUE(second.jobs[1].plan_cache_hit);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -161,8 +161,8 @@ TEST(MultiJobTest, MixedHitAndMissCoRunRuns) {
   const JobSpec ag = MakeJob("ag", algorithms::HierarchicalMeshAllGather(topo),
                              BackendKind::kResCCL, Size::MiB(32));
   PlanCache cache;
-  (void)RunConcurrently({ar}, topo, {}, &cache);
-  const CoRunReport report = RunConcurrently({ar, ag}, topo, {}, &cache);
+  (void)RunConcurrently({ar}, topo, &cache);
+  const CoRunReport report = RunConcurrently({ar, ag}, topo, &cache);
   ASSERT_EQ(report.jobs.size(), 2u);
   EXPECT_TRUE(report.jobs[0].plan_cache_hit);
   EXPECT_FALSE(report.jobs[1].plan_cache_hit);
@@ -178,7 +178,7 @@ TEST(MultiJobTest, OneJobCoRunMatchesExecute) {
       MakeJob("solo", algorithms::HierarchicalMeshAllReduce(topo),
               BackendKind::kResCCL, Size::MiB(32));
   PlanCache cache;
-  const CoRunReport co = RunConcurrently({spec}, topo, {}, &cache);
+  const CoRunReport co = RunConcurrently({spec}, topo, &cache);
   Result<PlanCache::Lookup> got =
       cache.GetOrPrepare(spec.algorithm, std::make_shared<const Topology>(topo),
                          spec.options, spec.name);
@@ -254,7 +254,7 @@ TEST(MultiJobTest, ObservedCoRunExplainsItsMakespan) {
 
   ASSERT_EQ(report.jobs.size(), 2u);
   EXPECT_EQ(report.jobs[0].protocol,
-            ResolveProtocol(topo, request.cost, jobs[0].launch,
+            ResolveProtocol(topo, CostModel{}, jobs[0].launch,
                             jobs[0].plan->plan.algo.nchunks));
   EXPECT_NE(report.jobs[0].protocol, Protocol::kAuto);
   EXPECT_TRUE(report.protocol_auto);  // job 0's request

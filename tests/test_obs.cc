@@ -205,7 +205,7 @@ TEST(MetricsPublishTest, CoRunPublishesDocumentedSamples) {
   reg.Reset();
   reg.Enable(true);
   // Serial baselines, so the run.last_* gauges come from the last job's.
-  const CoRunReport report = RunConcurrently(jobs, topo, {}, &cache, 1);
+  const CoRunReport report = RunConcurrently(jobs, topo, &cache, 1);
   reg.Enable(false);
 
   const std::string json = reg.ToJson();

@@ -164,8 +164,8 @@ TEST(ParallelSweepTest, RunConcurrentlyBitIdenticalAcrossSimJobs) {
     jobs.push_back(std::move(spec));
   }
 
-  const CoRunReport serial = RunConcurrently(jobs, topo, {}, nullptr, 1);
-  const CoRunReport parallel = RunConcurrently(jobs, topo, {}, nullptr, 8);
+  const CoRunReport serial = RunConcurrently(jobs, topo, nullptr, 1);
+  const CoRunReport parallel = RunConcurrently(jobs, topo, nullptr, 8);
   ASSERT_EQ(serial.jobs.size(), parallel.jobs.size());
   EXPECT_EQ(serial.merged.elapsed, parallel.merged.elapsed);
   for (std::size_t j = 0; j < serial.jobs.size(); ++j) {

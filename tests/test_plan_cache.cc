@@ -181,11 +181,6 @@ TEST(FingerprintTest, EveryInputFieldChangesTheKey) {
     m.engine = RuntimeEngine::kInterpreter;
     add(FingerprintOf(algo, spec, m));
   }
-  {
-    CompileOptions m = options;
-    m.warps_per_tb = 8;
-    add(FingerprintOf(algo, spec, m));
-  }
 }
 
 // --- Prepare / Execute -----------------------------------------------------
@@ -345,13 +340,14 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   config.capacity = 2;
   PlanCache cache(config);
 
-  // Three distinct keys from the same algorithm via differing options.
+  // Three distinct keys from the same algorithm via differing options:
+  // nstages is fingerprinted, and task-level execution ignores it.
   CompileOptions a = DefaultCompileOptions(BackendKind::kResCCL);
-  a.warps_per_tb = 16;
+  a.nstages = 1;
   CompileOptions b = a;
-  b.warps_per_tb = 17;
+  b.nstages = 2;
   CompileOptions c = a;
-  c.warps_per_tb = 18;
+  c.nstages = 3;
 
   ASSERT_FALSE(cache.GetOrPrepare(algo, topo, a).value().hit);
   ASSERT_FALSE(cache.GetOrPrepare(algo, topo, b).value().hit);
@@ -372,12 +368,12 @@ TEST(PlanCacheTest, DefaultCapacityBoundsTheWholeCache) {
   const CompileOptions options = DefaultCompileOptions(BackendKind::kResCCL);
   const PreparedPlan plan = Prepare(algo, topo, options).value();
 
-  // 65 real fingerprints (distinct warps_per_tb) over one shared artifact:
-  // the bound under test is the entry count, not the compile.
+  // 65 real fingerprints (distinct nstages) over one shared artifact: the
+  // bound under test is the entry count, not the compile.
   std::vector<Fingerprint> keys;
-  for (int warps = 1; warps <= 65; ++warps) {
+  for (int nstages = 1; nstages <= 65; ++nstages) {
     CompileOptions varied = options;
-    varied.warps_per_tb = warps;
+    varied.nstages = nstages;
     keys.push_back(FingerprintOf(algo, topo->spec(), varied));
   }
 

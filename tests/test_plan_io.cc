@@ -37,7 +37,6 @@ TEST(PlanIoTest, RoundTripPreservesEverything) {
   EXPECT_EQ(back.algo.transfers, plan.algo.transfers);
   EXPECT_EQ(back.options.scheduler, plan.options.scheduler);
   EXPECT_EQ(back.options.mode, plan.options.mode);
-  EXPECT_EQ(back.options.warps_per_tb, plan.options.warps_per_tb);
   EXPECT_EQ(back.schedule.sub_pipelines, plan.schedule.sub_pipelines);
   EXPECT_EQ(back.stage_of_task, plan.stage_of_task);
   EXPECT_EQ(back.preds, plan.preds);
@@ -97,6 +96,25 @@ TEST(PlanIoTest, RejectsCorruption) {
   ASSERT_NE(tp, std::string::npos);
   bad2.replace(tp, 3, "\nt x");
   EXPECT_FALSE(LoadPlanFromString(bad2).ok());
+}
+
+// The options record's sixth column is the TB width, which lowering fixes
+// at 16 warps: a file asking for any other width is refused, not run at 16.
+TEST(PlanIoTest, RejectsWarpsColumnOtherThanSixteen) {
+  const Topology topo(presets::A100(1, 8));
+  const std::string good = SavePlanToString(CompileHm(topo));
+  const std::size_t record = good.find("\noptions ");
+  ASSERT_NE(record, std::string::npos);
+  const std::size_t end = good.find('\n', record + 1);
+  const std::size_t warps = good.rfind(' ', end) + 1;
+  ASSERT_EQ(good.substr(warps, end - warps), "16");
+  for (const char* width : {"8", "17", "0"}) {
+    std::string bad = good;
+    bad.replace(warps, end - warps, width);
+    const Result<CompiledCollective> r = LoadPlanFromString(bad);
+    ASSERT_FALSE(r.ok()) << width;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << width;
+  }
 }
 
 TEST(PlanIoTest, RootedPlanPreservesRoot) {

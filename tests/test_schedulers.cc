@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <ostream>
 #include <sstream>
 
@@ -67,11 +66,12 @@ std::vector<SchedulerCase> Cases() {
 // Scheduler kinds the parameterized tests build: 0 HPDS, 1 RR, 2 StepOrder.
 constexpr int kSchedulerKinds = 3;
 
-std::unique_ptr<Scheduler> MakeScheduler(int kind) {
+Schedule BuildSchedule(int kind, const DependencyGraph& dag,
+                       const ConnectionTable& conns) {
   switch (kind) {
-    case 0: return std::make_unique<HpdsScheduler>();
-    case 1: return std::make_unique<RoundRobinScheduler>();
-    default: return std::make_unique<StepOrderScheduler>();
+    case 0: return HpdsScheduler().Build(dag, conns);
+    case 1: return RoundRobinScheduler().Build(dag, conns);
+    default: return StepOrderScheduler().Build(dag, conns);
   }
 }
 
@@ -94,7 +94,7 @@ TEST_P(SchedulerInvariantTest, ScheduleIsValid) {
 
   ConnectionTable conns(topo);
   DependencyGraph dag(algo, conns);
-  const Schedule schedule = MakeScheduler(sched_kind)->Build(dag, conns);
+  const Schedule schedule = BuildSchedule(sched_kind, dag, conns);
   const Status valid = ValidateSchedule(schedule, dag, conns);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
   EXPECT_EQ(schedule.ntasks(), dag.ntasks());
@@ -428,7 +428,7 @@ TEST_P(ValidateDifferentialTest, AgreesWithPairwiseReference) {
   const Algorithm algo = c.make(topo);
   ConnectionTable conns(topo);
   DependencyGraph dag(algo, conns);
-  const Schedule schedule = MakeScheduler(sched_kind)->Build(dag, conns);
+  const Schedule schedule = BuildSchedule(sched_kind, dag, conns);
   ASSERT_TRUE(ValidateSchedule(schedule, dag, conns).ok());
   ASSERT_GE(schedule.nwaves(), 2);  // Corrupt needs two waves
 
@@ -470,7 +470,7 @@ TEST(ValidateDifferential, EveryClassIsExercised) {
     DependencyGraph dag(algo, conns);
     Rng rng(static_cast<std::uint64_t>(c.nodes * 131 + c.gpus));
     for (int kind = 0; kind < kSchedulerKinds; ++kind) {
-      const Schedule schedule = MakeScheduler(kind)->Build(dag, conns);
+      const Schedule schedule = BuildSchedule(kind, dag, conns);
       ASSERT_GE(schedule.nwaves(), 2);
       for (int k = 0; k < 4; ++k) {
         const std::string cls =

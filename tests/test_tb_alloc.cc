@@ -127,24 +127,25 @@ TEST(TbAllocTest, RefsSortedByGlobalOrder) {
 
 TEST(TbAllocTest, PhaseSeparatedStreamsMerge) {
   // Synthetic: chunk 0 moves 0->1 early; much later (after a long chain on
-  // chunk 1), 2->0 fires. The (0->1) and (0<-2) endpoints on rank 0 are
-  // never active simultaneously and merge under state-based allocation.
+  // chunk 1), 15->0 fires. The timeline models kTimelineWindow
+  // micro-batches, so the chain is longer than the window: the (0->1) and
+  // (0<-15) endpoints on rank 0 are never active simultaneously and merge
+  // under state-based allocation.
+  constexpr int kRanks = 16;
+  static_assert(kRanks - 2 > kTimelineWindow);
   Algorithm a;
   a.name = "phases";
   a.collective = CollectiveOp::kAllGather;
-  a.nranks = 8;
-  a.nchunks = 8;
+  a.nranks = kRanks;
+  a.nchunks = kRanks;
   a.transfers = {{0, 1, 0, 0, TransferOp::kRecv}};
-  // Long chain on chunk 1 keeping the timeline busy: 1->2->3->...->7.
-  for (int i = 1; i < 7; ++i) {
-    a.transfers.push_back(
-        {i, i + 1, i - 1, 1, TransferOp::kRecv});
+  // Long chain on chunk 1 keeping the timeline busy: 1->2->3->...->15->0.
+  for (int i = 1; i < kRanks; ++i) {
+    a.transfers.push_back({i, (i + 1) % kRanks, i - 1, 1, TransferOp::kRecv});
   }
-  a.transfers.push_back({7, 0, 6, 1, TransferOp::kRecv});
-  Compiled c(presets::A100(1, 8), a);
+  Compiled c(presets::A100(2, 8), a);
   TbAllocParams params;
   params.policy = TbAllocPolicy::kStateBased;
-  params.window_microbatches = 1;  // no pipelining: windows stay narrow
   const TbPlan state = AllocateTbs(c.dag, c.schedule, c.conns, params, {});
   params.policy = TbAllocPolicy::kConnectionBased;
   const TbPlan conn = AllocateTbs(c.dag, c.schedule, c.conns, params, {});

@@ -199,6 +199,12 @@ TopologySpec MakeSpec(const Args& args) {
   const std::string topo = args.Get("topo", "a100");
   const int nodes = PositiveInt(args, "nodes", 2);
   const int gpus = PositiveInt(args, "gpus", 8);
+  // A collective needs a peer; every subcommand takes its fabric from here.
+  if (nodes == 1 && gpus == 1) {
+    std::fprintf(stderr, "a collective needs at least 2 ranks; "
+                         "--nodes 1 --gpus 1 gives 1\n");
+    std::exit(2);
+  }
   if (topo == "a100") return Buildable(presets::A100(nodes, gpus));
   if (topo == "v100") return Buildable(presets::V100(nodes, gpus));
   if (topo == "h100") return Buildable(presets::H100(nodes, gpus));
@@ -278,6 +284,12 @@ Algorithm LoadAlgorithm(const Args& args, const Topology& topo) {
   if (it == Registry().end()) {
     std::fprintf(stderr, "unknown --algo '%s'; try `resccl list`\n",
                  name.c_str());
+    std::exit(2);
+  }
+  if ((name == "rhd_allreduce" || name == "rd_allgather") &&
+      !algorithms::IsPowerOfTwo(topo.nranks())) {
+    std::fprintf(stderr, "--algo %s needs a power-of-two rank count, got %d\n",
+                 name.c_str(), topo.nranks());
     std::exit(2);
   }
   return it->second(topo);
@@ -457,7 +469,7 @@ int CmdBound(const Args& args) {
                  topo.nranks());
     return 2;
   }
-  const BoundReport report = ComputeLowerBound(topo, request.cost, input);
+  const BoundReport report = ComputeLowerBound(topo, CostModel{}, input);
   obs::PublishBoundReport(obs::MetricsRegistry::Global(), report);
   if (args.Has("json")) {
     std::printf("%s\n", BoundReportToJson(report).c_str());
@@ -508,12 +520,7 @@ int CmdLint(const Args& args) {
   std::optional<Topology> topo;
   if (with_topo) topo.emplace(MakeSpec(args));
   const bool json = args.Has("json");
-  PerfOptions perf_opts;
-  if (perf) {
-    const RunRequest request = MakeRequest(args);
-    perf_opts.launch = request.launch;
-    perf_opts.cost = request.cost;
-  }
+  const LaunchConfig launch = perf ? MakeRequest(args).launch : LaunchConfig{};
 
   int failures = 0;
   std::string json_files;
@@ -544,7 +551,7 @@ int CmdLint(const Args& args) {
     bool file_failed = !report.clean();
     std::optional<PerfReport> perf_report;
     if (perf) {
-      perf_report = AnalyzePlanPerf(plan.value(), *topo, perf_opts);
+      perf_report = AnalyzePlanPerf(plan.value(), *topo, launch);
       obs::PublishPerfReport(obs::MetricsRegistry::Global(), *perf_report);
       if (strict_perf && !perf_report->diagnostics.empty()) file_failed = true;
     }
@@ -730,8 +737,16 @@ int CmdServe(const Args& args) {
   service::WorkloadSpec wl;
   wl.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
   wl.requests = PositiveInt(args, "requests", 200);
-  wl.mean_interarrival_us =
-      std::atof(args.Get("mean-us", "200").c_str());
+  const std::string mean_us = args.Get("mean-us", "200");
+  char* end = nullptr;
+  wl.mean_interarrival_us = std::strtod(mean_us.c_str(), &end);
+  if (end == mean_us.c_str() || *end != '\0' ||
+      !std::isfinite(wl.mean_interarrival_us) ||
+      wl.mean_interarrival_us <= 0) {
+    std::fprintf(stderr, "--mean-us must be a positive number, got '%s'\n",
+                 mean_us.c_str());
+    return 2;
+  }
   wl.distinct_shapes = PositiveInt(args, "shapes", 4);
   wl.tenants = config.tenants;
 
