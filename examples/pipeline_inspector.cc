@@ -1,18 +1,14 @@
-// Pipeline inspector: compile an algorithm and dump every debugging
-// artifact the toolchain produces — the dependency DAG as Graphviz DOT
-// (colored by sub-pipeline), a Chrome/Perfetto execution trace of the
-// simulated run, and the auto-selector's scoreboard for the same
+// Pipeline inspector: compile an algorithm and dump the debugging
+// artifacts the toolchain produces — a Chrome/Perfetto execution trace of
+// the simulated run, and the auto-selector's scoreboard for the same
 // collective.
 //
 //   $ ./build/examples/pipeline_inspector
-//   $ dot -Tsvg ring_dag.dot > ring_dag.svg
 //   # open ring_trace.json in https://ui.perfetto.dev
 #include <cstdio>
 #include <fstream>
 
 #include "algorithms/ring.h"
-#include "core/dot.h"
-#include "core/hpds.h"
 #include "runtime/selector.h"
 #include "runtime/trace.h"
 
@@ -21,18 +17,6 @@ int main() {
 
   const Topology topo(presets::A100(2, 4));
   const Algorithm algo = algorithms::RingAllGather(topo.nranks());
-
-  // DAG + schedule → DOT.
-  ConnectionTable conns(topo);
-  DependencyGraph dag(algo, conns);
-  HpdsScheduler hpds;
-  const Schedule schedule = hpds.Build(dag, conns);
-  {
-    std::ofstream out("ring_dag.dot");
-    out << ExportDot(dag, &schedule);
-  }
-  std::printf("wrote ring_dag.dot (%d tasks, %d data edges, %d sub-pipelines)\n",
-              dag.ntasks(), dag.total_edges(), schedule.nwaves());
 
   // Simulated run → Chrome trace.
   const CompiledCollective compiled =

@@ -1,11 +1,12 @@
 // Static plan verification: prove a compiled plan safe before Execute.
 //
 // The only correctness signals used to be dynamic — SimMachine throws on
-// deadlock mid-run, and data verification needs a full engine replay. With
-// the plan cache and on-disk plan_io, a corrupted or hand-edited plan can
-// reach Execute without ever having been simulated. AnalyzePlan() closes
-// that gap with a purely static pass over CompiledCollective +
-// LoweredProgram (no simulation, no data movement):
+// deadlock mid-run, and data verification needs a full engine replay. A
+// cached plan can reach Execute without ever having been simulated, and a
+// saved .plan file (core/plan_io.h) may be corrupted or hand-edited before
+// `resccl lint` reads it. AnalyzePlan() closes that gap with a purely
+// static pass over CompiledCollective + LoweredProgram (no simulation, no
+// data movement):
 //
 //   structure      indices in range, waves cover every task exactly once,
 //                  TB refs consistent with the algorithm and stage map —

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstddef>
+#include <string>
 
 namespace resccl {
 
@@ -42,16 +43,6 @@ class Hasher {
 };
 
 }  // namespace
-
-std::string Fingerprint::ToHex() const {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(32, '0');
-  for (int i = 0; i < 16; ++i) {
-    out[static_cast<std::size_t>(15 - i)] = kDigits[(hi >> (4 * i)) & 0xF];
-    out[static_cast<std::size_t>(31 - i)] = kDigits[(lo >> (4 * i)) & 0xF];
-  }
-  return out;
-}
 
 Fingerprint FingerprintOf(const Algorithm& algo, const TopologySpec& topo,
                           const CompileOptions& options) {

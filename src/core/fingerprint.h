@@ -3,9 +3,8 @@
 // A plan is fully determined by (Algorithm IR, TopologySpec, CompileOptions):
 // the compiler is deterministic, so two identical input triples always yield
 // the same artifact. FingerprintOf hashes every field of that triple into a
-// 128-bit key that is stable across processes and platforms — the PlanCache
-// uses it as the cache key and as the on-disk artifact file name, so a plan
-// compiled by yesterday's job is found by today's.
+// 128-bit key that is stable across processes and platforms; the PlanCache
+// uses it as the cache key.
 //
 // The hash is two independent FNV-1a 64-bit lanes over a canonical byte
 // serialization (fixed-width little-endian fields, length-prefixed strings).
@@ -13,8 +12,8 @@
 // corrupted artifacts, not adversaries.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "core/algorithm.h"
 #include "core/compiler.h"
@@ -27,9 +26,6 @@ struct Fingerprint {
   std::uint64_t lo = 0;
 
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
-
-  // 32 lowercase hex characters (hi then lo); used as the artifact file stem.
-  [[nodiscard]] std::string ToHex() const;
 };
 
 // Hash functor for unordered containers keyed by Fingerprint.

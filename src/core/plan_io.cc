@@ -5,7 +5,6 @@
 #include <sstream>
 #include <string>
 
-#include "analysis/analyzer.h"
 #include "sim/cost_model.h"
 
 namespace resccl {
@@ -325,24 +324,6 @@ Result<CompiledCollective> LoadPlan(std::istream& in) {
 Result<CompiledCollective> LoadPlanFromString(const std::string& text) {
   std::istringstream is(text);
   return LoadPlan(is);
-}
-
-Result<CompiledCollective> LoadVerifiedPlan(std::istream& in,
-                                            const Topology* topo) {
-  Result<CompiledCollective> plan = LoadPlan(in);
-  if (!plan.ok()) return plan.status();
-  const AnalysisReport verdict = AnalyzePlan(plan.value(), topo);
-  if (!verdict.clean()) {
-    return Status::FailedPrecondition("plan failed static verification: " +
-                                      verdict.Summary());
-  }
-  return plan;
-}
-
-Result<CompiledCollective> LoadVerifiedPlanFromString(const std::string& text,
-                                                      const Topology* topo) {
-  std::istringstream is(text);
-  return LoadVerifiedPlan(is, topo);
 }
 
 }  // namespace resccl

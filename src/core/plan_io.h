@@ -1,13 +1,14 @@
 // Compiled-plan serialization.
 //
-// The ResCCL workflow is offline: the compiler runs once per (algorithm,
-// topology) and the runtime replays the artifact for the whole training job
-// (§5.3 measures exactly this one-time cost). SavePlan/LoadPlan give that
-// artifact a durable form — a versioned, line-oriented text format carrying
-// the algorithm IR, compile options, schedule, stage map, dependency lists,
-// and the TB plan. LoadPlan validates structure and cross-references so a
-// corrupted or hand-edited plan fails loudly instead of deadlocking the
-// runtime.
+// SavePlan/LoadPlan give a compiled plan a durable, inspectable form — a
+// versioned, line-oriented text format carrying the algorithm IR, compile
+// options, schedule, stage map, dependency lists, and the TB plan. It is the
+// artifact of the offline tool chain: `resccl compile` writes it and
+// `resccl lint` reads it back through LoadPlan and the static verifier
+// (analysis/analyzer.h). The runtime does not replay it: the in-memory
+// PlanCache recompiles instead, which is cheaper than loading and
+// re-verifying the file (docs/plan_cache.md). LoadPlan validates structure
+// and cross-references so a corrupted or hand-edited plan fails loudly.
 #pragma once
 
 #include <iosfwd>
@@ -18,25 +19,11 @@
 
 namespace resccl {
 
-class Topology;
-
 void SavePlan(const CompiledCollective& plan, std::ostream& out);
 [[nodiscard]] std::string SavePlanToString(const CompiledCollective& plan);
 
 [[nodiscard]] Result<CompiledCollective> LoadPlan(std::istream& in);
 [[nodiscard]] Result<CompiledCollective> LoadPlanFromString(
     const std::string& text);
-
-// LoadPlan plus the static plan verifier (analysis/analyzer.h): the restored
-// plan is re-proved deadlock-free, hazard-safe, and structurally executable
-// before it is handed back. LoadPlan's parser catches malformed files; this
-// additionally rejects well-formed files describing unsafe plans (a
-// hand-edited dependency list, a swapped rendezvous side, ...) with
-// FailedPrecondition carrying the first diagnostic. Passing `topo` also
-// enables the TB-merge legality rule.
-[[nodiscard]] Result<CompiledCollective> LoadVerifiedPlan(
-    std::istream& in, const Topology* topo = nullptr);
-[[nodiscard]] Result<CompiledCollective> LoadVerifiedPlanFromString(
-    const std::string& text, const Topology* topo = nullptr);
 
 }  // namespace resccl

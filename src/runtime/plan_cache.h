@@ -18,13 +18,10 @@
 // scheduling service (src/service) admit thousands of identical requests
 // at the cost of one compile.
 //
-// Persistence: with `persist_dir` set, every compiled plan is also written
-// through SavePlan as "<fingerprint-hex>.plan", and a miss first tries
-// LoadPlan from that file — so a restarted process (or another process
-// sharing the directory) skips compilation entirely. A truncated, corrupted,
-// or mismatched file is rejected by LoadPlan's validation, a fingerprint
-// re-check, and the static plan verifier (analysis/analyzer.h), and the plan
-// is recompiled and rewritten; such rejections show up in Stats.disk_rejects.
+// The cache lives in memory only. Prepare is the one producer of a
+// PreparedCollective: reloading a saved .plan (core/plan_io.h) costs more
+// than compiling it again, so .plan files are compile/lint artifacts, not
+// something the runtime replays (docs/plan_cache.md).
 #pragma once
 
 #include <condition_variable>
@@ -33,7 +30,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 
@@ -44,27 +40,20 @@ namespace resccl {
 
 class PlanCache {
  public:
-  struct Config {
-    std::size_t capacity = 64;  // live entries before LRU eviction
-    std::string persist_dir;    // non-empty: write-through/read via plan_io
-  };
+  static constexpr std::size_t kCapacity = 64;  // live entries before LRU
 
   struct Stats {
-    std::uint64_t hits = 0;       // served from memory
-    std::uint64_t disk_hits = 0;  // restored from persist_dir, no compile
-    std::uint64_t misses = 0;     // full Prepare performed
+    std::uint64_t hits = 0;    // served from memory
+    std::uint64_t misses = 0;  // full Prepare performed
     // Lookups that joined a concurrent in-flight Prepare of the same key
     // instead of compiling (the single-flight path).
     std::uint64_t coalesced = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;  // LRU entries dropped at capacity
-    // Persisted plans that parsed and fingerprint-matched but failed the
-    // static verifier (analysis/analyzer.h) — recompiled and overwritten.
-    std::uint64_t disk_rejects = 0;
   };
 
   // Outcome of one GetOrPrepare call. `hit` is true whenever this call did
-  // no compilation (memory, disk, or a coalesced wait on another thread's
+  // no compilation (a memory hit or a coalesced wait on another thread's
   // compile; Stats tells those apart). `prepare_us` is the wall-clock this
   // call spent obtaining the plan — lookup-only (≈0) on a memory hit, the
   // leader's remaining compile time on a coalesced wait.
@@ -74,28 +63,19 @@ class PlanCache {
     double prepare_us = 0;
   };
 
-  PlanCache();  // default Config
-  explicit PlanCache(Config config);
-
+  PlanCache() = default;
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
   // Returns the cached artifact for (algo, topo, options), or prepares one,
-  // caches it (memory, plus disk when persistence is on), and returns it.
-  // Propagates compile errors for malformed algorithms.
+  // caches it, and returns it. Propagates compile errors for malformed
+  // algorithms.
   [[nodiscard]] Result<Lookup> GetOrPrepare(
       const Algorithm& algo, std::shared_ptr<const Topology> topo,
       const CompileOptions& options, std::string_view backend_name = "custom");
 
-  // Direct probes (no disk access, no compile) for tests and tools.
-  [[nodiscard]] PreparedPlan Get(const Fingerprint& key);
-  void Put(const Fingerprint& key, PreparedPlan plan);
-
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t size() const;  // live entries
-  void Clear();                            // drops entries, keeps counters
-
-  [[nodiscard]] const Config& config() const { return config_; }
 
  private:
   struct Entry {
@@ -112,14 +92,10 @@ class PlanCache {
     PreparedPlan plan;  // null on compile failure
     Status error;
   };
-  [[nodiscard]] std::string DiskPath(const Fingerprint& key) const;
-  // Best-effort restore of `key` from persist_dir; nullptr on any failure.
-  [[nodiscard]] PreparedPlan TryLoadFromDisk(
-      const Fingerprint& key, std::shared_ptr<const Topology> topo,
-      std::string_view backend_name);
-  void Persist(const Fingerprint& key, const PreparedCollective& prepared);
+  // Inserts a freshly prepared `key` (single-flight guarantees it is absent)
+  // and evicts least recently used entries beyond kCapacity.
+  void Put(const Fingerprint& key, PreparedPlan plan);
 
-  Config config_;
   mutable std::mutex mu_;
   std::list<Fingerprint> lru_;  // front = most recently used
   std::unordered_map<Fingerprint, Entry, FingerprintHash> map_;

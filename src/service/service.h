@@ -131,8 +131,8 @@ struct Response {
   double queue_wait_us = 0;
   std::int64_t bytes = 0;  // launch buffer bytes (the fairness currency)
   // Valid when outcome == kServed. report.plan_cache_hit is true when the
-  // plan came without a fresh compile (memory/disk hit or a coalesced wait
-  // on a concurrent compile of the same fingerprint).
+  // plan came without a fresh compile (a cache hit or a coalesced wait on
+  // a concurrent compile of the same fingerprint).
   CollectiveReport report;
   std::string error;  // set when outcome == kFailed
 };

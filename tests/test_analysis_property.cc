@@ -419,11 +419,9 @@ TEST(AnalyzerReportTest, SummaryLeadsWithFirstError) {
   EXPECT_NE(report.Summary().find("[structure]"), std::string::npos);
 }
 
-// Strict-mode Prepare turns analyzer findings into FailedPrecondition.
-// Corrupting a compiled artifact is not possible through Prepare's own
-// interface, so this exercises the loader path instead: a saved plan with an
-// edited dependency list must be rejected by LoadVerifiedPlan (see
-// test_plan_io.cc for the fuzz version).
+// Only a strict-mode Prepare runs the analyzer, so only it records
+// CompileStats::verify_us. Rejection of an unsafe plan is covered on the
+// `resccl lint` path (LoadPlan + AnalyzePlan) in test_plan_io.cc.
 TEST(AnalyzerReportTest, VerifyTimeIsRecordedOnlyInStrictMode) {
   const Topology topo(presets::A100(1, 2));
   const Algorithm algo = algorithms::RingAllGather(2);

@@ -8,8 +8,6 @@
 
 #include "algorithms/hierarchical.h"
 #include "algorithms/ring.h"
-#include "core/dot.h"
-#include "core/hpds.h"
 #include "obs/critical_path.h"
 #include "runtime/exec_context.h"
 #include "runtime/multi_job.h"
@@ -311,29 +309,6 @@ TEST(MultiJobTest, RejectsEmptyAndBadJobs) {
                                               Size::MiB(16))},
                                      topo),
                std::invalid_argument);
-}
-
-TEST(DotExportTest, RendersClustersEdgesAndWaves) {
-  const Topology topo(presets::A100(1, 4));
-  const Algorithm algo = algorithms::RingAllGather(4);
-  ConnectionTable conns(topo);
-  DependencyGraph dag(algo, conns);
-  HpdsScheduler hpds;
-  const Schedule schedule = hpds.Build(dag, conns);
-
-  const std::string plain = ExportDot(dag);
-  EXPECT_NE(plain.find("digraph resccl_dag"), std::string::npos);
-  EXPECT_NE(plain.find("cluster_chunk0"), std::string::npos);
-  EXPECT_NE(plain.find("->"), std::string::npos);
-  EXPECT_EQ(plain.find("tooltip"), std::string::npos);
-
-  const std::string colored = ExportDot(dag, &schedule);
-  EXPECT_NE(colored.find("sub-pipeline"), std::string::npos);
-  // Every task appears as a node in both.
-  for (int t = 0; t < dag.ntasks(); ++t) {
-    EXPECT_NE(colored.find("t" + std::to_string(t) + " [label"),
-              std::string::npos);
-  }
 }
 
 }  // namespace

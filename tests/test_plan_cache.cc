@@ -1,10 +1,8 @@
 // Prepare/Execute split and compiled-plan cache: fingerprint stability,
-// prepared-vs-fresh equivalence, LRU eviction, concurrency, persistence.
+// prepared-vs-fresh equivalence, LRU eviction, concurrency.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -31,14 +29,6 @@ RunRequest SmallRequest(bool verify = false) {
   return request;
 }
 
-std::string FreshTempDir(const char* tag) {
-  const std::filesystem::path dir =
-      std::filesystem::path(testing::TempDir()) / tag;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
-
 // --- Fingerprint -----------------------------------------------------------
 
 TEST(FingerprintTest, DeterministicAcrossCalls) {
@@ -49,16 +39,6 @@ TEST(FingerprintTest, DeterministicAcrossCalls) {
   const Fingerprint b = FingerprintOf(algo, topo.spec(), options);
   EXPECT_EQ(a, b);
   EXPECT_NE(a.hi | a.lo, 0u);
-}
-
-TEST(FingerprintTest, ToHexIs32LowercaseChars) {
-  const Topology topo(presets::A100(2, 4));
-  const std::string hex =
-      FingerprintOf(HmAllReduce(topo), topo.spec(), {}).ToHex();
-  ASSERT_EQ(hex.size(), 32u);
-  for (char c : hex) {
-    EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << hex;
-  }
 }
 
 TEST(FingerprintTest, EveryInputFieldChangesTheKey) {
@@ -255,8 +235,9 @@ TEST(PrepareExecuteTest, RestoredArtifactExecutesIdentically) {
   const PreparedPlan plan =
       Prepare(HmAllReduce(topo), topo, BackendKind::kResCCL).value();
 
-  // Round-trip the compiled plan through the serializer and wrap the
-  // restored copy as a PreparedCollective, as the disk cache does.
+  // Round-trip the compiled plan through the .plan format that `resccl
+  // compile` writes and wrap the restored copy as a PreparedCollective: the
+  // format carries everything Execute needs.
   const Result<CompiledCollective> loaded =
       LoadPlanFromString(SavePlanToString(plan->plan));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -294,7 +275,6 @@ TEST(PlanCacheTest, SecondLookupIsAHit) {
   const PlanCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.disk_hits, 0u);
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_EQ(cache.size(), 1u);
@@ -332,160 +312,45 @@ TEST(PlanCacheTest, PropagatesCompileErrors) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
-  const auto topo = std::make_shared<const Topology>(presets::A100(2, 4));
-  const Algorithm algo = HmAllReduce(*topo);
-
-  PlanCache::Config config;
-  config.capacity = 2;
-  PlanCache cache(config);
-
-  // Three distinct keys from the same algorithm via differing options:
-  // nstages is fingerprinted, and task-level execution ignores it.
-  CompileOptions a = DefaultCompileOptions(BackendKind::kResCCL);
-  a.nstages = 1;
-  CompileOptions b = a;
-  b.nstages = 2;
-  CompileOptions c = a;
-  c.nstages = 3;
-
-  ASSERT_FALSE(cache.GetOrPrepare(algo, topo, a).value().hit);
-  ASSERT_FALSE(cache.GetOrPrepare(algo, topo, b).value().hit);
-  // Touch A so B becomes the least recently used, then insert C.
-  ASSERT_TRUE(cache.GetOrPrepare(algo, topo, a).value().hit);
-  ASSERT_FALSE(cache.GetOrPrepare(algo, topo, c).value().hit);
-
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_NE(cache.Get(FingerprintOf(algo, topo->spec(), a)), nullptr);
-  EXPECT_EQ(cache.Get(FingerprintOf(algo, topo->spec(), b)), nullptr);
-  EXPECT_NE(cache.Get(FingerprintOf(algo, topo->spec(), c)), nullptr);
-}
-
 TEST(PlanCacheTest, DefaultCapacityBoundsTheWholeCache) {
   const auto topo = std::make_shared<const Topology>(presets::A100(2, 4));
   const Algorithm algo = HmAllReduce(*topo);
-  const CompileOptions options = DefaultCompileOptions(BackendKind::kResCCL);
-  const PreparedPlan plan = Prepare(algo, topo, options).value();
 
-  // 65 real fingerprints (distinct nstages) over one shared artifact: the
-  // bound under test is the entry count, not the compile.
-  std::vector<Fingerprint> keys;
+  // 65 distinct keys from one algorithm: nstages is fingerprinted, and
+  // task-level execution ignores it.
+  std::vector<CompileOptions> options;
   for (int nstages = 1; nstages <= 65; ++nstages) {
-    CompileOptions varied = options;
+    CompileOptions varied = DefaultCompileOptions(BackendKind::kResCCL);
     varied.nstages = nstages;
-    keys.push_back(FingerprintOf(algo, topo->spec(), varied));
+    options.push_back(varied);
   }
-
   PlanCache cache;
-  ASSERT_EQ(cache.config().capacity, 64u);
-  for (std::size_t i = 0; i < 64; ++i) cache.Put(keys[i], plan);
+  const auto hit = [&](std::size_t i) {
+    const Result<PlanCache::Lookup> r =
+        cache.GetOrPrepare(algo, topo, options[i]);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() && r.value().hit;
+  };
+
+  ASSERT_EQ(PlanCache::kCapacity, 64u);
+  for (std::size_t i = 0; i < 64; ++i) ASSERT_FALSE(hit(i)) << "key " << i;
   EXPECT_EQ(cache.size(), 64u);
   EXPECT_EQ(cache.stats().evictions, 0u);
 
-  // Touch the oldest so the second-oldest is least recently used.
-  ASSERT_NE(cache.Get(keys[0]), nullptr);
-  cache.Put(keys[64], plan);
+  // Touch the oldest so the second-oldest is least recently used; the 65th
+  // insert then evicts exactly that one.
+  ASSERT_TRUE(hit(0));
+  ASSERT_FALSE(hit(64));
   EXPECT_EQ(cache.size(), 64u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.Get(keys[1]), nullptr);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
+  for (std::size_t i = 0; i < options.size(); ++i) {
     if (i != 1) {
-      EXPECT_NE(cache.Get(keys[i]), nullptr) << "key " << i;
+      EXPECT_TRUE(hit(i)) << "key " << i;
     }
   }
-}
-
-TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
-  const auto topo = std::make_shared<const Topology>(presets::A100(2, 4));
-  const Algorithm algo = HmAllReduce(*topo);
-  PlanCache cache;
-  ASSERT_TRUE(cache.GetOrPrepare(algo, topo, {}).ok());
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  // Next lookup recompiles.
-  EXPECT_FALSE(cache.GetOrPrepare(algo, topo, {}).value().hit);
-}
-
-TEST(PlanCacheTest, PersistsAndRestoresAcrossInstances) {
-  const std::string dir = FreshTempDir("resccl_plan_cache_persist");
-  const auto topo = std::make_shared<const Topology>(presets::A100(2, 4));
-  const Algorithm algo = HmAllReduce(*topo);
-  const CompileOptions options = DefaultCompileOptions(BackendKind::kResCCL);
-  const RunRequest request = SmallRequest(/*verify=*/true);
-
-  PlanCache::Config config;
-  config.persist_dir = dir;
-
-  CollectiveReport compiled_report;
-  {
-    PlanCache cache(config);
-    const PlanCache::Lookup cold =
-        cache.GetOrPrepare(algo, topo, options).value();
-    EXPECT_FALSE(cold.hit);
-    compiled_report = Execute(*cold.plan, request);
-  }
-  const std::string path =
-      (std::filesystem::path(dir) /
-       (FingerprintOf(algo, topo->spec(), options).ToHex() + ".plan"))
-          .string();
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  // A new cache (fresh process, same directory) restores without compiling.
-  PlanCache cache2(config);
-  const PlanCache::Lookup restored =
-      cache2.GetOrPrepare(algo, topo, options).value();
-  EXPECT_TRUE(restored.hit);
-  EXPECT_EQ(cache2.stats().disk_hits, 1u);
-  EXPECT_EQ(cache2.stats().misses, 0u);
-
-  const CollectiveReport replay = Execute(*restored.plan, request);
-  EXPECT_EQ(replay.elapsed, compiled_report.elapsed);
-  EXPECT_TRUE(replay.verified);
-}
-
-TEST(PlanCacheTest, CorruptedDiskFileIsRecompiledNotCrashed) {
-  const std::string dir = FreshTempDir("resccl_plan_cache_corrupt");
-  const auto topo = std::make_shared<const Topology>(presets::A100(2, 4));
-  const Algorithm algo = HmAllReduce(*topo);
-  const CompileOptions options = DefaultCompileOptions(BackendKind::kResCCL);
-
-  PlanCache::Config config;
-  config.persist_dir = dir;
-  const std::string path =
-      (std::filesystem::path(dir) /
-       (FingerprintOf(algo, topo->spec(), options).ToHex() + ".plan"))
-          .string();
-
-  // Write the real artifact, then truncate it.
-  {
-    PlanCache cache(config);
-    ASSERT_TRUE(cache.GetOrPrepare(algo, topo, options).ok());
-  }
-  {
-    std::ifstream in(path);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    ASSERT_GT(text.size(), 10u);
-    std::ofstream out(path, std::ios::trunc);
-    out << text.substr(0, text.size() / 2);
-  }
-
-  PlanCache cache2(config);
-  const Result<PlanCache::Lookup> r = cache2.GetOrPrepare(algo, topo, options);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FALSE(r.value().hit);  // rejected and recompiled
-  EXPECT_EQ(cache2.stats().disk_hits, 0u);
-  EXPECT_EQ(cache2.stats().misses, 1u);
-
-  // Garbage content (valid header-less text) is likewise rejected.
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "not a plan at all\n";
-  }
-  PlanCache cache3(config);
-  EXPECT_FALSE(cache3.GetOrPrepare(algo, topo, options).value().hit);
+  EXPECT_EQ(cache.stats().evictions, 1u);  // hits evict nothing
+  EXPECT_FALSE(hit(1));
+  EXPECT_EQ(cache.stats().misses, 66u);
 }
 
 // --- Communicator integration ---------------------------------------------

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "algo_cases.h"
 #include "algorithms/hierarchical.h"
 #include "analysis/analyzer.h"
 #include "core/plan_io.h"
@@ -63,13 +64,29 @@ TEST(PlanIoTest, LoadedPlanExecutesIdentically) {
   EXPECT_EQ(ta, tb);
 }
 
+// Every library algorithm on every shared fabric under the three backends'
+// options — task-, stage- and algorithm-level plans alike — survives
+// save → load → save byte for byte, and the loaded plan still passes the
+// static verifier, as `resccl lint` requires of a saved artifact.
 TEST(PlanIoTest, SecondRoundTripIsIdentityOnText) {
-  const Topology topo(presets::A100(1, 8));
-  const CompiledCollective plan = CompileHm(topo);
-  const std::string once = SavePlanToString(plan);
-  const std::string twice =
-      SavePlanToString(LoadPlanFromString(once).value());
-  EXPECT_EQ(once, twice);
+  for (const tests::TopoCase& tc : tests::TopoCases()) {
+    const Topology topo(tc.make());
+    for (const tests::AlgoCase& ac : tests::AlgorithmCases()) {
+      const Algorithm algo = ac.make(topo);
+      for (const BackendKind kind :
+           {BackendKind::kResCCL, BackendKind::kMscclLike,
+            BackendKind::kNcclLike}) {
+        SCOPED_TRACE(tc.label + "/" + ac.label + "/" + BackendName(kind));
+        const std::string once = SavePlanToString(
+            Compile(algo, topo, DefaultCompileOptions(kind)).value());
+        const Result<CompiledCollective> loaded = LoadPlanFromString(once);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_EQ(once, SavePlanToString(loaded.value()));
+        const AnalysisReport report = AnalyzePlan(loaded.value(), &topo);
+        EXPECT_TRUE(report.clean()) << report.Summary();
+      }
+    }
+  }
 }
 
 TEST(PlanIoTest, RejectsCorruption) {
@@ -147,11 +164,15 @@ TEST(PlanIoTest, ErrorsCarryLineNumbers) {
   EXPECT_NE(r.status().message().find("line 2"), std::string::npos);
 }
 
-TEST(PlanIoTest, LoadVerifiedPlanAcceptsCleanRejectsUnsafe) {
+// The two halves of `resccl lint`: LoadPlan checks the file's form, the
+// static verifier its safety.
+TEST(PlanIoTest, AnalyzerAcceptsLoadedCleanRejectsUnsafe) {
   const Topology topo(presets::A100(2, 4));
   const CompiledCollective plan = CompileHm(topo);
-  const std::string good = SavePlanToString(plan);
-  ASSERT_TRUE(LoadVerifiedPlanFromString(good, &topo).ok());
+  const Result<CompiledCollective> good =
+      LoadPlanFromString(SavePlanToString(plan));
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_TRUE(AnalyzePlan(good.value(), &topo).clean());
 
   // Strip one dependency edge: still a well-formed file — LoadPlan accepts
   // it — but the verifier sees the now-unordered hazard pair.
@@ -162,14 +183,12 @@ TEST(PlanIoTest, LoadVerifiedPlanAcceptsCleanRejectsUnsafe) {
       break;
     }
   }
-  const std::string edited = SavePlanToString(unsafe);
-  ASSERT_TRUE(LoadPlanFromString(edited).ok());
-  const Result<CompiledCollective> rejected =
-      LoadVerifiedPlanFromString(edited, &topo);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(rejected.status().message().find("static verification"),
-            std::string::npos);
+  const Result<CompiledCollective> edited =
+      LoadPlanFromString(SavePlanToString(unsafe));
+  ASSERT_TRUE(edited.ok()) << edited.status().ToString();
+  const AnalysisReport rejected = AnalyzePlan(edited.value(), &topo);
+  EXPECT_FALSE(rejected.clean());
+  EXPECT_NE(rejected.Summary().find("error(s)"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

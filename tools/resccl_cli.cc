@@ -40,6 +40,7 @@
 //       timelines), and <stem>.trace.json (Chrome trace enriched with
 //       counter tracks and rendezvous flow arrows).
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -136,6 +137,17 @@ const std::map<std::string, AlgoFactory>& Registry() {
   return kRegistry;
 }
 
+// Parses all of `text` as a T; nullopt when it is empty, has anything
+// after the number, or does not fit in T.
+template <typename T>
+std::optional<T> ParseNumber(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 struct Args {
   std::map<std::string, std::string> options;
   std::vector<std::string> positional;
@@ -145,9 +157,17 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  // Exits 2 unless the option is absent or a whole integer that fits int.
   [[nodiscard]] int GetInt(const std::string& key, int fallback) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atoi(it->second.c_str());
+    if (it == options.end()) return fallback;
+    const std::optional<int> value = ParseNumber<int>(it->second);
+    if (!value) {
+      std::fprintf(stderr, "--%s must be a 32-bit integer, got '%s'\n",
+                   key.c_str(), it->second.c_str());
+      std::exit(2);
+    }
+    return *value;
   }
   [[nodiscard]] bool Has(const std::string& key) const {
     return options.count(key) != 0;
@@ -251,15 +271,25 @@ FaultPlan MakeFaults(const Args& args, const Topology& topo) {
                  spec.c_str());
     std::exit(2);
   }
-  const auto seed = static_cast<std::uint64_t>(
-      std::strtoull(spec.substr(0, colon).c_str(), nullptr, 10));
-  const double intensity = std::atof(spec.substr(colon + 1).c_str());
-  if (intensity < 0.0 || intensity > 1.0) {
-    std::fprintf(stderr, "--faults intensity must be in [0,1], got %g\n",
-                 intensity);
+  const std::string seed_text = spec.substr(0, colon);
+  const std::string intensity_text = spec.substr(colon + 1);
+  const std::optional<std::uint64_t> seed =
+      ParseNumber<std::uint64_t>(seed_text);
+  if (!seed) {
+    std::fprintf(stderr,
+                 "--faults seed must be a non-negative integer, got '%s'\n",
+                 seed_text.c_str());
     std::exit(2);
   }
-  return FaultPlan::Make(seed, intensity, topo);
+  const std::optional<double> intensity = ParseNumber<double>(intensity_text);
+  // Written so that NaN fails it too.
+  if (!intensity || !(*intensity >= 0.0 && *intensity <= 1.0)) {
+    std::fprintf(stderr, "--faults intensity must be a number in [0,1], "
+                         "got '%s'\n",
+                 intensity_text.c_str());
+    std::exit(2);
+  }
+  return FaultPlan::Make(*seed, *intensity, topo);
 }
 
 Algorithm LoadAlgorithm(const Args& args, const Topology& topo) {
@@ -738,15 +768,13 @@ int CmdServe(const Args& args) {
   wl.seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
   wl.requests = PositiveInt(args, "requests", 200);
   const std::string mean_us = args.Get("mean-us", "200");
-  char* end = nullptr;
-  wl.mean_interarrival_us = std::strtod(mean_us.c_str(), &end);
-  if (end == mean_us.c_str() || *end != '\0' ||
-      !std::isfinite(wl.mean_interarrival_us) ||
-      wl.mean_interarrival_us <= 0) {
+  const std::optional<double> mean = ParseNumber<double>(mean_us);
+  if (!mean || !std::isfinite(*mean) || *mean <= 0) {
     std::fprintf(stderr, "--mean-us must be a positive number, got '%s'\n",
                  mean_us.c_str());
     return 2;
   }
+  wl.mean_interarrival_us = *mean;
   wl.distinct_shapes = PositiveInt(args, "shapes", 4);
   wl.tenants = config.tenants;
 
