@@ -1093,7 +1093,6 @@ RobustnessRow RobustnessCase(const char* label, MakeAlgorithm make,
   // Clean run compiles the plan (cache miss) and sets the baseline.
   const CollectiveReport clean = comm.Run(algo, request);
   check(clean.verified, "clean run must verify");
-  check(!clean.plan_cache_hit, "clean run must compile (cache miss)");
 
   result.cells = {label, BackendName(kind), Fixed(clean.elapsed.ms(), 3)};
   double last_stall_ms = 0;
@@ -1102,8 +1101,6 @@ RobustnessRow RobustnessCase(const char* label, MakeAlgorithm make,
     faulted.faults = FaultPlan::Make(kSeed, intensity, comm.topology());
     const CollectiveReport r = comm.Run(algo, faulted);
     check(r.verified, "faulted run must verify (faults never touch data)");
-    check(r.plan_cache_hit,
-          "faulted run must replay the cached plan (no recompile)");
     check(r.fault.faulted, "fault impact must be reported");
     check(r.fault.slowdown_vs_clean >= 1.0 - 1e-9,
           "faults must not speed a schedule up");

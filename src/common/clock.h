@@ -1,5 +1,5 @@
 // Host wall-clock, never simulated time: the one helper behind every
-// per-phase timing the library reports (CompileStats, prepare_us,
+// per-phase timing the library reports (CompileStats, Lookup::prepare_us,
 // analysis_us, the service's live-mode clock).
 #pragma once
 

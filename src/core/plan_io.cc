@@ -1,6 +1,7 @@
 #include "core/plan_io.h"
 
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -13,26 +14,6 @@ namespace {
 
 constexpr const char* kMagic = "resccl-plan";
 constexpr int kVersion = 1;
-
-const char* CollectiveTag(CollectiveOp op) {
-  switch (op) {
-    case CollectiveOp::kAllGather: return "allgather";
-    case CollectiveOp::kReduceScatter: return "reducescatter";
-    case CollectiveOp::kAllReduce: return "allreduce";
-    case CollectiveOp::kBroadcast: return "broadcast";
-    case CollectiveOp::kReduce: return "reduce";
-  }
-  return "?";
-}
-
-Result<CollectiveOp> ParseCollective(const std::string& tag) {
-  if (tag == "allgather") return CollectiveOp::kAllGather;
-  if (tag == "reducescatter") return CollectiveOp::kReduceScatter;
-  if (tag == "allreduce") return CollectiveOp::kAllReduce;
-  if (tag == "broadcast") return CollectiveOp::kBroadcast;
-  if (tag == "reduce") return CollectiveOp::kReduce;
-  return Status::InvalidArgument("unknown collective tag '" + tag + "'");
-}
 
 // Line-scoped reader with positional diagnostics.
 class Reader {
@@ -73,7 +54,7 @@ class Reader {
 void SavePlan(const CompiledCollective& plan, std::ostream& out) {
   out << kMagic << " v" << kVersion << "\n";
   out << "algorithm " << plan.algo.name << " "
-      << CollectiveTag(plan.algo.collective) << " " << plan.algo.nranks << " "
+      << CollectiveOpTag(plan.algo.collective) << " " << plan.algo.nranks << " "
       << plan.algo.nchunks << " " << plan.algo.root << " "
       << plan.algo.ntasks() << "\n";
   for (const Transfer& t : plan.algo.transfers) {
@@ -141,9 +122,12 @@ Result<CompiledCollective> LoadPlan(std::istream& in) {
         !reader.Read(plan.algo.root) || !reader.Read(ntasks) || ntasks < 1) {
       return reader.Error("bad algorithm header");
     }
-    Result<CollectiveOp> op = ParseCollective(collective);
-    if (!op.ok()) return op.status();
-    plan.algo.collective = op.value();
+    const std::optional<CollectiveOp> op = ParseCollectiveOpTag(collective);
+    if (!op) {
+      return Status::InvalidArgument("unknown collective tag '" + collective +
+                                     "'");
+    }
+    plan.algo.collective = *op;
   }
 
   plan.algo.transfers.reserve(static_cast<std::size_t>(ntasks));

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "common/types.h"
 #include "memory/data_buffer.h"
@@ -29,6 +31,30 @@ enum class CollectiveOp : std::uint8_t {
     case CollectiveOp::kReduce: return "Reduce";
   }
   return "?";
+}
+
+// The lowercase tag naming a collective in .plan files and on the command
+// line ("allgather", "reducescatter", "allreduce", "broadcast", "reduce").
+[[nodiscard]] constexpr const char* CollectiveOpTag(CollectiveOp op) {
+  switch (op) {
+    case CollectiveOp::kAllGather: return "allgather";
+    case CollectiveOp::kReduceScatter: return "reducescatter";
+    case CollectiveOp::kAllReduce: return "allreduce";
+    case CollectiveOp::kBroadcast: return "broadcast";
+    case CollectiveOp::kReduce: return "reduce";
+  }
+  return "?";
+}
+
+// The collective `tag` names under CollectiveOpTag; nullopt for any other
+// string.
+[[nodiscard]] constexpr std::optional<CollectiveOp> ParseCollectiveOpTag(
+    std::string_view tag) {
+  for (int i = 0; i <= static_cast<int>(CollectiveOp::kReduce); ++i) {
+    const auto op = static_cast<CollectiveOp>(i);
+    if (tag == CollectiveOpTag(op)) return op;
+  }
+  return std::nullopt;
 }
 
 // Deterministic payload for <rank, chunk, element>; small integers.

@@ -23,6 +23,16 @@ std::vector<double> BandwidthBoundsGbps() {
 
 }  // namespace
 
+void PublishCompileStats(MetricsRegistry& reg, const CompileStats& stats) {
+  if (!reg.enabled()) return;
+  reg.counter("compile.analysis_us").Add(stats.analysis_us);
+  reg.counter("compile.scheduling_us").Add(stats.scheduling_us);
+  reg.counter("compile.allocation_us").Add(stats.allocation_us);
+  reg.counter("compile.lowering_us").Add(stats.lowering_us);
+  reg.counter("compile.verify_us").Add(stats.verify_us);
+  reg.counter("compile.validate_us").Add(stats.validate_us);
+}
+
 void PublishCollectiveReport(MetricsRegistry& reg,
                              const CollectiveReport& report) {
   if (!reg.enabled()) return;
@@ -46,13 +56,6 @@ void PublishCollectiveReport(MetricsRegistry& reg,
   if (report.protocol_auto) {
     reg.counter("sim.protocol.auto_resolved").Increment();
   }
-
-  reg.counter("compile.analysis_us").Add(report.compile.analysis_us);
-  reg.counter("compile.scheduling_us").Add(report.compile.scheduling_us);
-  reg.counter("compile.allocation_us").Add(report.compile.allocation_us);
-  reg.counter("compile.lowering_us").Add(report.compile.lowering_us);
-  reg.counter("compile.verify_us").Add(report.compile.verify_us);
-  reg.counter("compile.validate_us").Add(report.compile.validate_us);
 
   reg.counter("sim.events").Add(static_cast<double>(report.sim.events));
   // Queue mechanics (sim/event_queue.h): pops counts every heap pop —
@@ -121,9 +124,6 @@ void PublishCoRun(MetricsRegistry& reg, const CoRunReport& report) {
   for (const JobOutcome& job : report.jobs) {
     reg.histogram("multi_job.slowdown", SlowdownBounds())
         .Observe(job.slowdown);
-    reg.counter(job.plan_cache_hit ? "plan_cache.hit_runs"
-                                   : "plan_cache.miss_runs")
-        .Increment();
   }
 }
 

@@ -25,14 +25,18 @@ void PublishBoundReport(MetricsRegistry& reg, const BoundReport& report);
 // findings per rule, the static floor, and the optimality histogram.
 void PublishPerfReport(MetricsRegistry& reg, const PerfReport& report);
 
+// One compile's phase times under compile.*_us. Prepare calls it once per
+// artifact it builds, so the counters sum compiles, not replays.
+void PublishCompileStats(MetricsRegistry& reg, const CompileStats& stats);
+
 // Folds one Execute's report into `reg`: run counters, makespan/algo-bw
-// histograms, compile-phase times, fluid re-rate counters, per-TB time
-// buckets, link utilization gauges, and fault impact (when faulted).
+// histograms, fluid re-rate counters, per-TB time buckets, link
+// utilization gauges, and fault impact (when faulted).
 void PublishCollectiveReport(MetricsRegistry& reg,
                              const CollectiveReport& report);
 
-// Folds one RunConcurrently outcome into `reg`: job counts, per-job co-run
-// slowdown histogram, and plan-cache hit counters.
+// Folds one RunConcurrently outcome into `reg`: job counts and the per-job
+// co-run slowdown histogram.
 void PublishCoRun(MetricsRegistry& reg, const CoRunReport& report);
 
 // Scheduling-service (src/service) telemetry under stable service.* names.

@@ -1,13 +1,10 @@
 #include "runtime/backend.h"
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
-#include <vector>
 
 #include "analysis/analyzer.h"
 #include "common/check.h"
-#include "common/clock.h"
+#include "obs/publish.h"
 #include "runtime/exec_context.h"
 
 namespace resccl {
@@ -43,7 +40,6 @@ Result<PreparedPlan> Prepare(const Algorithm& algo,
                              const CompileOptions& options,
                              std::string_view backend_name) {
   RESCCL_CHECK(topo != nullptr);
-  const auto t0 = std::chrono::steady_clock::now();
   Result<CompiledCollective> compiled = Compile(algo, *topo, options);
   if (!compiled.ok()) return compiled.status();
 
@@ -62,7 +58,8 @@ Result<PreparedPlan> Prepare(const Algorithm& algo,
   prepared->topo = std::move(topo);
   prepared->plan = std::move(compiled).value();
   prepared->backend = std::string(backend_name);
-  prepared->prepare_us = ElapsedUs(t0);
+  obs::PublishCompileStats(obs::MetricsRegistry::Global(),
+                           prepared->plan.stats);
   return PreparedPlan(std::move(prepared));
 }
 

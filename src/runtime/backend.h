@@ -141,10 +141,7 @@ struct CollectiveReport {
   SimRunReport sim;          // per-TB busy/sync/overhead + transfer times
   LinkUtilization links;
   std::vector<RailUtilization> rails;  // one row per rail that carried data
-  CompileStats compile;
-  FaultImpact fault;            // populated when RunRequest.faults non-empty
-  bool plan_cache_hit = false;  // plan served without compiling in this call
-  double prepare_us = 0;        // wall-clock spent preparing for this call
+  FaultImpact fault;         // populated when RunRequest.faults non-empty
   bool verified = false;     // only meaningful when RunRequest.verify
   std::string verify_error;
   std::vector<JobView> jobs;  // one per job, in call order
@@ -159,9 +156,8 @@ struct CollectiveReport {
 // nothing mutates it, so concurrent Execute calls need no synchronization.
 struct PreparedCollective {
   std::shared_ptr<const Topology> topo;
-  CompiledCollective plan;
-  std::string backend;    // label stamped into reports ("ResCCL", ...)
-  double prepare_us = 0;  // wall-clock of the Prepare that built this
+  CompiledCollective plan;  // plan.stats holds the compile's phase times
+  std::string backend;      // label stamped into reports ("ResCCL", ...)
 };
 
 using PreparedPlan = std::shared_ptr<const PreparedCollective>;
@@ -171,9 +167,11 @@ using PreparedPlan = std::shared_ptr<const PreparedCollective>;
 // errors. With options.strict_verify set, the static plan verifier
 // (analysis/analyzer.h) runs over the compiled plan before the artifact is
 // published — FailedPrecondition on any error-severity diagnostic, and the
-// verification wall-clock lands in CompileStats::verify_us. The overload
-// taking `const Topology&` copies the topology into the artifact; pass a
-// shared_ptr to share one topology across many plans.
+// verification wall-clock lands in CompileStats::verify_us. A successful
+// Prepare publishes its CompileStats once, under compile.*_us in the global
+// metrics registry (docs/observability.md); replays never add to them. The
+// overload taking `const Topology&` copies the topology into the artifact;
+// pass a shared_ptr to share one topology across many plans.
 [[nodiscard]] Result<PreparedPlan> Prepare(
     const Algorithm& algo, std::shared_ptr<const Topology> topo,
     const CompileOptions& options, std::string_view backend_name = "custom");
@@ -186,16 +184,15 @@ using PreparedPlan = std::shared_ptr<const PreparedCollective>;
 
 // Simulates (and optionally verifies) one request against a prepared
 // artifact. Const and thread-safe on `prepared`; never recompiles. The
-// report's `prepare_us` carries the artifact's original build cost and
-// `plan_cache_hit` stays false — callers that memoize plans (Communicator,
-// PlanCache users) overwrite both with this-call values. A non-empty
-// `request.faults` perturbs this run only (the artifact is untouched) and
-// fills `report.fault` with the faulted-vs-clean comparison. Throws
-// std::invalid_argument if `request.faults` names a resource the plan's
-// fabric lacks (a plan sampled for another topology), or if the launch has
-// a non-positive buffer or chunk. A convenience that builds a throwaway
-// ExecContext per call; repeated traffic should keep one (Communicator and
-// the scheduling service's lanes do).
+// report describes the run alone: whether a call compiled is PlanCache's
+// answer (Lookup, Stats), and what the compile cost is the plan's own
+// `plan.stats`. A non-empty `request.faults` perturbs this run only (the
+// artifact is untouched) and fills `report.fault` with the faulted-vs-clean
+// comparison. Throws std::invalid_argument if `request.faults` names a
+// resource the plan's fabric lacks (a plan sampled for another topology),
+// or if the launch has a non-positive buffer or chunk. A convenience that
+// builds a throwaway ExecContext per call; repeated traffic should keep one
+// (Communicator and the scheduling service's lanes do).
 [[nodiscard]] CollectiveReport Execute(const PreparedCollective& prepared,
                                        const RunRequest& request);
 

@@ -6,7 +6,6 @@
 #include "algorithms/hierarchical.h"
 #include "algorithms/ring.h"
 #include "algorithms/rooted.h"
-#include "obs/metrics.h"
 
 namespace resccl {
 
@@ -90,16 +89,7 @@ CollectiveReport Communicator::Run(const Algorithm& algo,
   if (!got.ok()) {
     throw std::invalid_argument(got.status().ToString());
   }
-  const PlanCache::Lookup& lookup = got.value();
-  CollectiveReport report = exec_.Execute(lookup.plan, request);
-  report.plan_cache_hit = lookup.hit;
-  report.prepare_us = lookup.prepare_us;
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  if (reg.enabled()) {
-    reg.counter(lookup.hit ? "plan_cache.hit_runs" : "plan_cache.miss_runs")
-        .Increment();
-  }
-  return report;
+  return exec_.Execute(got.value().plan, request);
 }
 
 }  // namespace resccl

@@ -11,8 +11,9 @@
 // compiled from ResCCLang source with lang::CompileSource.
 //
 // Every communicator owns (or shares) a PlanCache, so repeated collectives
-// compile once and replay the prepared artifact: the second AllReduce of
-// the same shape reports plan_cache_hit == true with prepare_us ≈ 0.
+// compile once and replay the prepared artifact: after a second AllReduce
+// of the same shape, plan_cache().stats() reads one miss and one hit. The
+// report describes the run; the cache describes the compile.
 #pragma once
 
 #include <memory>

@@ -15,8 +15,10 @@ VerifyResult VerifyLoweredExecution(const CompiledCollective& compiled,
                                     std::span<const TransferStats> transfers,
                                     int elems_per_chunk) {
   const int nmb = lowered.nmicrobatches;
+  const auto umb = static_cast<std::size_t>(nmb);
   const int nranks = compiled.algo.nranks;
-  RESCCL_CHECK(transfers.size() == lowered.invocation_of.size());
+  RESCCL_CHECK(transfers.size() == lowered.program.transfers.size());
+  RESCCL_CHECK(transfers.size() == compiled.algo.transfers.size() * umb);
 
   // One buffer set per micro-batch; they are independent data slices.
   std::vector<BufferSet> buffers;
@@ -37,10 +39,8 @@ VerifyResult VerifyLoweredExecution(const CompiledCollective& compiled,
   });
 
   for (std::size_t i : order) {
-    const auto [task, mb] = lowered.invocation_of[i];
-    const Transfer& t =
-        compiled.algo.transfers[static_cast<std::size_t>(task)];
-    BufferSet& set = buffers[static_cast<std::size_t>(mb)];
+    const Transfer& t = compiled.algo.transfers[i / umb];
+    BufferSet& set = buffers[i % umb];
     const auto src = set.rank(t.src).Chunk(t.chunk);
     const auto dst = set.rank(t.dst).Chunk(t.chunk);
     if (t.op == TransferOp::kRecvReduceCopy) {

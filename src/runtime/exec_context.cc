@@ -18,7 +18,7 @@ namespace {
 static_assert(std::is_trivially_copyable_v<LaunchConfig>);
 
 // Appends `job` to a co-run's `merged` program, rebasing its indices so jobs
-// interact only through the network; invocation_of keeps indexing its plan.
+// interact only through the network.
 void AppendJob(LoweredProgram& merged, const LoweredProgram& job) {
   SimProgram& out = merged.program;
   const int transfer_base = static_cast<int>(out.transfers.size());
@@ -37,9 +37,6 @@ void AppendJob(LoweredProgram& merged, const LoweredProgram& job) {
   out.barrier_parties.insert(out.barrier_parties.end(),
                              job.program.barrier_parties.begin(),
                              job.program.barrier_parties.end());
-  merged.invocation_of.insert(merged.invocation_of.end(),
-                              job.invocation_of.begin(),
-                              job.invocation_of.end());
 }
 
 // Copy-on-write: a program that a report copy still holds is left to it, and
@@ -120,7 +117,6 @@ const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
   if (njobs > 1 && merged_jobs_ != njobs) {
     Unshare(merged_);
     merged_->program = {};
-    merged_->invocation_of.clear();
     for (std::size_t j = 0; j < njobs; ++j) {
       AppendJob(*merged_, *slots_[j].lowered);
     }
@@ -227,9 +223,6 @@ const CollectiveReport& ExecContext::Execute(std::span<const ExecJob> jobs,
   report_.total_tbs = static_cast<int>(tb_end);
   report_.max_tbs_per_rank =
       *std::max_element(rank_tbs_.begin(), rank_tbs_.end());
-  report_.compile = pc.plan.stats;
-  report_.plan_cache_hit = false;
-  report_.prepare_us = pc.prepare_us;
 
   // Link utilization over resources that carried data, from the report's
   // always-recorded per-resource totals; NIC links also aggregate per rail.

@@ -116,7 +116,6 @@ void LowerInto(const CompiledCollective& compiled, const CostModel& cost,
   // decl's defaults carry meaning ("use the path α unscaled").
   out.program.transfers.resize(static_cast<std::size_t>(ntasks) *
                                static_cast<std::size_t>(nmb));
-  out.invocation_of.resize(out.program.transfers.size());
   for (int t = 0; t < ntasks; ++t) {
     const Transfer& tr = compiled.algo.transfers[static_cast<std::size_t>(t)];
     for (int m = 0; m < nmb; ++m) {
@@ -148,8 +147,6 @@ void LowerInto(const CompiledCollective& compiled, const CostModel& cost,
       for (int p : compiled.preds[static_cast<std::size_t>(t)]) {
         decl.deps.push_back(DeclIndex(p, m, nmb));
       }
-      out.invocation_of[static_cast<std::size_t>(DeclIndex(t, m, nmb))] = {t,
-                                                                           m};
     }
   }
 

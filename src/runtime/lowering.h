@@ -48,11 +48,12 @@ struct LaunchConfig {
   }
 };
 
+// Transfer declaration i is the invocation of task i / nmicrobatches on
+// micro-batch i % nmicrobatches (one declaration per (task, micro-batch),
+// task-major).
 struct LoweredProgram {
   SimProgram program;
   int nmicrobatches = 1;
-  // transfer declaration index -> (task, micro-batch).
-  std::vector<std::pair<int, int>> invocation_of;
 };
 
 // Resolves Protocol::kAuto against an analytic crossover model: each

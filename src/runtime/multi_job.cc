@@ -29,10 +29,7 @@ CoRunReport RunConcurrently(const std::vector<JobSpec>& jobs,
       throw std::invalid_argument("job '" + spec.name +
                                   "': " + got.status().ToString());
     }
-    JobOutcome& outcome = report.jobs[j];
-    outcome.name = spec.name;
-    outcome.plan_cache_hit = got.value().hit;
-    outcome.prepare_us = got.value().prepare_us;
+    report.jobs[j].name = spec.name;
     plans[j].plan = std::move(got).value().plan;
     plans[j].launch = spec.launch;
   }

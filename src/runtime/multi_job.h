@@ -10,7 +10,8 @@
 //
 // Jobs prepare through a PlanCache — the caller's, shared across calls, or
 // a call-local one — so co-scheduled jobs running the same (algorithm,
-// options) share one compiled artifact instead of compiling per job.
+// options) share one compiled artifact instead of compiling per job; the
+// cache's Stats count those compiles.
 #pragma once
 
 #include <string>
@@ -34,10 +35,6 @@ struct JobOutcome {
   SimTime isolated;      // completion time alone on the cluster
   double slowdown = 0;   // co_run / isolated
   bool verified = false;
-  // True when this job's plan needed no compile: it was already cached, or
-  // an earlier job in the same call compiled it.
-  bool plan_cache_hit = false;
-  double prepare_us = 0;  // wall-clock this job spent obtaining its plan
 };
 
 struct CoRunReport {

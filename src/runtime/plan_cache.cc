@@ -5,8 +5,26 @@
 
 #include "common/check.h"
 #include "common/clock.h"
+#include "obs/metrics.h"
 
 namespace resccl {
+
+namespace {
+
+// Closes one successful lookup: stamps its wall-clock and counts it under
+// plan_cache.{hit,miss}_runs, once per lookup whoever the caller is.
+PlanCache::Lookup Served(PreparedPlan plan, bool hit,
+                         std::chrono::steady_clock::time_point t0) {
+  PlanCache::Lookup lookup{std::move(plan), hit, ElapsedUs(t0)};
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  if (reg.enabled()) {
+    reg.counter(hit ? "plan_cache.hit_runs" : "plan_cache.miss_runs")
+        .Increment();
+  }
+  return lookup;
+}
+
+}  // namespace
 
 Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
     const Algorithm& algo, std::shared_ptr<const Topology> topo,
@@ -23,7 +41,7 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
     if (it != map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       ++counters_.hits;
-      return Lookup{it->second.plan, true, ElapsedUs(t0)};
+      return Served(it->second.plan, true, t0);
     }
     // Single-flight: the first thread missing a key leads the compile;
     // later threads join its flight and wait instead of compiling again.
@@ -43,7 +61,7 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
       std::lock_guard<std::mutex> cache_lock(mu_);
       ++counters_.coalesced;
     }
-    return Lookup{flight->plan, true, ElapsedUs(t0)};
+    return Served(flight->plan, true, t0);
   }
 
   // Leader path, outside the cache lock: a full Prepare. Whatever happens —
@@ -74,7 +92,7 @@ Result<PlanCache::Lookup> PlanCache::GetOrPrepare(
     }
     Put(key, prepared.value());
     resolve(prepared.value(), Status::Ok());
-    return Lookup{std::move(prepared).value(), false, ElapsedUs(t0)};
+    return Served(std::move(prepared).value(), false, t0);
   } catch (...) {
     resolve(nullptr, Status::Internal("Prepare threw; see leader thread"));
     throw;

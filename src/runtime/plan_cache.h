@@ -56,7 +56,9 @@ class PlanCache {
   // no compilation (a memory hit or a coalesced wait on another thread's
   // compile; Stats tells those apart). `prepare_us` is the wall-clock this
   // call spent obtaining the plan — lookup-only (≈0) on a memory hit, the
-  // leader's remaining compile time on a coalesced wait.
+  // leader's remaining compile time on a coalesced wait. Every successful
+  // lookup also counts once under plan_cache.{hit,miss}_runs in the global
+  // metrics registry (docs/observability.md).
   struct Lookup {
     PreparedPlan plan;
     bool hit = false;

@@ -8,11 +8,10 @@
 // crossovers.
 //
 // Selection follows the Prepare/Execute split: every candidate is prepared
-// exactly once through a PlanCache (the caller's, or a call-local one when
-// none is supplied) and the prepared artifact is re-executed for each
-// message size — SelectAlgorithmSweep pays one compile per candidate no
-// matter how many sizes it scores. The PrepareStats in each result expose
-// that amortization.
+// through a PlanCache (the caller's, or a call-local one when none is
+// supplied). Selecting at several message sizes through one shared cache
+// pays one compile per candidate no matter how many sizes it scores; the
+// cache's Stats count those compiles.
 #pragma once
 
 #include <string>
@@ -33,27 +32,16 @@ struct CandidateScore {
   Protocol protocol = Protocol::kSimple;
   double gbps = 0;
   SimTime elapsed;
-  double prepare_us = 0;        // prepare cost charged to this score (0 if
-                                // the plan was reused from an earlier size)
-  bool plan_cache_hit = false;  // true when no compile happened for it
   // Static optimality: lower bound / elapsed × 100, evaluated per
   // (candidate, protocol) at its own effective wire bytes
   // (analysis/bounds.h). ≤ 100 by soundness.
   double pct_of_optimal = 0;
 };
 
-// Compile-amortization counters for one selection or sweep.
-struct PrepareStats {
-  int prepares = 0;      // candidates compiled fresh
-  int cache_hits = 0;    // candidates served without compiling
-  double prepare_us = 0; // total wall-clock spent obtaining plans
-};
-
 struct SelectionResult {
   Algorithm algorithm;              // the winner
   CollectiveReport report;          // its full run report
   std::vector<CandidateScore> scoreboard;  // all candidates, best first
-  PrepareStats prepare_stats;
   BoundReport bound;  // static lower bound for the winner's launch
 };
 
@@ -68,7 +56,7 @@ struct SelectionResult {
 // applies.
 //
 // `jobs` parallelizes the candidate simulations over the shared thread
-// pool (common/thread_pool.h): every (candidate, size) cell is an
+// pool (common/thread_pool.h): every (candidate, protocol) cell is an
 // independent Execute of an immutable prepared plan, collected by index
 // and reduced serially — so any jobs value produces a bit-identical
 // result to jobs == 1. 0 (the default) resolves through RESCCL_JOBS and
@@ -79,22 +67,5 @@ struct SelectionResult {
                                               const RunRequest& request,
                                               PlanCache* cache = nullptr,
                                               int jobs = 0);
-
-// Scores every candidate at every buffer size in `buffers`, preparing each
-// candidate exactly once for the whole sweep. Returns one SelectionResult
-// per size (same order as `buffers`); `prepare_stats` aggregates the sweep.
-// `jobs` as in SelectAlgorithm — the whole candidates × sizes grid runs
-// concurrently, deterministically.
-struct SweepResult {
-  std::vector<SelectionResult> points;
-  PrepareStats prepare_stats;
-};
-[[nodiscard]] SweepResult SelectAlgorithmSweep(CollectiveOp op,
-                                               const Topology& topo,
-                                               BackendKind backend,
-                                               const RunRequest& base_request,
-                                               const std::vector<Size>& buffers,
-                                               PlanCache* cache = nullptr,
-                                               int jobs = 0);
 
 }  // namespace resccl

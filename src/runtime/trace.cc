@@ -61,7 +61,9 @@ std::string ExportChromeTrace(const CompiledCollective& compiled,
                               const LoweredProgram& lowered,
                               const SimRunReport& report,
                               const TraceOptions& options) {
-  RESCCL_CHECK(report.transfers.size() == lowered.invocation_of.size());
+  const std::size_t nmb = static_cast<std::size_t>(lowered.nmicrobatches);
+  RESCCL_CHECK(report.transfers.size() == lowered.program.transfers.size());
+  RESCCL_CHECK(report.transfers.size() == compiled.algo.transfers.size() * nmb);
 
   std::ostringstream os;
   os << "[\n";
@@ -98,17 +100,17 @@ std::string ExportChromeTrace(const CompiledCollective& compiled,
   for (std::size_t i = 0; i < report.transfers.size(); ++i) {
     const TransferStats& stats = report.transfers[i];
     const double dur = (stats.complete - stats.start).us();
-    const auto [task, mb] = lowered.invocation_of[i];
-    const Transfer& t =
-        compiled.algo.transfers[static_cast<std::size_t>(task)];
+    const std::size_t task = i / nmb;
+    const std::size_t mb = i % nmb;
+    const Transfer& t = compiled.algo.transfers[task];
     std::ostringstream name;
     name << TransferOpName(t.op) << " c" << t.chunk << " mb" << mb;
     std::ostringstream args;
     args << R"("task":)" << task << R"(,"mb":)" << mb << R"(,"src":)" << t.src
          << R"(,"dst":)" << t.dst << R"(,"wave":)"
-         << compiled.wave_of_task[static_cast<std::size_t>(task)];
-    const int send_tb = compiled.tbs.send_tb[static_cast<std::size_t>(task)];
-    const int recv_tb = compiled.tbs.recv_tb[static_cast<std::size_t>(task)];
+         << compiled.wave_of_task[task];
+    const int send_tb = compiled.tbs.send_tb[task];
+    const int recv_tb = compiled.tbs.recv_tb[task];
     const int send_row = tb_local[static_cast<std::size_t>(send_tb)];
     const int recv_row = tb_local[static_cast<std::size_t>(recv_tb)];
     if (dur > 0) {

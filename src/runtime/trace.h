@@ -36,7 +36,8 @@ struct TraceOptions {
 };
 
 // Renders the run as trace-event JSON. `lowered` must be the program the
-// report came from (it maps transfers back to tasks and micro-batches).
+// report came from, lowered from `compiled` alone: transfer i is task
+// i / nmicrobatches on micro-batch i % nmicrobatches.
 [[nodiscard]] std::string ExportChromeTrace(const CompiledCollective& compiled,
                                             const LoweredProgram& lowered,
                                             const SimRunReport& report,

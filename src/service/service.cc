@@ -205,8 +205,6 @@ void SchedulingService::RecordLaneLocked(Lane& lane) {
     stats_.served_bytes[p.req.tenant] += p.bytes;
     r.outcome = Outcome::kServed;
     r.report = std::move(lane.report);
-    r.report.plan_cache_hit = hit;
-    r.report.prepare_us = lane.lookup.prepare_us;
   }
   obs::PublishServiceCompletion(metrics_, p.req.tenant, failed, hit,
                                 lane.queue_wait_us,

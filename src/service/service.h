@@ -130,9 +130,10 @@ struct Response {
   // µs (live). Zero for requests never dispatched.
   double queue_wait_us = 0;
   std::int64_t bytes = 0;  // launch buffer bytes (the fairness currency)
-  // Valid when outcome == kServed. report.plan_cache_hit is true when the
-  // plan came without a fresh compile (a cache hit or a coalesced wait on
-  // a concurrent compile of the same fingerprint).
+  // Valid when outcome == kServed. It describes the run only; whether the
+  // plan came without a fresh compile (a cache hit or a coalesced wait on a
+  // concurrent compile of the same fingerprint) is counted in Stats
+  // (coalesced vs prepares) and plan_cache().stats().
   CollectiveReport report;
   std::string error;  // set when outcome == kFailed
 };

@@ -5,13 +5,12 @@
 //   TP comm      — Megatron tensor parallelism: 4 activation AllReduces per
 //                  layer per micro-batch inside each TP group (one server);
 //   DP comm      — the gradient AllReduce across data-parallel replicas,
-//                  partially overlapped with the backward pass;
-//   PP comm      — point-to-point activation handoffs between pipeline
-//                  stages, plus the 1F1B fill/drain bubble
-//                  (pp−1)/(n_micro) of the per-replica compute.
-// Collective latencies come from the ResCCL runtime simulator — the same
-// backends the communication benchmarks measure — so end-to-end gains stem
-// entirely from the communication fraction, as in the paper.
+//                  partially overlapped with the backward pass.
+// Every replica runs one sequence per micro-batch on 8-GPU A100 servers at
+// a fixed sustained rate (trainer.cc's constants). Collective latencies
+// come from the ResCCL runtime simulator — the same backends the
+// communication benchmarks measure — so end-to-end gains stem entirely
+// from the communication fraction, as in the paper.
 #pragma once
 
 #include <string>
@@ -25,15 +24,8 @@ struct TrainConfig {
   ModelSpec model;
   int tp = 1;                      // tensor-parallel width (one server)
   int dp = 1;                      // data-parallel replica count
-  int pp = 1;                      // pipeline-parallel stage count
-  int gpus_per_node = 8;
   int global_batch = 32;
-  int micro_batch = 1;             // sequences per micro-batch per replica
   BackendKind backend = BackendKind::kResCCL;
-
-  double gpu_tflops = 312.0;       // A100 bf16 peak
-  double compute_efficiency = 0.45;
-  double dp_overlap = 0.6;         // fraction of DP comm hidden by backward
 };
 
 struct IterationReport {
@@ -42,8 +34,6 @@ struct IterationReport {
   SimTime compute;
   SimTime tp_comm;                 // exposed tensor-parallel time
   SimTime dp_comm;                 // exposed data-parallel time
-  SimTime pp_comm;                 // exposed pipeline p2p time
-  SimTime pp_bubble;               // 1F1B pipeline fill/drain bubble
   SimTime iteration;
   double samples_per_sec = 0;
   double comm_fraction = 0;        // exposed comm / iteration

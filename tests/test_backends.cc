@@ -137,11 +137,12 @@ TEST(BackendTest, DeterministicResults) {
   }
 }
 
-TEST(BackendTest, ReportCarriesCompileStats) {
+TEST(BackendTest, PlanCarriesCompileStatsAndReportNamesIt) {
   const Topology topo(presets::A100(2, 4));
   const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
-  const CollectiveReport r = RunBackend(algo, topo, BackendKind::kResCCL);
-  EXPECT_GT(r.compile.total_us(), 0.0);
+  const PreparedPlan plan = Prepare(algo, topo, BackendKind::kResCCL).value();
+  EXPECT_GT(plan->plan.stats.total_us(), 0.0);
+  const CollectiveReport r = Execute(*plan, RunRequest{});
   EXPECT_EQ(r.backend, "ResCCL");
   EXPECT_EQ(r.algorithm, "hm_allreduce");
 }

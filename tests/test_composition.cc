@@ -308,20 +308,23 @@ TEST(CompositionEdgeTest, OneNodeComposedCollectivesVerify) {
 }
 
 TEST(CompositionEdgeTest, DegenerateSweepStaysConsistent) {
-  // The selector sweep across sizes must stay crash-free and monotonic in
-  // work on the degenerate fabrics too.
+  // Selecting across sizes and jobs values must stay crash-free and
+  // monotonic in work on the degenerate fabrics too.
   for (const TopologySpec& spec :
        {presets::RailClos(1, 4, 1, 1), presets::RailClos(4, 4, 1, 2),
         presets::RailClos(8, 4, 2, 4, 1.0)}) {
     const Topology topo(spec);
-    RunRequest request;
-    const SweepResult sweep = SelectAlgorithmSweep(
-        CollectiveOp::kAllReduce, topo, BackendKind::kResCCL, request,
-        {Size::MiB(1), Size::MiB(16)});
-    ASSERT_EQ(sweep.points.size(), 2u) << spec.name;
-    for (const SelectionResult& point : sweep.points) {
-      EXPECT_FALSE(point.scoreboard.empty()) << spec.name;
-      EXPECT_GT(point.report.sim.makespan.us(), 0.0) << spec.name;
+    PlanCache cache;
+    for (const int jobs : {1, 4}) {
+      for (const Size size : {Size::MiB(1), Size::MiB(16)}) {
+        RunRequest request;
+        request.launch.buffer = size;
+        const SelectionResult point =
+            SelectAlgorithm(CollectiveOp::kAllReduce, topo,
+                            BackendKind::kResCCL, request, &cache, jobs);
+        EXPECT_FALSE(point.scoreboard.empty()) << spec.name;
+        EXPECT_GT(point.report.sim.makespan.us(), 0.0) << spec.name;
+      }
     }
   }
 }

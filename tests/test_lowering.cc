@@ -53,12 +53,22 @@ TEST_F(LoweringTest, TransferDeclsCoverAllInvocations) {
   EXPECT_EQ(lp.nmicrobatches, 8);
   EXPECT_EQ(lp.program.transfers.size(),
             static_cast<std::size_t>(cc.algo.ntasks()) * 8);
-  EXPECT_EQ(lp.invocation_of.size(), lp.program.transfers.size());
-  // Dependencies stay within the micro-batch.
+  // Declaration i is task i / nmb on micro-batch i % nmb: it moves that
+  // task's endpoints, and its dependencies are that task's predecessors on
+  // the same micro-batch.
+  const std::size_t nmb = static_cast<std::size_t>(lp.nmicrobatches);
   for (std::size_t i = 0; i < lp.program.transfers.size(); ++i) {
-    const int mb = lp.invocation_of[i].second;
-    for (int dep : lp.program.transfers[i].deps) {
-      EXPECT_EQ(lp.invocation_of[static_cast<std::size_t>(dep)].second, mb);
+    const std::size_t task = i / nmb;
+    const std::size_t mb = i % nmb;
+    const SimTransferDecl& decl = lp.program.transfers[i];
+    EXPECT_EQ(decl.src, cc.algo.transfers[task].src);
+    EXPECT_EQ(decl.dst, cc.algo.transfers[task].dst);
+    const std::vector<int>& preds = cc.preds[task];
+    ASSERT_EQ(decl.deps.size(), preds.size());
+    for (std::size_t d = 0; d < preds.size(); ++d) {
+      const auto dep = static_cast<std::size_t>(decl.deps[d]);
+      EXPECT_EQ(dep / nmb, static_cast<std::size_t>(preds[d]));
+      EXPECT_EQ(dep % nmb, mb);
     }
   }
 }

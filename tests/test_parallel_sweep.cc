@@ -1,8 +1,8 @@
-// Determinism of the parallel sweep paths: SelectAlgorithmSweep and
-// RunConcurrently must produce bit-identical results at any --jobs value
-// (see common/thread_pool.h's determinism contract) — across the full
-// candidate library, all three backend personalities, and under an active
-// FaultPlan.
+// Determinism of the parallel sweep paths: SelectAlgorithm looped over
+// buffer sizes and RunConcurrently must produce bit-identical results at any
+// --jobs value (see common/thread_pool.h's determinism contract) — across
+// the full candidate library, all three backend personalities, and under an
+// active FaultPlan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "runtime/multi_job.h"
+#include "runtime/plan_cache.h"
 #include "runtime/selector.h"
 #include "sim/faults.h"
 #include "topology/topology.h"
@@ -29,9 +30,26 @@ void HashMix(std::uint64_t& h, double v) {
   }
 }
 
-std::uint64_t HashSweep(const SweepResult& sweep) {
+// One selection per buffer size, every candidate compiled once through a
+// shared cache.
+std::vector<SelectionResult> SelectEach(CollectiveOp op, const Topology& topo,
+                                        BackendKind kind,
+                                        const RunRequest& request,
+                                        const std::vector<Size>& sizes,
+                                        int jobs) {
+  PlanCache cache;
+  std::vector<SelectionResult> points;
+  for (const Size size : sizes) {
+    RunRequest at = request;
+    at.launch.buffer = size;
+    points.push_back(SelectAlgorithm(op, topo, kind, at, &cache, jobs));
+  }
+  return points;
+}
+
+std::uint64_t HashSweep(const std::vector<SelectionResult>& points) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const SelectionResult& point : sweep.points) {
+  for (const SelectionResult& point : points) {
     HashMix(h, point.report.elapsed.us());
     HashMix(h, point.report.algo_bw.gbps());
     for (const CandidateScore& score : point.scoreboard) {
@@ -80,18 +98,15 @@ TEST(ParallelSweepTest, SelectSweepBitIdenticalAcrossJobsAndBackends) {
                                    BackendKind::kMscclLike,
                                    BackendKind::kNcclLike}) {
       RunRequest request;
-      const SweepResult serial =
-          SelectAlgorithmSweep(op, topo, kind, request, sizes, nullptr,
-                               /*jobs=*/1);
-      const SweepResult parallel =
-          SelectAlgorithmSweep(op, topo, kind, request, sizes, nullptr,
-                               /*jobs=*/8);
+      const std::vector<SelectionResult> serial =
+          SelectEach(op, topo, kind, request, sizes, /*jobs=*/1);
+      const std::vector<SelectionResult> parallel =
+          SelectEach(op, topo, kind, request, sizes, /*jobs=*/4);
       EXPECT_EQ(HashSweep(serial), HashSweep(parallel))
           << "backend " << BackendName(kind);
-      ASSERT_EQ(serial.points.size(), parallel.points.size());
-      for (std::size_t i = 0; i < serial.points.size(); ++i) {
-        EXPECT_EQ(serial.points[i].report.algorithm,
-                  parallel.points[i].report.algorithm);
+      ASSERT_EQ(serial.size(), parallel.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].report.algorithm, parallel[i].report.algorithm);
       }
     }
   }
@@ -104,18 +119,15 @@ TEST(ParallelSweepTest, SelectSweepBitIdenticalUnderFaults) {
 
   RunRequest request;
   request.faults = faults;
-  const SweepResult serial =
-      SelectAlgorithmSweep(CollectiveOp::kAllReduce, topo,
-                           BackendKind::kResCCL, request, sizes, nullptr, 1);
-  const SweepResult parallel =
-      SelectAlgorithmSweep(CollectiveOp::kAllReduce, topo,
-                           BackendKind::kResCCL, request, sizes, nullptr, 8);
+  const std::vector<SelectionResult> serial = SelectEach(
+      CollectiveOp::kAllReduce, topo, BackendKind::kResCCL, request, sizes, 1);
+  const std::vector<SelectionResult> parallel = SelectEach(
+      CollectiveOp::kAllReduce, topo, BackendKind::kResCCL, request, sizes, 4);
   EXPECT_EQ(HashSweep(serial), HashSweep(parallel));
   // Sanity: the faults actually bit (some candidate slowed down vs clean).
   RunRequest clean;
-  const SweepResult clean_sweep =
-      SelectAlgorithmSweep(CollectiveOp::kAllReduce, topo,
-                           BackendKind::kResCCL, clean, sizes, nullptr, 1);
+  const std::vector<SelectionResult> clean_sweep = SelectEach(
+      CollectiveOp::kAllReduce, topo, BackendKind::kResCCL, clean, sizes, 1);
   EXPECT_NE(HashSweep(serial), HashSweep(clean_sweep));
 }
 
@@ -135,17 +147,14 @@ TEST(ParallelSweepTest, SelectSweepBitIdenticalOnRailClosWithAggregation) {
 
   const std::vector<Size> sizes = {Size::MiB(4), Size::MiB(16)};
   RunRequest request;
-  const SweepResult serial =
-      SelectAlgorithmSweep(CollectiveOp::kAllReduce, topo,
-                           BackendKind::kResCCL, request, sizes, nullptr, 1);
-  const SweepResult parallel =
-      SelectAlgorithmSweep(CollectiveOp::kAllReduce, topo,
-                           BackendKind::kResCCL, request, sizes, nullptr, 8);
+  const std::vector<SelectionResult> serial = SelectEach(
+      CollectiveOp::kAllReduce, topo, BackendKind::kResCCL, request, sizes, 1);
+  const std::vector<SelectionResult> parallel = SelectEach(
+      CollectiveOp::kAllReduce, topo, BackendKind::kResCCL, request, sizes, 4);
   EXPECT_EQ(HashSweep(serial), HashSweep(parallel));
-  ASSERT_EQ(serial.points.size(), parallel.points.size());
-  for (std::size_t i = 0; i < serial.points.size(); ++i) {
-    EXPECT_EQ(serial.points[i].report.algorithm,
-              parallel.points[i].report.algorithm);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i].report.algorithm, parallel[i].report.algorithm);
   }
 }
 

@@ -138,58 +138,40 @@ TEST(SelectorTest, PicksFastestAndSortsScoreboard) {
   EXPECT_EQ(sel.algorithm.name, "hm_allgather");
 }
 
-TEST(SelectorTest, SweepPreparesEachCandidateOnce) {
+// Selecting at several sizes through one shared cache compiles each
+// candidate once, and each selection matches a cacheless one at that size,
+// serially and on the pool.
+TEST(SelectorTest, SharedCachePreparesEachCandidateOnce) {
   const Topology topo(presets::A100(2, 8));
   const std::vector<Size> sizes = {Size::MiB(8), Size::MiB(128),
                                    Size::MiB(1024)};
   const std::size_t ncandidates =
       CandidateAlgorithms(CollectiveOp::kAllReduce, topo).size();
   ASSERT_GE(ncandidates, 2u);
-
-  PlanCache cache;
-  RunRequest request;
-  const SweepResult sweep = SelectAlgorithmSweep(
-      CollectiveOp::kAllReduce, topo, BackendKind::kResCCL, request, sizes,
-      &cache);
-
-  ASSERT_EQ(sweep.points.size(), sizes.size());
-  EXPECT_EQ(sweep.prepare_stats.prepares, static_cast<int>(ncandidates));
-  EXPECT_EQ(sweep.prepare_stats.cache_hits, 0);
-  EXPECT_EQ(cache.stats().misses, ncandidates);
-
-  // Each sweep point matches an independent selection at that size, and
-  // points after the first charge no prepare cost to their scoreboards.
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
+  const auto select = [&](Size size, PlanCache* cache, int jobs) {
     RunRequest at;
-    at.launch.buffer = sizes[i];
-    const SelectionResult solo = SelectAlgorithm(
-        CollectiveOp::kAllReduce, topo, BackendKind::kResCCL, at);
-    EXPECT_EQ(sweep.points[i].algorithm.name, solo.algorithm.name);
-    EXPECT_EQ(sweep.points[i].report.elapsed, solo.report.elapsed);
-    for (const CandidateScore& score : sweep.points[i].scoreboard) {
-      if (i > 0) {
-        EXPECT_TRUE(score.plan_cache_hit);
-        EXPECT_EQ(score.prepare_us, 0.0);
-      }
+    at.launch.buffer = size;
+    return SelectAlgorithm(CollectiveOp::kAllReduce, topo, BackendKind::kResCCL,
+                           at, cache, jobs);
+  };
+  std::vector<SelectionResult> solo;
+  for (const Size size : sizes) solo.push_back(select(size, nullptr, 1));
+
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    PlanCache cache;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      const SelectionResult shared = select(sizes[i], &cache, jobs);
+      EXPECT_EQ(shared.algorithm.name, solo[i].algorithm.name);
+      EXPECT_EQ(shared.report.elapsed, solo[i].report.elapsed);
     }
+    EXPECT_EQ(cache.stats().misses, ncandidates);
+    EXPECT_EQ(cache.stats().hits, (sizes.size() - 1) * ncandidates);
+
+    // A second pass through the same cache compiles nothing.
+    (void)select(sizes.back(), &cache, jobs);
+    EXPECT_EQ(cache.stats().misses, ncandidates);
   }
-
-  // A second sweep through the same cache compiles nothing.
-  const SweepResult again = SelectAlgorithmSweep(
-      CollectiveOp::kAllReduce, topo, BackendKind::kResCCL, request, sizes,
-      &cache);
-  EXPECT_EQ(again.prepare_stats.prepares, 0);
-  EXPECT_EQ(again.prepare_stats.cache_hits, static_cast<int>(ncandidates));
-  EXPECT_EQ(again.points.back().algorithm.name,
-            sweep.points.back().algorithm.name);
-}
-
-TEST(SelectorTest, SweepRejectsEmptyInput) {
-  const Topology topo(presets::A100(2, 4));
-  RunRequest request;
-  EXPECT_THROW((void)SelectAlgorithmSweep(CollectiveOp::kAllReduce, topo,
-                                          BackendKind::kResCCL, request, {}),
-               std::invalid_argument);
 }
 
 TEST(SelectorTest, RootedBroadcastScoreboard) {

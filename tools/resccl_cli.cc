@@ -446,18 +446,9 @@ int CmdCompile(const Args& args) {
   return 0;
 }
 
-std::optional<CollectiveOp> ParseOp(const std::string& op_name) {
-  if (op_name == "allgather") return CollectiveOp::kAllGather;
-  if (op_name == "reducescatter") return CollectiveOp::kReduceScatter;
-  if (op_name == "allreduce") return CollectiveOp::kAllReduce;
-  if (op_name == "broadcast") return CollectiveOp::kBroadcast;
-  if (op_name == "reduce") return CollectiveOp::kReduce;
-  return std::nullopt;
-}
-
 int CmdSelect(const Args& args) {
   const std::string op_name = args.Get("op", "allreduce");
-  const std::optional<CollectiveOp> op = ParseOp(op_name);
+  const std::optional<CollectiveOp> op = ParseCollectiveOpTag(op_name);
   if (!op) {
     std::fprintf(stderr, "unknown --op '%s'\n", op_name.c_str());
     return 2;
@@ -481,7 +472,7 @@ int CmdSelect(const Args& args) {
 
 int CmdBound(const Args& args) {
   const std::string op_name = args.Get("op", "allreduce");
-  const std::optional<CollectiveOp> op = ParseOp(op_name);
+  const std::optional<CollectiveOp> op = ParseCollectiveOpTag(op_name);
   if (!op) {
     std::fprintf(stderr, "unknown --op '%s'\n", op_name.c_str());
     return 2;
@@ -733,21 +724,31 @@ int CmdProfile(const Args& args) {
   return 0;
 }
 
-// Parses --tenants name:weight[,name:weight...] (e.g. alpha:3,beta:1).
+// Parses --tenants name[:weight][,name[:weight]...] (e.g. alpha:3,beta);
+// a bare name weighs 1. Exits 2 on an empty name or a weight that is not a
+// finite positive number.
 std::vector<service::TenantSpec> MakeTenants(const Args& args) {
   std::vector<service::TenantSpec> tenants;
   std::string spec = args.Get("tenants", "alpha:3,beta:2,gamma:1,delta:1");
   std::istringstream in(spec);
   std::string item;
   while (std::getline(in, item, ',')) {
-    if (item.empty()) continue;
     const auto colon = item.find(':');
     service::TenantSpec t;
     t.name = item.substr(0, colon);
-    t.weight = colon == std::string::npos
-                   ? 1.0
-                   : std::atof(item.substr(colon + 1).c_str());
-    if (t.weight <= 0) t.weight = 1.0;
+    const std::optional<double> weight =
+        colon == std::string::npos
+            ? std::optional<double>(1.0)
+            : ParseNumber<double>(item.substr(colon + 1));
+    if (t.name.empty() || !weight || !std::isfinite(*weight) ||
+        *weight <= 0) {
+      std::fprintf(stderr,
+                   "--tenants entries must be name or name:weight with a "
+                   "positive weight, got '%s'\n",
+                   item.c_str());
+      std::exit(2);
+    }
+    t.weight = *weight;
     tenants.push_back(std::move(t));
   }
   if (tenants.empty()) tenants.push_back({"default", 1.0});
