@@ -47,15 +47,6 @@ using MakeAlgorithm = Algorithm (*)(const Topology&);
 // ---------------------------------------------------------------------------
 // Shared panels.
 
-// The hierarchical-mesh expert algorithm for `op`.
-Algorithm HierarchicalMesh(CollectiveOp op, const Topology& topo) {
-  return op == CollectiveOp::kAllGather
-             ? algorithms::HierarchicalMeshAllGather(topo)
-         : op == CollectiveOp::kReduceScatter
-             ? algorithms::HierarchicalMeshReduceScatter(topo)
-             : algorithms::HierarchicalMeshAllReduce(topo);
-}
-
 // The columns an expert-bandwidth panel prints.
 struct BandwidthColumns {
   int digits;       // decimals of the GB/s columns
@@ -68,7 +59,7 @@ struct BandwidthColumns {
 void ExpertBandwidthPanel(const std::string& label, const Topology& topo,
                           CollectiveOp op, const std::vector<Size>& grid,
                           BandwidthColumns cols, int jobs) {
-  const Algorithm expert = HierarchicalMesh(op, topo);
+  const Algorithm expert = DefaultAlgorithm(BackendKind::kResCCL, op, topo);
   const Algorithm ring = DefaultAlgorithm(BackendKind::kNcclLike, op, topo);
   const PreparedPlan nccl_plan =
       PrepareOrDie(ring, topo, BackendKind::kNcclLike);
@@ -202,7 +193,8 @@ int Table1(int jobs) {
                             Topology(presets::A100(2, 8)),
                             Topology(presets::A100(4, 8))};
   const MakeAlgorithm algos[] = {
-      algorithms::MscclangAllGather, algorithms::MscclangAllReduce,
+      algorithms::HierarchicalMeshAllGather,
+      algorithms::HierarchicalMeshAllReduce,
       algorithms::TacclLikeAllGather, algorithms::TacclLikeAllReduce,
       algorithms::TecclLikeAllGather};
   constexpr std::size_t kAlgos = std::size(algos);
@@ -278,7 +270,8 @@ int Fig2(int jobs) {
     Algorithm algo;
   };
   const Case cases[] = {
-      {"(a) custom single-node AllReduce", algorithms::MscclangAllReduce(topo)},
+      {"(a) custom single-node AllReduce",
+       algorithms::HierarchicalMeshAllReduce(topo)},
       {"(b) synthesized single-node AllReduce",
        algorithms::TacclLikeAllReduce(topo)},
   };
@@ -312,7 +305,7 @@ int Fig3(int jobs) {
        {std::pair<const char*, Algorithm>{
             "ring AllReduce", algorithms::MultiChannelRingAllReduce(topo, 4)},
         {"ring AllGather", algorithms::MultiChannelRingAllGather(topo, 4)},
-        {"hier AllReduce", algorithms::MscclangAllReduce(topo)}}) {
+        {"hier AllReduce", algorithms::HierarchicalMeshAllReduce(topo)}}) {
     CompileOptions opts = DefaultCompileOptions(BackendKind::kResCCL);
     PreparedPlan kernel = PrepareOrDie(algo, topo, opts, "kernel");
     opts.engine = RuntimeEngine::kInterpreter;
@@ -831,10 +824,7 @@ int Contention(int /*jobs*/) {
                            BackendKind::kResCCL}) {
     JobSpec job;
     job.name = "ar";
-    job.algorithm = kind == BackendKind::kNcclLike
-                        ? DefaultAlgorithm(kind, CollectiveOp::kAllReduce,
-                                           topo)
-                        : algorithms::HierarchicalMeshAllReduce(topo);
+    job.algorithm = DefaultAlgorithm(kind, CollectiveOp::kAllReduce, topo);
     job.options = DefaultCompileOptions(kind);
     job.launch.buffer = Size::MiB(256);
     JobSpec job2 = job;
@@ -979,13 +969,11 @@ int Protocols(int /*jobs*/) {
   const Topology topo(presets::A100(2, 8));
   struct Case {
     const char* label;
-    const char* key;
-    Algorithm algo;
+    Algorithm algo;  // its name keys BENCH_protocols.json
   };
   const Case cases[] = {
-      {"ring AllGather", "ring_allgather", algorithms::RingAllGather(16)},
-      {"HM AllReduce", "hm_allreduce",
-       algorithms::HierarchicalMeshAllReduce(topo)},
+      {"ring AllGather", algorithms::RingAllGather(16)},
+      {"HM AllReduce", algorithms::HierarchicalMeshAllReduce(topo)},
   };
   const std::vector<Size> sizes = {Size::KiB(64), Size::KiB(256),
                                    Size::MiB(1),  Size::MiB(8),
@@ -999,7 +987,7 @@ int Protocols(int /*jobs*/) {
         PrepareOrDie(c.algo, topo, BackendKind::kResCCL);
     const int nchunks = c.algo.nchunks > 0 ? c.algo.nchunks : c.algo.nranks;
     ProtocolCase pc;
-    pc.key = c.key;
+    pc.key = c.algo.name.c_str();
     pc.sizes = sizes;
     TextTable table({"Buffer", "Simple GB/s", "LL GB/s", "LL128 GB/s",
                      "best", "auto"});

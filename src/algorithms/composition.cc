@@ -250,22 +250,13 @@ std::string PrimitiveSuffix(const std::vector<Level>& levels) {
   std::string s = "[";
   for (std::size_t i = 0; i < levels.size(); ++i) {
     if (i > 0) s += '.';
-    s += LevelPrimitiveName(levels[i].prim)[0];
+    // Resolved levels never hold kAuto: m(esh), r(ing) or t(ree).
+    s += "amrt"[static_cast<std::size_t>(levels[i].prim)];
   }
   return s + "]";
 }
 
 }  // namespace
-
-const char* LevelPrimitiveName(LevelPrimitive p) {
-  switch (p) {
-    case LevelPrimitive::kAuto: return "auto";
-    case LevelPrimitive::kMesh: return "mesh";
-    case LevelPrimitive::kRing: return "ring";
-    case LevelPrimitive::kTree: return "tree";
-  }
-  return "?";
-}
 
 bool ComposableTopology(const Topology& topo) {
   if (topo.nranks() < 2) return false;

@@ -37,8 +37,6 @@ namespace resccl::algorithms {
 
 enum class LevelPrimitive : std::uint8_t { kAuto, kMesh, kRing, kTree };
 
-[[nodiscard]] const char* LevelPrimitiveName(LevelPrimitive p);
-
 struct CompositionSpec {
   // Per-level primitive overrides, innermost level first. Missing entries
   // and kAuto resolve to the topology-driven default (mesh / ring / tree).

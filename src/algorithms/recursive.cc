@@ -1,5 +1,6 @@
 #include "algorithms/recursive.h"
 
+#include "algorithms/emit_util.h"
 #include "common/check.h"
 
 namespace resccl::algorithms {
@@ -43,13 +44,7 @@ Algorithm RecursiveHalvingDoublingAllReduce(int nranks) {
       // The partner's block prefix after this round: partner's top k+1 bits.
       const int prefix = partner / dist;
       ForBlockChunks(nranks, prefix, k + 1, [&](int c) {
-        Transfer t;
-        t.src = r;
-        t.dst = partner;
-        t.step = k;
-        t.chunk = c;
-        t.op = TransferOp::kRecvReduceCopy;
-        algo.transfers.push_back(t);
+        Emit(algo, r, partner, k, c, TransferOp::kRecvReduceCopy);
       });
     }
   }
@@ -62,13 +57,7 @@ Algorithm RecursiveHalvingDoublingAllReduce(int nranks) {
       // granularity levels-k.
       const int prefix = r / dist;
       ForBlockChunks(nranks, prefix, levels - k, [&](int c) {
-        Transfer t;
-        t.src = r;
-        t.dst = partner;
-        t.step = levels + k;
-        t.chunk = c;
-        t.op = TransferOp::kRecv;
-        algo.transfers.push_back(t);
+        Emit(algo, r, partner, levels + k, c, TransferOp::kRecv);
       });
     }
   }
@@ -93,13 +82,7 @@ Algorithm RecursiveDoublingAllGather(int nranks) {
       const Rank partner = r ^ dist;
       const int block_base = (r / dist) * dist;
       for (int c = block_base; c < block_base + dist; ++c) {
-        Transfer t;
-        t.src = r;
-        t.dst = partner;
-        t.step = k;
-        t.chunk = c;
-        t.op = TransferOp::kRecv;
-        algo.transfers.push_back(t);
+        Emit(algo, r, partner, k, c, TransferOp::kRecv);
       }
     }
   }
@@ -116,13 +99,7 @@ Algorithm OneShotAllGather(int nranks) {
   for (Rank r = 0; r < nranks; ++r) {
     for (Rank peer = 0; peer < nranks; ++peer) {
       if (peer == r) continue;
-      Transfer t;
-      t.src = r;
-      t.dst = peer;
-      t.step = 0;
-      t.chunk = r;
-      t.op = TransferOp::kRecv;
-      algo.transfers.push_back(t);
+      Emit(algo, r, peer, 0, r, TransferOp::kRecv);
     }
   }
   return algo;

@@ -15,13 +15,8 @@ Algorithm RingAllGather(int nranks) {
   // Step s: chunk c moves from rank (c+s) to rank (c+s+1).
   for (int s = 0; s < nranks - 1; ++s) {
     for (ChunkId c = 0; c < nranks; ++c) {
-      Transfer t;
-      t.src = Mod(c + s, nranks);
-      t.dst = Mod(c + s + 1, nranks);
-      t.step = s;
-      t.chunk = c;
-      t.op = TransferOp::kRecv;
-      algo.transfers.push_back(t);
+      Emit(algo, Mod(c + s, nranks), Mod(c + s + 1, nranks), s, c,
+           TransferOp::kRecv);
     }
   }
   return algo;
@@ -38,13 +33,8 @@ Algorithm RingReduceScatter(int nranks) {
   // N−1 steps the accumulated chunk c arrives at rank c.
   for (int s = 0; s < nranks - 1; ++s) {
     for (ChunkId c = 0; c < nranks; ++c) {
-      Transfer t;
-      t.src = Mod(c + 1 + s, nranks);
-      t.dst = Mod(c + 2 + s, nranks);
-      t.step = s;
-      t.chunk = c;
-      t.op = TransferOp::kRecvReduceCopy;
-      algo.transfers.push_back(t);
+      Emit(algo, Mod(c + 1 + s, nranks), Mod(c + 2 + s, nranks), s, c,
+           TransferOp::kRecvReduceCopy);
     }
   }
   return algo;
@@ -57,13 +47,8 @@ Algorithm RingAllReduce(int nranks) {
   // AllGather phase: chunk c (now complete at rank c) circulates.
   for (int s = 0; s < nranks - 1; ++s) {
     for (ChunkId c = 0; c < nranks; ++c) {
-      Transfer t;
-      t.src = Mod(c + s, nranks);
-      t.dst = Mod(c + s + 1, nranks);
-      t.step = nranks - 1 + s;
-      t.chunk = c;
-      t.op = TransferOp::kRecv;
-      algo.transfers.push_back(t);
+      Emit(algo, Mod(c + s, nranks), Mod(c + s + 1, nranks), nranks - 1 + s,
+           c, TransferOp::kRecv);
     }
   }
   return algo;
@@ -104,26 +89,18 @@ Algorithm MultiChannelRing(const Topology& topo, int nchannels,
     if (op != CollectiveOp::kAllGather) {
       // Reduce phase: accumulate around ring k, homing chunk c at rank c.
       for (int s = 0; s < nranks - 1; ++s) {
-        Transfer t;
-        t.src = RingRank(topo, k, (home + 1 + s) % nranks);
-        t.dst = RingRank(topo, k, (home + 2 + s) % nranks);
-        t.step = s;
-        t.chunk = c;
-        t.op = TransferOp::kRecvReduceCopy;
-        algo.transfers.push_back(t);
+        Emit(algo, RingRank(topo, k, (home + 1 + s) % nranks),
+             RingRank(topo, k, (home + 2 + s) % nranks), s, c,
+             TransferOp::kRecvReduceCopy);
       }
     }
     if (op != CollectiveOp::kReduceScatter) {
       // Gather phase: circulate chunk c from its (now complete) home.
       const int base = op == CollectiveOp::kAllReduce ? nranks - 1 : 0;
       for (int s = 0; s < nranks - 1; ++s) {
-        Transfer t;
-        t.src = RingRank(topo, k, (home + s) % nranks);
-        t.dst = RingRank(topo, k, (home + s + 1) % nranks);
-        t.step = base + s;
-        t.chunk = c;
-        t.op = TransferOp::kRecv;
-        algo.transfers.push_back(t);
+        Emit(algo, RingRank(topo, k, (home + s) % nranks),
+             RingRank(topo, k, (home + s + 1) % nranks), base + s, c,
+             TransferOp::kRecv);
       }
     }
   }

@@ -1,7 +1,6 @@
 #include "algorithms/synthesized.h"
 
 #include "algorithms/assembly.h"
-#include "algorithms/hierarchical.h"
 #include "common/check.h"
 
 namespace resccl::algorithms {
@@ -123,18 +122,6 @@ Algorithm TecclLikeAllReduce(const Topology& topo) {
   Algorithm ar = AssembleAllReduce(TecclLikeAllGather(topo));
   ar.name = "teccl_like_allreduce";
   return ar;
-}
-
-Algorithm MscclangAllGather(const Topology& topo) {
-  Algorithm algo = HierarchicalMeshAllGather(topo);
-  algo.name = "mscclang_hier_allgather";
-  return algo;
-}
-
-Algorithm MscclangAllReduce(const Topology& topo) {
-  Algorithm algo = HierarchicalMeshAllReduce(topo);
-  algo.name = "mscclang_hier_allreduce";
-  return algo;
 }
 
 }  // namespace resccl::algorithms

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/check.h"
-
 namespace resccl::lang {
 
 namespace {
@@ -23,10 +21,13 @@ const char* OpTypeName(CollectiveOp op) {
 
 }  // namespace
 
-std::string EmitSource(const Algorithm& algo) {
-  RESCCL_CHECK_MSG(algo.Validate().ok(), "cannot emit an invalid algorithm");
-  RESCCL_CHECK_MSG(algo.nchunks == algo.nranks,
-                   "ResCCLang fixes nchunks == nranks");
+Result<std::string> EmitSource(const Algorithm& algo) {
+  if (const Status valid = algo.Validate(); !valid.ok()) {
+    return Status::InvalidArgument("cannot emit: " + valid.message());
+  }
+  if (algo.nchunks != algo.nranks) {
+    return Status::InvalidArgument("ResCCLang fixes nchunks == nranks");
+  }
 
   // Emit transfers grouped by step so the program reads as the algorithm's
   // timeline.

@@ -11,11 +11,14 @@
 
 #include <string>
 
+#include "common/status.h"
 #include "core/algorithm.h"
 
 namespace resccl::lang {
 
-[[nodiscard]] std::string EmitSource(const Algorithm& algo);
+// InvalidArgument when `algo` fails Validate() or has nchunks != nranks,
+// which ResCCLang cannot express.
+[[nodiscard]] Result<std::string> EmitSource(const Algorithm& algo);
 
 // The Fig. 16 HM-AllReduce program written with loops, for any cluster of
 // `nodes` x `gpus` ranks: intra-node full-mesh ReduceScatter, inter-node

@@ -1,54 +1,36 @@
 #include "runtime/communicator.h"
 
+#include <cstddef>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
-#include "algorithms/hierarchical.h"
-#include "algorithms/ring.h"
-#include "algorithms/rooted.h"
+#include "algorithms/catalog.h"
 
 namespace resccl {
 
+namespace {
+
+// Catalog names per CollectiveOp: NCCL-like runs multi-channel rings and
+// NCCL's classic small-scale rooted default, the binomial tree; ResCCL and
+// MSCCL run the hierarchical-mesh expert algorithms and pipelined chains.
+constexpr std::string_view kDefaults[][2] = {
+    {"ring_mc_allgather", "hm_allgather"},
+    {"ring_mc_reducescatter", "hm_reducescatter"},
+    {"ring_mc_allreduce", "hm_allreduce"},
+    {"binomial_broadcast", "chain_broadcast"},
+    {"binomial_reduce", "chain_reduce"},
+};
+
+}  // namespace
+
 Algorithm DefaultAlgorithm(BackendKind kind, CollectiveOp op,
                            const Topology& topo) {
-  if (op == CollectiveOp::kBroadcast) {
-    // The chain pipelines chunks for bandwidth; NCCL's classic default for
-    // rooted collectives at small scale is the binomial tree.
-    return kind == BackendKind::kNcclLike
-               ? algorithms::BinomialTreeBroadcast(topo.nranks())
-               : algorithms::ChainBroadcast(topo.nranks());
-  }
-  if (op == CollectiveOp::kReduce) {
-    return kind == BackendKind::kNcclLike
-               ? algorithms::BinomialTreeReduce(topo.nranks())
-               : algorithms::ChainReduce(topo.nranks());
-  }
-  if (kind == BackendKind::kNcclLike) {
-    // One ring channel per driven rail — shared with CandidateAlgorithms
-    // (runtime/selector.cc) via Topology::CommChannels.
-    const int channels = topo.CommChannels();
-    switch (op) {
-      case CollectiveOp::kAllGather:
-        return algorithms::MultiChannelRingAllGather(topo, channels);
-      case CollectiveOp::kReduceScatter:
-        return algorithms::MultiChannelRingReduceScatter(topo, channels);
-      case CollectiveOp::kAllReduce:
-        return algorithms::MultiChannelRingAllReduce(topo, channels);
-      default:
-        break;
-    }
-  }
-  switch (op) {
-    case CollectiveOp::kAllGather:
-      return algorithms::HierarchicalMeshAllGather(topo);
-    case CollectiveOp::kReduceScatter:
-      return algorithms::HierarchicalMeshReduceScatter(topo);
-    case CollectiveOp::kAllReduce:
-      return algorithms::HierarchicalMeshAllReduce(topo);
-    default:
-      break;
-  }
-  throw std::invalid_argument("unknown collective op");
+  const std::size_t column = kind == BackendKind::kNcclLike ? 0 : 1;
+  Result<Algorithm> algo = algorithms::MakeAlgorithm(
+      kDefaults[static_cast<std::size_t>(op)][column], topo);
+  if (!algo.ok()) throw std::invalid_argument(algo.status().message());
+  return std::move(algo).value();
 }
 
 Communicator::Communicator(TopologySpec spec, BackendKind kind,

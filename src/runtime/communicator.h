@@ -28,6 +28,7 @@
 namespace resccl {
 
 // The algorithm a backend would pick for a collective on this topology.
+// Throws std::invalid_argument when the topology cannot run it (one rank).
 [[nodiscard]] Algorithm DefaultAlgorithm(BackendKind kind, CollectiveOp op,
                                          const Topology& topo);
 
@@ -48,7 +49,7 @@ class Communicator {
   [[nodiscard]] PlanCache& plan_cache() const { return *cache_; }
 
   // Standard collectives on the backend's default algorithm. Throws
-  // std::invalid_argument if the request is malformed.
+  // std::invalid_argument if the request or the topology is unusable.
   [[nodiscard]] CollectiveReport AllGather(const RunRequest& request) const;
   [[nodiscard]] CollectiveReport AllReduce(const RunRequest& request) const;
   [[nodiscard]] CollectiveReport ReduceScatter(const RunRequest& request) const;

@@ -1,16 +1,13 @@
 #include "runtime/selector.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
-#include "algorithms/composition.h"
-#include "algorithms/hierarchical.h"
-#include "algorithms/recursive.h"
-#include "algorithms/ring.h"
-#include "algorithms/rooted.h"
-#include "algorithms/tree.h"
+#include "algorithms/catalog.h"
 #include "common/thread_pool.h"
 
 namespace resccl {
@@ -55,57 +52,30 @@ std::vector<Protocol> ProtocolColumns(Protocol requested) {
 
 std::vector<Algorithm> CandidateAlgorithms(CollectiveOp op,
                                            const Topology& topo) {
-  const int n = topo.nranks();
-  // One ring channel per driven rail (Topology::CommChannels) — the shared
-  // rail-aware helper; see also DefaultAlgorithm in runtime/communicator.cc.
-  const int channels = topo.CommChannels();
+  // Catalog names in scoring order, one row per CollectiveOp. The sweep
+  // picks hc_allreduce's chunk granularity (per rank or coarse) by score.
+  static constexpr std::string_view kNames[][6] = {
+      {"hm_allgather", "ring_mc_allgather", "oneshot_allgather",
+       "rd_allgather", "hc_allgather"},
+      {"hm_reducescatter", "ring_mc_reducescatter", "hc_reducescatter"},
+      {"hm_allreduce", "ring_mc_allreduce", "double_binary_tree_allreduce",
+       "rhd_allreduce", "hc_allreduce", "hc_allreduce_coarse"},
+      {"chain_broadcast", "binomial_broadcast"},
+      {"chain_reduce", "binomial_reduce"},
+  };
   std::vector<Algorithm> out;
-  // The N-level rail-aligned composition joins the candidate set once the
-  // fabric has real hierarchy beyond one rack; on flat testbeds it would
-  // collapse to the HM shapes already present.
-  const bool composed =
-      topo.racks() > 1 && algorithms::ComposableTopology(topo);
-  switch (op) {
-    case CollectiveOp::kAllGather:
-      out.push_back(algorithms::HierarchicalMeshAllGather(topo));
-      out.push_back(algorithms::MultiChannelRingAllGather(topo, channels));
-      out.push_back(algorithms::OneShotAllGather(n));
-      if (algorithms::IsPowerOfTwo(n)) {
-        out.push_back(algorithms::RecursiveDoublingAllGather(n));
-      }
-      if (composed) out.push_back(algorithms::ComposedAllGather(topo));
-      break;
-    case CollectiveOp::kReduceScatter:
-      out.push_back(algorithms::HierarchicalMeshReduceScatter(topo));
-      out.push_back(algorithms::MultiChannelRingReduceScatter(topo, channels));
-      if (composed) out.push_back(algorithms::ComposedReduceScatter(topo));
-      break;
-    case CollectiveOp::kAllReduce:
-      out.push_back(algorithms::HierarchicalMeshAllReduce(topo));
-      out.push_back(algorithms::MultiChannelRingAllReduce(topo, channels));
-      out.push_back(algorithms::DoubleBinaryTreeAllReduce(n));
-      if (algorithms::IsPowerOfTwo(n)) {
-        out.push_back(algorithms::RecursiveHalvingDoublingAllReduce(n));
-      }
-      if (composed) {
-        out.push_back(algorithms::ComposedAllReduce(topo));
-        // Coarse-chunk variant: one chunk class per local GPU instead of
-        // one per rank. Fewer, larger flows keep fan-in low on
-        // oversubscribed trunks, which is where the composition earns its
-        // keep; the sweep picks whichever granularity the fabric favors.
-        algorithms::CompositionSpec coarse;
-        coarse.chunks = topo.gpus_per_node();
-        out.push_back(algorithms::ComposedAllReduce(topo, coarse));
-      }
-      break;
-    case CollectiveOp::kBroadcast:
-      out.push_back(algorithms::ChainBroadcast(n));
-      out.push_back(algorithms::BinomialTreeBroadcast(n));
-      break;
-    case CollectiveOp::kReduce:
-      out.push_back(algorithms::ChainReduce(n));
-      out.push_back(algorithms::BinomialTreeReduce(n));
-      break;
+  for (const std::string_view name : kNames[static_cast<std::size_t>(op)]) {
+    // The N-level rail-aligned composition joins once the fabric has real
+    // hierarchy beyond one rack; on flat testbeds it would collapse to the
+    // HM shapes already present.
+    if (name.empty() || (topo.racks() <= 1 &&
+                         algorithms::FindAlgorithm(name)->requirement ==
+                             algorithms::Requirement::kComposable)) {
+      continue;
+    }
+    // Entries whose shape requirement `topo` misses drop out.
+    Result<Algorithm> algo = algorithms::MakeAlgorithm(name, topo);
+    if (algo.ok()) out.push_back(std::move(algo).value());
   }
   return out;
 }

@@ -45,8 +45,8 @@ struct SelectionResult {
   BoundReport bound;  // static lower bound for the winner's launch
 };
 
-// Candidate algorithms from the library for `op` on `topo` (power-of-two
-// only entries are skipped when they do not apply).
+// Candidate algorithms from the catalog (algorithms/catalog.h) for `op` on
+// `topo`; entries whose shape requirement `topo` misses are skipped.
 [[nodiscard]] std::vector<Algorithm> CandidateAlgorithms(CollectiveOp op,
                                                          const Topology& topo);
 

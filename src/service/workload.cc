@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <string_view>
 #include <utility>
 
-#include "algorithms/ring.h"
-#include "algorithms/tree.h"
+#include "algorithms/catalog.h"
 #include "common/rng.h"
 
 namespace resccl::service {
@@ -17,19 +18,13 @@ namespace {
 constexpr int kMinBufferMib = 1;
 constexpr int kBufferSizeSteps = 3;
 
-// The compile-shape pool. Shapes differ in algorithm (and therefore
-// fingerprint); launch buffer size deliberately does NOT define a shape —
-// it never enters the fingerprint, so requests of different sizes still
-// coalesce onto one plan.
-Algorithm ShapeAlgorithm(int shape, const Topology& topo) {
-  const int n = topo.nranks();
-  switch (shape) {
-    case 0: return algorithms::RingAllReduce(n);
-    case 1: return algorithms::RingAllGather(n);
-    case 2: return algorithms::RingReduceScatter(n);
-    default: return algorithms::DoubleBinaryTreeAllReduce(n);
-  }
-}
+// The compile-shape pool, as catalog names. Shapes differ in algorithm (and
+// therefore fingerprint); launch buffer size deliberately does NOT define a
+// shape — it never enters the fingerprint, so requests of different sizes
+// still coalesce onto one plan.
+constexpr std::string_view kShapes[] = {"ring_allreduce", "ring_allgather",
+                                        "ring_reducescatter",
+                                        "double_binary_tree_allreduce"};
 
 }  // namespace
 
@@ -44,7 +39,10 @@ std::vector<Arrival> GenerateWorkload(const Topology& topo,
   // identical shapes really are byte-identical inputs to the fingerprint.
   std::vector<Algorithm> pool;
   pool.reserve(static_cast<std::size_t>(shapes));
-  for (int s = 0; s < shapes; ++s) pool.push_back(ShapeAlgorithm(s, topo));
+  for (int s = 0; s < shapes; ++s) {
+    const std::string_view name = kShapes[static_cast<std::size_t>(s)];
+    pool.push_back(algorithms::MakeAlgorithm(name, topo).value());
+  }
 
   std::vector<Arrival> out;
   out.reserve(static_cast<std::size_t>(spec.requests));

@@ -1,85 +1,37 @@
-// Shared labeled algorithm-factory table for the property suites: every
-// library algorithm that runs on an arbitrary topology (20 entries). Used
-// by the end-to-end correctness sweep (test_collective_property.cc, which
-// appends three composed variants), the analyzer soundness sweep
-// (test_analysis_property.cc), the fault-injection sweep
-// (test_faults_property.cc), the observability sweep
+// Shared algorithm and topology tables for the property suites. The
+// algorithm table is the catalog's AllGather, ReduceScatter and AllReduce
+// entries (algorithms/catalog.h; 21 entries), every one of which runs on
+// each TopoCases() fabric. Used by the end-to-end correctness sweep
+// (test_collective_property.cc, which appends two composed variants), the
+// analyzer soundness sweep (test_analysis_property.cc), the
+// fault-injection sweep (test_faults_property.cc), the observability sweep
 // (test_obs_property.cc), the bound soundness sweep
-// (test_bounds_property.cc) and the fluid reference sweep
-// (test_fluid_reference.cc) so all cover the identical algorithm library.
-// The last two also share the topology table below.
+// (test_bounds_property.cc), the fluid reference sweep
+// (test_fluid_reference.cc), the plan digest (test_compiler.cc), the plan
+// round trip (test_plan_io.cc) and makespan_golden, so all cover the
+// identical algorithm library. Several also share the topology table.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "algorithms/composition.h"
-#include "algorithms/hierarchical.h"
-#include "algorithms/recursive.h"
-#include "algorithms/ring.h"
-#include "algorithms/synthesized.h"
-#include "algorithms/tree.h"
+#include "algorithms/catalog.h"
 #include "topology/topology.h"
 
 namespace resccl::tests {
 
-struct AlgoCase {
-  std::string label;
-  Algorithm (*make)(const Topology&);
-};
+using AlgoCase = algorithms::CatalogEntry;
 
 inline std::vector<AlgoCase> AlgorithmCases() {
-  return {
-      {"ring_ag",
-       [](const Topology& t) { return algorithms::RingAllGather(t.nranks()); }},
-      {"ring_rs",
-       [](const Topology& t) {
-         return algorithms::RingReduceScatter(t.nranks());
-       }},
-      {"ring_ar",
-       [](const Topology& t) { return algorithms::RingAllReduce(t.nranks()); }},
-      {"mc_ring_ag",
-       [](const Topology& t) {
-         return algorithms::MultiChannelRingAllGather(t, t.CommChannels());
-       }},
-      {"mc_ring_rs",
-       [](const Topology& t) {
-         return algorithms::MultiChannelRingReduceScatter(t, t.CommChannels());
-       }},
-      {"mc_ring_ar",
-       [](const Topology& t) {
-         return algorithms::MultiChannelRingAllReduce(t, t.CommChannels());
-       }},
-      {"tree_ar",
-       [](const Topology& t) {
-         return algorithms::DoubleBinaryTreeAllReduce(t.nranks());
-       }},
-      {"rhd_ar",
-       [](const Topology& t) {
-         return algorithms::RecursiveHalvingDoublingAllReduce(t.nranks());
-       }},
-      {"rd_ag",
-       [](const Topology& t) {
-         return algorithms::RecursiveDoublingAllGather(t.nranks());
-       }},
-      {"oneshot_ag",
-       [](const Topology& t) {
-         return algorithms::OneShotAllGather(t.nranks());
-       }},
-      {"hm_ag", algorithms::HierarchicalMeshAllGather},
-      {"hm_rs", algorithms::HierarchicalMeshReduceScatter},
-      {"hm_ar", algorithms::HierarchicalMeshAllReduce},
-      {"hc_ag",
-       [](const Topology& t) { return algorithms::ComposedAllGather(t); }},
-      {"hc_rs",
-       [](const Topology& t) { return algorithms::ComposedReduceScatter(t); }},
-      {"hc_ar",
-       [](const Topology& t) { return algorithms::ComposedAllReduce(t); }},
-      {"taccl_ag", algorithms::TacclLikeAllGather},
-      {"taccl_ar", algorithms::TacclLikeAllReduce},
-      {"teccl_ag", algorithms::TecclLikeAllGather},
-      {"teccl_ar", algorithms::TecclLikeAllReduce},
-  };
+  std::vector<AlgoCase> cases;
+  for (const algorithms::CatalogEntry& e : algorithms::Catalog()) {
+    if (e.op == CollectiveOp::kAllGather ||
+        e.op == CollectiveOp::kReduceScatter ||
+        e.op == CollectiveOp::kAllReduce) {
+      cases.push_back(e);
+    }
+  }
+  return cases;
 }
 
 struct TopoCase {

@@ -1,4 +1,4 @@
-// Prints the simulated makespan of every algo_cases.h algorithm ×
+// Prints the simulated makespan of every AlgorithmCases() algorithm ×
 // TopoCases() topology × backend × {1, 64} MiB × {Simple, LL, LL128}
 // cell, one line each, in hex floating point (%a), so the last bit of
 // every number shows. The `makespan_golden` ctest diffs this output
@@ -8,6 +8,7 @@
 //   makespan_golden > makespans.txt
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "algo_cases.h"
 #include "runtime/exec_context.h"
@@ -18,6 +19,7 @@ int main() {
     const auto topo = std::make_shared<const Topology>(tc.make());
     for (const tests::AlgoCase& ac : tests::AlgorithmCases()) {
       const Algorithm algo = ac.make(*topo);
+      const std::string name(ac.name);
       for (const BackendKind kind :
            {BackendKind::kResCCL, BackendKind::kMscclLike,
             BackendKind::kNcclLike}) {
@@ -25,7 +27,7 @@ int main() {
             Prepare(algo, topo, DefaultCompileOptions(kind), BackendName(kind));
         if (!prepared.ok()) {
           std::printf("%s %s %s prepare-error %s\n", tc.label.c_str(),
-                      ac.label.c_str(), BackendName(kind),
+                      name.c_str(), BackendName(kind),
                       prepared.status().ToString().c_str());
           continue;
         }
@@ -39,7 +41,7 @@ int main() {
             const CollectiveReport& report =
                 ctx.Execute(prepared.value(), request);
             std::printf("%s %s %s %dMiB %s %a\n", tc.label.c_str(),
-                        ac.label.c_str(), BackendName(kind), mib,
+                        name.c_str(), BackendName(kind), mib,
                         ProtocolName(protocol), report.elapsed.us());
           }
         }

@@ -196,8 +196,6 @@ TEST(SynthesizedTest, AllVariantsValidateOnTable3Topologies) {
     EXPECT_TRUE(TacclLikeAllReduce(topo).Validate().ok());
     EXPECT_TRUE(TecclLikeAllGather(topo).Validate().ok());
     EXPECT_TRUE(TecclLikeAllReduce(topo).Validate().ok());
-    EXPECT_TRUE(MscclangAllGather(topo).Validate().ok());
-    EXPECT_TRUE(MscclangAllReduce(topo).Validate().ok());
   }
 }
 

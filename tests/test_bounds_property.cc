@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "algo_cases.h"
+#include "algorithms/ring.h"
 #include "analysis/analyzer.h"
 #include "analysis/bounds.h"
 #include "analysis/perf_rules.h"
@@ -75,7 +76,7 @@ std::string BoundSoundnessName(
     const ::testing::TestParamInfo<std::tuple<AlgoCase, BackendKind, TopoCase>>&
         info) {
   const auto& [a, b, t] = info.param;
-  return a.label + "_" + BackendName(b) + "_" + t.label;
+  return std::string(a.name) + "_" + BackendName(b) + "_" + t.label;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -278,10 +279,10 @@ TEST(PerfRules, FindingsAreAdvisoryAndFloorRespectsBound) {
     const Algorithm algo = algo_case.make(topo);
     const Result<PreparedPlan> prepared =
         Prepare(algo, topo, BackendKind::kResCCL);
-    ASSERT_TRUE(prepared.ok()) << algo_case.label;
+    ASSERT_TRUE(prepared.ok()) << algo_case.name;
     const PerfReport report =
         AnalyzePlanPerf(prepared.value()->plan, topo, SmallLaunch());
-    SCOPED_TRACE(algo_case.label);
+    SCOPED_TRACE(algo_case.name);
     ASSERT_TRUE(report.applicable);
     for (const Diagnostic& d : report.diagnostics) {
       EXPECT_EQ(d.severity, DiagSeverity::kAdvice) << d.rule_id;

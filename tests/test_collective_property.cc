@@ -27,20 +27,13 @@ Algorithm MakeComposedArTrees(const Topology& t) {
   spec.primitives.assign(4, algorithms::LevelPrimitive::kTree);
   return algorithms::ComposedAllReduce(t, spec);
 }
-Algorithm MakeComposedArCoarse(const Topology& t) {
-  // Coarse striping: one chunk class per local GPU (the thousand-rank
-  // regime's transfer-count lever).
-  algorithms::CompositionSpec spec;
-  spec.chunks = t.gpus_per_node();
-  return algorithms::ComposedAllReduce(t, spec);
-}
-
-// The shared library table plus three composed AllReduce variants.
+// The shared library table plus two composed AllReduce variants.
 std::vector<AlgoCase> AlgorithmCases() {
   std::vector<AlgoCase> cases = tests::AlgorithmCases();
-  cases.push_back({"hc_ar_rings", MakeComposedArRings});
-  cases.push_back({"hc_ar_trees", MakeComposedArTrees});
-  cases.push_back({"hc_ar_coarse", MakeComposedArCoarse});
+  cases.push_back({"hc_ar_rings", CollectiveOp::kAllReduce,
+                   MakeComposedArRings, algorithms::Requirement::kComposable});
+  cases.push_back({"hc_ar_trees", CollectiveOp::kAllReduce,
+                   MakeComposedArTrees, algorithms::Requirement::kComposable});
   return cases;
 }
 
@@ -92,7 +85,7 @@ std::string PropertyName(
     const ::testing::TestParamInfo<
         std::tuple<AlgoCase, TopoCase, BackendKind>>& info) {
   const auto& [a, t, b] = info.param;
-  return a.label + "_" + t.label + "_" + BackendName(b);
+  return std::string(a.name) + "_" + t.label + "_" + BackendName(b);
 }
 
 INSTANTIATE_TEST_SUITE_P(

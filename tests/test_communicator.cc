@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "lang/eval.h"
 #include "runtime/communicator.h"
+#include "runtime/selector.h"
 
 namespace resccl {
 namespace {
@@ -66,6 +68,30 @@ TEST(CommunicatorTest, MismatchedAlgorithmThrows) {
   const Algorithm algo =
       DefaultAlgorithm(BackendKind::kResCCL, CollectiveOp::kAllGather, small);
   EXPECT_THROW((void)comm.Run(algo, SmallRequest()), std::invalid_argument);
+}
+
+// One rank has no peer: the selector finds no candidate and the
+// communicator refuses its default algorithm, both as invalid_argument.
+TEST(CommunicatorTest, OneRankIsInvalidArgument) {
+  const Topology topo(presets::A100(1, 1));
+  RunRequest request;
+  request.launch.buffer = Size::MiB(1);
+  for (const CollectiveOp op :
+       {CollectiveOp::kAllReduce, CollectiveOp::kBroadcast}) {
+    EXPECT_TRUE(CandidateAlgorithms(op, topo).empty());
+    EXPECT_THROW((void)SelectAlgorithm(op, topo, BackendKind::kResCCL, request),
+                 std::invalid_argument);
+  }
+  const Communicator comm(presets::A100(1, 1), BackendKind::kResCCL);
+  try {
+    (void)comm.AllReduce(request);
+    ADD_FAILURE() << "AllReduce on one rank did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("needs at least 2 ranks"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)comm.Broadcast(request), std::invalid_argument);
 }
 
 TEST(CommunicatorTest, AllBackendsProduceVerifiedAllReduce) {

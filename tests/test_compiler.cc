@@ -181,11 +181,13 @@ class PlanHasher {
 // program through the DSL at 16x8. Any change to waves, dependencies, TB
 // packing or issue order moves the digest. The pinned value was computed
 // before the flat-array rewrite of the source-to-plan pipeline; a change
-// that means to alter plans must say so and re-pin it.
+// that means to alter plans must say so and re-pin it. hc_allreduce_coarse
+// joined the table later and is pinned by a digest of its own.
 TEST(CompilerTest, PlansMatchPinnedDigest) {
   constexpr BackendKind kBackends[] = {
       BackendKind::kResCCL, BackendKind::kMscclLike, BackendKind::kNcclLike};
   PlanHasher hasher;
+  PlanHasher coarse;
   for (const tests::TopoCase& tc : tests::TopoCases()) {
     const Topology topo(tc.make());
     for (const tests::AlgoCase& ac : tests::AlgorithmCases()) {
@@ -193,9 +195,9 @@ TEST(CompilerTest, PlansMatchPinnedDigest) {
       for (BackendKind kind : kBackends) {
         const Result<CompiledCollective> cc =
             Compile(algo, topo, DefaultCompileOptions(kind));
-        ASSERT_TRUE(cc.ok()) << tc.label << "/" << ac.label << ": "
+        ASSERT_TRUE(cc.ok()) << tc.label << "/" << ac.name << ": "
                              << cc.status().ToString();
-        hasher.Add(cc.value());
+        (ac.name == "hc_allreduce_coarse" ? coarse : hasher).Add(cc.value());
       }
     }
   }
@@ -211,6 +213,8 @@ TEST(CompilerTest, PlansMatchPinnedDigest) {
   }
   EXPECT_EQ(hasher.digest(), 0x65eff1d250cf2ed6ULL)
       << std::hex << "digest 0x" << hasher.digest();
+  EXPECT_EQ(coarse.digest(), 0x3c47162a4f011c1aULL)
+      << std::hex << "coarse digest 0x" << coarse.digest();
 }
 
 }  // namespace

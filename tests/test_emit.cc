@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "algorithms/composition.h"
 #include "algorithms/hierarchical.h"
 #include "algorithms/recursive.h"
 #include "algorithms/ring.h"
@@ -33,7 +35,7 @@ bool SameTransfers(const Algorithm& a, const Algorithm& b) {
 
 TEST(EmitTest, HeaderReflectsAlgorithm) {
   const Algorithm a = algorithms::RingAllGather(4);
-  const std::string src = EmitSource(a);
+  const std::string src = EmitSource(a).value();
   EXPECT_NE(src.find("nRanks=4"), std::string::npos);
   EXPECT_NE(src.find("OpType=\"Allgather\""), std::string::npos);
   EXPECT_NE(src.find("AlgoName=\"ring_allgather\""), std::string::npos);
@@ -57,7 +59,7 @@ TEST(EmitTest, RoundTripsEveryLibraryAlgorithm) {
       algorithms::ChainReduce(16, 9),
   };
   for (const Algorithm& a : algos) {
-    const Result<Algorithm> back = CompileSource(EmitSource(a));
+    const Result<Algorithm> back = CompileSource(EmitSource(a).value());
     ASSERT_TRUE(back.ok()) << a.name << ": " << back.status().ToString();
     EXPECT_EQ(back.value().nranks, a.nranks) << a.name;
     EXPECT_EQ(back.value().collective, a.collective) << a.name;
@@ -70,7 +72,24 @@ TEST(EmitTest, RejectsInvalidAlgorithm) {
   Algorithm bad;
   bad.nranks = 4;
   bad.nchunks = 4;
-  EXPECT_THROW((void)EmitSource(bad), std::logic_error);
+  const Result<std::string> src = EmitSource(bad);
+  ASSERT_FALSE(src.ok());
+  EXPECT_EQ(src.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EmitTest, RejectsChunkCountOtherThanRankCount) {
+  // The coarse composed AllReduce runs one chunk class per local GPU:
+  // 8 chunks over 16 ranks, which ResCCLang cannot express.
+  algorithms::CompositionSpec spec;
+  spec.chunks = 8;
+  const Algorithm coarse =
+      algorithms::ComposedAllReduce(Topology(presets::A100(2, 8)), spec);
+  ASSERT_TRUE(coarse.Validate().ok());
+  const Result<std::string> src = EmitSource(coarse);
+  ASSERT_FALSE(src.ok());
+  EXPECT_EQ(src.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(src.status().message().find("nchunks == nranks"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -139,7 +139,7 @@ TEST_P(FaultProperty, FaultsPerturbTimingNeverData) {
 std::string FaultPropertyName(
     const ::testing::TestParamInfo<std::tuple<AlgoCase, BackendKind>>& info) {
   const auto& [a, b] = info.param;
-  return a.label + "_" + BackendName(b);
+  return std::string(a.name) + "_" + BackendName(b);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "algo_cases.h"
+#include "algorithms/composition.h"
+#include "algorithms/hierarchical.h"
 #include "common/check.h"
 #include "fluid_reference.h"
 #include "runtime/backend.h"
@@ -103,7 +105,7 @@ std::string FluidReferenceName(
     const ::testing::TestParamInfo<std::tuple<AlgoCase, BackendKind, TopoCase>>&
         info) {
   const auto& [a, b, t] = info.param;
-  return a.label + "_" + BackendName(b) + "_" + t.label;
+  return std::string(a.name) + "_" + BackendName(b) + "_" + t.label;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -128,7 +128,7 @@ TEST(CriticalPathTest, RejectsUnobservedReport) {
 std::string ObsPropertyName(
     const ::testing::TestParamInfo<std::tuple<AlgoCase, BackendKind>>& info) {
   const auto& [a, b] = info.param;
-  return a.label + "_" + BackendName(b);
+  return std::string(a.name) + "_" + BackendName(b);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -76,7 +76,7 @@ TEST(PlanIoTest, SecondRoundTripIsIdentityOnText) {
       for (const BackendKind kind :
            {BackendKind::kResCCL, BackendKind::kMscclLike,
             BackendKind::kNcclLike}) {
-        SCOPED_TRACE(tc.label + "/" + ac.label + "/" + BackendName(kind));
+        SCOPED_TRACE(tc.label + "/" + std::string(ac.name) + "/" + BackendName(kind));
         const std::string once = SavePlanToString(
             Compile(algo, topo, DefaultCompileOptions(kind)).value());
         const Result<CompiledCollective> loaded = LoadPlanFromString(once);

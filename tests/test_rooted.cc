@@ -106,7 +106,7 @@ TEST(RootedCommunicatorTest, PublicApi) {
 
 TEST(RootedDslTest, RootParameterRoundTrips) {
   const Algorithm a = algorithms::ChainBroadcast(8, 3);
-  const std::string src = lang::EmitSource(a);
+  const std::string src = lang::EmitSource(a).value();
   EXPECT_NE(src.find("Root=3"), std::string::npos);
   EXPECT_NE(src.find("OpType=\"Broadcast\""), std::string::npos);
   const Result<Algorithm> back = lang::CompileSource(src);

@@ -7,11 +7,12 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
-#include "algorithms/hierarchical.h"
-#include "algorithms/ring.h"
-#include "algorithms/synthesized.h"
-#include "algorithms/tree.h"
+#include "algorithms/catalog.h"
 #include "common/rng.h"
 #include "core/hpds.h"
 #include "core/round_robin.h"
@@ -23,10 +24,9 @@ namespace resccl {
 namespace {
 
 struct SchedulerCase {
-  std::string name;
+  std::string_view name;  // a catalog entry
   int nodes;
   int gpus;
-  Algorithm (*make)(const Topology&);
 };
 
 // Readable parameter names in gtest failure output.
@@ -34,31 +34,20 @@ void PrintTo(const SchedulerCase& c, std::ostream* os) {
   *os << c.name << "_" << c.nodes << "x" << c.gpus;
 }
 
-Algorithm MakeRingAg(const Topology& t) {
-  return algorithms::RingAllGather(t.nranks());
-}
-Algorithm MakeRingAr(const Topology& t) {
-  return algorithms::RingAllReduce(t.nranks());
-}
-Algorithm MakeTree(const Topology& t) {
-  return algorithms::DoubleBinaryTreeAllReduce(t.nranks());
-}
-Algorithm MakeMcRing(const Topology& t) {
-  return algorithms::MultiChannelRingAllReduce(t, t.CommChannels());
+Algorithm Make(std::string_view name, const Topology& topo) {
+  return algorithms::MakeAlgorithm(name, topo).value();
 }
 
 std::vector<SchedulerCase> Cases() {
   std::vector<SchedulerCase> cases;
   for (const auto& [nodes, gpus] : {std::pair{2, 4}, {2, 8}, {4, 4}}) {
-    cases.push_back({"hm_ag", nodes, gpus, algorithms::HierarchicalMeshAllGather});
-    cases.push_back({"hm_ar", nodes, gpus, algorithms::HierarchicalMeshAllReduce});
-    cases.push_back({"hm_rs", nodes, gpus, algorithms::HierarchicalMeshReduceScatter});
-    cases.push_back({"taccl_ag", nodes, gpus, algorithms::TacclLikeAllGather});
-    cases.push_back({"teccl_ar", nodes, gpus, algorithms::TecclLikeAllReduce});
-    cases.push_back({"ring_ag", nodes, gpus, MakeRingAg});
-    cases.push_back({"ring_ar", nodes, gpus, MakeRingAr});
-    cases.push_back({"tree_ar", nodes, gpus, MakeTree});
-    cases.push_back({"mc_ring_ar", nodes, gpus, MakeMcRing});
+    for (const std::string_view name :
+         {"hm_allgather", "hm_allreduce", "hm_reducescatter",
+          "taccl_like_allgather", "teccl_like_allreduce", "ring_allgather",
+          "ring_allreduce", "double_binary_tree_allreduce",
+          "ring_mc_allreduce"}) {
+      cases.push_back({name, nodes, gpus});
+    }
   }
   return cases;
 }
@@ -89,7 +78,7 @@ class SchedulerInvariantTest
 TEST_P(SchedulerInvariantTest, ScheduleIsValid) {
   const auto& [c, sched_kind] = GetParam();
   const Topology topo(presets::A100(c.nodes, c.gpus));
-  const Algorithm algo = c.make(topo);
+  const Algorithm algo = Make(c.name, topo);
   ASSERT_TRUE(algo.Validate().ok());
 
   ConnectionTable conns(topo);
@@ -104,7 +93,7 @@ TEST_P(SchedulerInvariantTest, ScheduleIsValid) {
 std::string CaseName(
     const ::testing::TestParamInfo<std::tuple<SchedulerCase, int>>& info) {
   const auto& [c, kind] = info.param;
-  return c.name + "_" + std::to_string(c.nodes) + "x" +
+  return std::string(c.name) + "_" + std::to_string(c.nodes) + "x" +
          std::to_string(c.gpus) + SchedulerSuffix(kind);
 }
 
@@ -123,7 +112,7 @@ class SchedulerBehaviourTest : public ::testing::Test {
 
 TEST_F(SchedulerBehaviourTest, RingWavesMatchSteps) {
   // For a plain ring, every wave is one ring step: N−1 waves of N tasks.
-  const Algorithm algo = algorithms::RingAllGather(8);
+  const Algorithm algo = Make("ring_allgather", topo_);
   DependencyGraph dag(algo, conns_);
   HpdsScheduler hpds;
   const Schedule s = hpds.Build(dag, conns_);
@@ -211,7 +200,7 @@ TEST_F(SchedulerBehaviourTest, LatencyClassesSplitWaves) {
 TEST_F(SchedulerBehaviourTest, WavesAreStepSorted) {
   const Topology topo(presets::A100(2, 8));
   ConnectionTable conns(topo);
-  const Algorithm algo = algorithms::HierarchicalMeshAllReduce(topo);
+  const Algorithm algo = Make("hm_allreduce", topo);
   DependencyGraph dag(algo, conns);
   HpdsScheduler hpds;
   const Schedule s = hpds.Build(dag, conns);
@@ -224,7 +213,7 @@ TEST_F(SchedulerBehaviourTest, WavesAreStepSorted) {
 }
 
 TEST_F(SchedulerBehaviourTest, ValidateScheduleCatchesViolations) {
-  const Algorithm algo = algorithms::RingAllGather(8);
+  const Algorithm algo = Make("ring_allgather", topo_);
   DependencyGraph dag(algo, conns_);
   HpdsScheduler hpds;
   Schedule s = hpds.Build(dag, conns_);
@@ -260,7 +249,7 @@ TEST_F(SchedulerBehaviourTest, ValidateScheduleCatchesViolations) {
 }
 
 TEST_F(SchedulerBehaviourTest, ValidateScheduleReportsBadTaskIds) {
-  const Algorithm algo = algorithms::RingAllGather(8);
+  const Algorithm algo = Make("ring_allgather", topo_);
   DependencyGraph dag(algo, conns_);
   HpdsScheduler hpds;
   const Schedule s = hpds.Build(dag, conns_);
@@ -425,7 +414,7 @@ class ValidateDifferentialTest
 TEST_P(ValidateDifferentialTest, AgreesWithPairwiseReference) {
   const auto& [c, sched_kind] = GetParam();
   const Topology topo(presets::A100(c.nodes, c.gpus));
-  const Algorithm algo = c.make(topo);
+  const Algorithm algo = Make(c.name, topo);
   ConnectionTable conns(topo);
   DependencyGraph dag(algo, conns);
   const Schedule schedule = BuildSchedule(sched_kind, dag, conns);
@@ -465,7 +454,7 @@ TEST(ValidateDifferential, EveryClassIsExercised) {
   int data = 0;
   for (const SchedulerCase& c : Cases()) {
     const Topology topo(presets::A100(c.nodes, c.gpus));
-    const Algorithm algo = c.make(topo);
+    const Algorithm algo = Make(c.name, topo);
     ConnectionTable conns(topo);
     DependencyGraph dag(algo, conns);
     Rng rng(static_cast<std::uint64_t>(c.nodes * 131 + c.gpus));

@@ -1,7 +1,7 @@
 // resccl — command-line front end to the library.
 //
 //   resccl list
-//       Show the built-in algorithm registry and topology presets.
+//       Show the algorithm catalog, topology presets and backends.
 //   resccl run --algo hm_allreduce --topo a100 --nodes 2 --gpus 8
 //              [--backend resccl|msccl|nccl] [--buffer-mb N] [--chunk-kb N]
 //              [--protocol simple|ll|ll128|auto] [--verify] [--trace out.json]
@@ -46,19 +46,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "algorithms/hierarchical.h"
-#include "algorithms/recursive.h"
-#include "algorithms/ring.h"
-#include "algorithms/rooted.h"
-#include "algorithms/synthesized.h"
-#include "algorithms/tree.h"
+#include "algorithms/catalog.h"
 #include "analysis/analyzer.h"
 #include "analysis/bounds.h"
 #include "analysis/perf_rules.h"
@@ -81,61 +75,6 @@
 namespace {
 
 using namespace resccl;
-
-using AlgoFactory = std::function<Algorithm(const Topology&)>;
-
-const std::map<std::string, AlgoFactory>& Registry() {
-  static const std::map<std::string, AlgoFactory> kRegistry = {
-      {"ring_allgather",
-       [](const Topology& t) { return algorithms::RingAllGather(t.nranks()); }},
-      {"ring_reducescatter",
-       [](const Topology& t) {
-         return algorithms::RingReduceScatter(t.nranks());
-       }},
-      {"ring_allreduce",
-       [](const Topology& t) { return algorithms::RingAllReduce(t.nranks()); }},
-      {"mc_ring_allgather",
-       [](const Topology& t) {
-         return algorithms::MultiChannelRingAllGather(t, t.CommChannels());
-       }},
-      {"mc_ring_allreduce",
-       [](const Topology& t) {
-         return algorithms::MultiChannelRingAllReduce(t, t.CommChannels());
-       }},
-      {"hm_allgather", algorithms::HierarchicalMeshAllGather},
-      {"hm_reducescatter", algorithms::HierarchicalMeshReduceScatter},
-      {"hm_allreduce", algorithms::HierarchicalMeshAllReduce},
-      {"tree_allreduce",
-       [](const Topology& t) {
-         return algorithms::DoubleBinaryTreeAllReduce(t.nranks());
-       }},
-      {"rhd_allreduce",
-       [](const Topology& t) {
-         return algorithms::RecursiveHalvingDoublingAllReduce(t.nranks());
-       }},
-      {"rd_allgather",
-       [](const Topology& t) {
-         return algorithms::RecursiveDoublingAllGather(t.nranks());
-       }},
-      {"oneshot_allgather",
-       [](const Topology& t) {
-         return algorithms::OneShotAllGather(t.nranks());
-       }},
-      {"chain_broadcast",
-       [](const Topology& t) { return algorithms::ChainBroadcast(t.nranks()); }},
-      {"chain_reduce",
-       [](const Topology& t) { return algorithms::ChainReduce(t.nranks()); }},
-      {"binomial_broadcast",
-       [](const Topology& t) {
-         return algorithms::BinomialTreeBroadcast(t.nranks());
-       }},
-      {"taccl_allgather", algorithms::TacclLikeAllGather},
-      {"taccl_allreduce", algorithms::TacclLikeAllReduce},
-      {"teccl_allgather", algorithms::TecclLikeAllGather},
-      {"teccl_allreduce", algorithms::TecclLikeAllReduce},
-  };
-  return kRegistry;
-}
 
 // Parses all of `text` as a T; nullopt when it is empty, has anything
 // after the number, or does not fit in T.
@@ -310,27 +249,22 @@ Algorithm LoadAlgorithm(const Args& args, const Topology& topo) {
     return std::move(algo).value();
   }
   const std::string name = args.Get("algo", "hm_allreduce");
-  const auto it = Registry().find(name);
-  if (it == Registry().end()) {
-    std::fprintf(stderr, "unknown --algo '%s'; try `resccl list`\n",
-                 name.c_str());
+  Result<Algorithm> algo = algorithms::MakeAlgorithm(name, topo);
+  if (!algo.ok()) {
+    std::fprintf(stderr, "--algo: %s; try `resccl list`\n",
+                 algo.status().message().c_str());
     std::exit(2);
   }
-  if ((name == "rhd_allreduce" || name == "rd_allgather") &&
-      !algorithms::IsPowerOfTwo(topo.nranks())) {
-    std::fprintf(stderr, "--algo %s needs a power-of-two rank count, got %d\n",
-                 name.c_str(), topo.nranks());
-    std::exit(2);
-  }
-  return it->second(topo);
+  return std::move(algo).value();
 }
 
 int CmdList(const Args& args) {
   (void)args;
-  std::printf("algorithms:\n");
-  for (const auto& [name, factory] : Registry()) {
-    (void)factory;
-    std::printf("  %s\n", name.c_str());
+  std::printf("algorithms (name, collective, needs):\n");
+  for (const algorithms::CatalogEntry& e : algorithms::Catalog()) {
+    std::printf("  %-30.*s %-14s %s\n", static_cast<int>(e.name.size()),
+                e.name.data(), CollectiveOpTag(e.op),
+                algorithms::RequirementName(e.requirement));
   }
   std::printf("topologies: a100 (default), v100, h100 "
               "(--nodes N --gpus G)\n");
@@ -518,8 +452,13 @@ int CmdBound(const Args& args) {
 
 int CmdEmit(const Args& args) {
   const Topology topo(MakeSpec(args));
-  const Algorithm algo = LoadAlgorithm(args, topo);
-  std::fputs(lang::EmitSource(algo).c_str(), stdout);
+  const Result<std::string> source =
+      lang::EmitSource(LoadAlgorithm(args, topo));
+  if (!source.ok()) {
+    std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
+    return 2;
+  }
+  std::fputs(source.value().c_str(), stdout);
   return 0;
 }
 
