@@ -356,7 +356,7 @@ double P2pBandwidth(const Topology& topo, int ntbs, Size total) {
     decl.src = 0;
     decl.dst = 8;
     decl.bytes = per_tb;
-    p.transfers.push_back(decl);
+    p.AddTransfer(decl);
     SimTb send;
     send.rank = 0;
     send.warps = 4;  // the narrow TBs of the paper's experiment

@@ -31,10 +31,16 @@
 //   postcondition  an abstract replay over multisets of contributing ranks
 //                  shows every rank ends holding exactly the chunks its
 //                  CollectiveOp requires.
+//   channel-capacity
+//                  the per-(rank, peer) channel pool
+//                  (TopologySpec::channels_per_peer) holds every stream the
+//                  plan opens on one (rank, peer, direction) — stage-level
+//                  execution opens one per stage.
 //
-// The tb-merge rule is the only one that needs a Topology (path latencies /
-// bandwidths feed the timeline); pass nullptr to skip it — the report says
-// so via tb_merge_checked.
+// tb-merge and channel-capacity are the rules that need a Topology (path
+// latencies / bandwidths feed the timeline; the topology sizes the channel
+// pool); pass nullptr to skip both — the report says so via
+// tb_merge_checked.
 #pragma once
 
 #include <cstdint>
@@ -81,8 +87,10 @@ struct Diagnostic {
   std::string witness;   // human-readable evidence (wait-for chain, ...)
 };
 
-// Wall-clock of one analyzer check. `rule` is a rules::k* id, or "lower"
-// for the canonical lowering of the AnalyzePlan(plan, topo) overload.
+// Wall-clock of one analyzer check. `rule` is a rules::k* id, "lower" for
+// the canonical lowering of the AnalyzePlan(plan, topo) overload, or
+// "lowered-structure" for the structure pass over the lowered program
+// (whose diagnostics carry rule id `structure`).
 struct RuleTime {
   const char* rule = "";
   double us = 0;
@@ -92,9 +100,8 @@ struct AnalysisReport {
   std::vector<Diagnostic> diagnostics;
   double analysis_us = 0;
   // Per-check wall-clock in run order: structure, lower, hazard,
-  // postcondition, rendezvous, deadlock, tb-merge, channel-capacity. A
-  // check that did not run has no entry; the lowered-program structure
-  // check is charged to `structure`.
+  // postcondition, lowered-structure, rendezvous, deadlock, tb-merge,
+  // channel-capacity. A check that did not run has no entry.
   std::vector<RuleTime> rule_us;
   bool tb_merge_checked = false;  // false when no topology was supplied
 
@@ -102,7 +109,8 @@ struct AnalysisReport {
   [[nodiscard]] int warnings() const;
   [[nodiscard]] int advice() const;
   [[nodiscard]] bool clean() const { return errors() == 0; }
-  // "clean (6 rules)" or "2 error(s): first = [deadlock] ...".
+  // "clean", "clean (tb-merge skipped: no topology)", or
+  // "2 error(s); first: [deadlock] wait-for graph: ..." cut to 240 chars.
   [[nodiscard]] std::string Summary() const;
 };
 

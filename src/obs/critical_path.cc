@@ -90,7 +90,7 @@ int ResolveBlame(const SimProgram& program, const SimRunReport& report,
   // A data dependency that completed at the resolution instant: its
   // receiver's in-flight segment ends exactly at t, guaranteeing the walk
   // lands on work.
-  for (const int dep : program.transfers[tid].deps) {
+  for (const int dep : program.DepsOf(tid)) {
     const TransferStats& d = report.transfers[static_cast<std::size_t>(dep)];
     if (d.complete == t && d.recv_tb != tb) return d.recv_tb;
     if (d.complete == t && d.send_tb != tb) return d.send_tb;

@@ -23,10 +23,13 @@ void AppendJob(LoweredProgram& merged, const LoweredProgram& job) {
   SimProgram& out = merged.program;
   const int transfer_base = static_cast<int>(out.transfers.size());
   const int barrier_base = static_cast<int>(out.barrier_parties.size());
-  for (SimTransferDecl decl : job.program.transfers) {
-    for (int& d : decl.deps) d += transfer_base;
-    out.transfers.push_back(std::move(decl));
+  out.transfers.insert(out.transfers.end(), job.program.transfers.begin(),
+                       job.program.transfers.end());
+  const int dep_base = static_cast<int>(out.deps.size());
+  for (std::size_t t = 1; t < job.program.dep_begin.size(); ++t) {
+    out.dep_begin.push_back(dep_base + job.program.dep_begin[t]);
   }
+  for (const int d : job.program.deps) out.deps.push_back(d + transfer_base);
   for (SimTb tb : job.program.tbs) {
     for (SimInstr& instr : tb.program) {
       if (instr.transfer >= 0) instr.transfer += transfer_base;

@@ -114,13 +114,23 @@ void LowerInto(const CompiledCollective& compiled, const CostModel& cost,
   // Reused decls carry whatever the previous lowering set, so every field
   // is assigned — in particular latency_us / latency_scale, where a fresh
   // decl's defaults carry meaning ("use the path α unscaled").
-  out.program.transfers.resize(static_cast<std::size_t>(ntasks) *
-                               static_cast<std::size_t>(nmb));
+  // Dependencies go into the program's CSR pool, sized up front so a warm
+  // `out` reuses it.
+  const auto ndecls =
+      static_cast<std::size_t>(ntasks) * static_cast<std::size_t>(nmb);
+  std::size_t npreds = 0;
+  for (const std::vector<int>& preds : compiled.preds) npreds += preds.size();
+  SimProgram& program = out.program;
+  program.transfers.resize(ndecls);
+  program.dep_begin.resize(ndecls + 1);
+  program.deps.resize(npreds * static_cast<std::size_t>(nmb));
+  program.dep_begin[0] = 0;
+  int next_dep = 0;
   for (int t = 0; t < ntasks; ++t) {
     const Transfer& tr = compiled.algo.transfers[static_cast<std::size_t>(t)];
     for (int m = 0; m < nmb; ++m) {
-      SimTransferDecl& decl = out.program.transfers[static_cast<std::size_t>(
-          DeclIndex(t, m, nmb))];
+      SimTransferDecl& decl =
+          program.transfers[static_cast<std::size_t>(DeclIndex(t, m, nmb))];
       decl.src = tr.src;
       decl.dst = tr.dst;
       decl.bytes = wire_chunk;
@@ -143,10 +153,12 @@ void LowerInto(const CompiledCollective& compiled, const CostModel& cost,
       }
       // Data dependencies stay within a micro-batch: micro-batches address
       // disjoint buffer slices (§3's key insight).
-      decl.deps.clear();
       for (int p : compiled.preds[static_cast<std::size_t>(t)]) {
-        decl.deps.push_back(DeclIndex(p, m, nmb));
+        program.deps[static_cast<std::size_t>(next_dep++)] =
+            DeclIndex(p, m, nmb);
       }
+      program.dep_begin[static_cast<std::size_t>(DeclIndex(t, m, nmb)) + 1] =
+          next_dep;
     }
   }
 
@@ -161,6 +173,11 @@ void LowerInto(const CompiledCollective& compiled, const CostModel& cost,
              : 1.0) *
         channel_scale;
     sim_tb.program.clear();
+    // Task-level streams issue each ref once per micro-batch; the other
+    // modes add one barrier per micro-batch.
+    sim_tb.program.reserve(
+        (tb.refs.size() + (mode == ExecutionMode::kTaskLevel ? 0 : 1)) *
+        static_cast<std::size_t>(nmb));
   };
 
   if (mode == ExecutionMode::kTaskLevel) {

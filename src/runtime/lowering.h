@@ -83,7 +83,7 @@ struct LoweredProgram {
                                    int channels_per_peer = 16);
 
 // Reuse variant: lowers into `out`, reusing the capacity of every nested
-// vector (transfer decls and their dep lists, TB instruction streams,
+// vector (transfer decls, the dependency pool, TB instruction streams,
 // barrier tables). Every field is (re)assigned — including the decl
 // defaults Lower relies on from fresh construction (latency_us,
 // latency_scale, latency_extra_us, injection_scale) — so a warm `out` is

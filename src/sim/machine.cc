@@ -11,6 +11,14 @@
 
 namespace resccl {
 
+int SimProgram::AddTransfer(const SimTransferDecl& decl,
+                            std::span<const int> decl_deps) {
+  transfers.push_back(decl);
+  deps.insert(deps.end(), decl_deps.begin(), decl_deps.end());
+  dep_begin.push_back(static_cast<int>(deps.size()));
+  return static_cast<int>(transfers.size()) - 1;
+}
+
 DeadlockError::DeadlockError(DeadlockReport report)
     : std::runtime_error("SimMachine deadlock: " + report.witness),
       report_(std::move(report)) {}
@@ -84,6 +92,13 @@ void SimMachine::RunInto(const SimProgram& program, const FaultPlan* faults,
   if (observe_) net_->EnableRateLog();
 
   const std::size_t nt = program.transfers.size();
+  RESCCL_CHECK_MSG(program.dep_begin.size() == nt + 1 &&
+                       program.dep_begin.front() == 0 &&
+                       static_cast<std::size_t>(program.dep_begin.back()) ==
+                           program.deps.size() &&
+                       std::is_sorted(program.dep_begin.begin(),
+                                      program.dep_begin.end()),
+                   "malformed dependency CSR");
   transfers_.assign(nt, {});
   dep_heads_.assign(nt + 1, 0);
   for (std::size_t t = 0; t < nt; ++t) {
@@ -92,8 +107,9 @@ void SimMachine::RunInto(const SimProgram& program, const FaultPlan* faults,
     RESCCL_CHECK(decl.bytes > 0);
     TransferState& st = transfers_[t];
     st.path = &topo_.PathBetween(decl.src, decl.dst);
-    st.deps_remaining = static_cast<int>(decl.deps.size());
-    for (int d : decl.deps) {
+    const std::span<const int> deps = program.DepsOf(t);
+    st.deps_remaining = static_cast<int>(deps.size());
+    for (int d : deps) {
       RESCCL_CHECK(d >= 0 && static_cast<std::size_t>(d) < nt);
       ++dep_heads_[static_cast<std::size_t>(d) + 1];
     }
@@ -104,7 +120,7 @@ void SimMachine::RunInto(const SimProgram& program, const FaultPlan* faults,
   dep_edges_.resize(dep_heads_[nt]);
   dep_fill_.assign(dep_heads_.begin(), dep_heads_.end() - 1);
   for (std::size_t t = 0; t < nt; ++t) {
-    for (int d : program.transfers[t].deps) {
+    for (int d : program.DepsOf(t)) {
       dep_edges_[dep_fill_[static_cast<std::size_t>(d)]++] =
           static_cast<std::int32_t>(t);
     }
@@ -422,7 +438,7 @@ DeadlockReport SimMachine::BuildDeadlockReport() const {
     if (tr.deps_remaining > 0) {
       os << " waits";
       int shown = 0;
-      for (int d : program_->transfers[tid].deps) {
+      for (int d : program_->DepsOf(tid)) {
         if (transfers_[static_cast<std::size_t>(d)].completed) continue;
         if (++shown > 4) {
           os << " ...";

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -49,7 +50,6 @@ struct SimTransferDecl {
   double latency_us = -1.0;
   double latency_scale = 1.0;
   double latency_extra_us = 0.0;
-  std::vector<int> deps;            // indices of transfers that must finish first
 };
 
 // One instruction in a TB's program.
@@ -72,8 +72,23 @@ struct SimTb {
 
 struct SimProgram {
   std::vector<SimTransferDecl> transfers;
+  // Data dependencies in CSR form: transfer t starts only after the
+  // transfers deps[dep_begin[t] .. dep_begin[t+1]) finish. One shared pool
+  // instead of a heap vector per declaration; dep_begin always holds
+  // transfers.size() + 1 monotone offsets ending at deps.size(). Append
+  // through AddTransfer, read through DepsOf.
+  std::vector<int> dep_begin = {0};
+  std::vector<int> deps;
   std::vector<SimTb> tbs;
   std::vector<int> barrier_parties;  // barrier index -> participant count
+
+  [[nodiscard]] std::span<const int> DepsOf(std::size_t t) const {
+    return {deps.data() + dep_begin[t],
+            static_cast<std::size_t>(dep_begin[t + 1] - dep_begin[t])};
+  }
+  // Appends `decl` waiting on `decl_deps`; returns its index.
+  int AddTransfer(const SimTransferDecl& decl,
+                  std::span<const int> decl_deps = {});
 };
 
 struct TbStats {

@@ -64,9 +64,10 @@ TEST_F(LoweringTest, TransferDeclsCoverAllInvocations) {
     EXPECT_EQ(decl.src, cc.algo.transfers[task].src);
     EXPECT_EQ(decl.dst, cc.algo.transfers[task].dst);
     const std::vector<int>& preds = cc.preds[task];
-    ASSERT_EQ(decl.deps.size(), preds.size());
+    const std::span<const int> deps = lp.program.DepsOf(i);
+    ASSERT_EQ(deps.size(), preds.size());
     for (std::size_t d = 0; d < preds.size(); ++d) {
-      const auto dep = static_cast<std::size_t>(decl.deps[d]);
+      const auto dep = static_cast<std::size_t>(deps[d]);
       EXPECT_EQ(dep / nmb, static_cast<std::size_t>(preds[d]));
       EXPECT_EQ(dep % nmb, mb);
     }

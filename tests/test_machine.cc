@@ -17,14 +17,11 @@
 namespace resccl {
 namespace {
 
-SimTransferDecl MakeDecl(Rank src, Rank dst, std::int64_t bytes,
-                         bool is_reduce = false, std::vector<int> deps = {}) {
+SimTransferDecl MakeDecl(Rank src, Rank dst, std::int64_t bytes) {
   SimTransferDecl d;
   d.src = src;
   d.dst = dst;
   d.bytes = bytes;
-  d.is_reduce = is_reduce;
-  d.deps = std::move(deps);
   return d;
 }
 
@@ -42,7 +39,7 @@ class MachineTest : public ::testing::Test {
   // One transfer between src/dst plus dedicated send/recv TBs.
   static SimProgram SingleTransfer(Rank src, Rank dst, std::int64_t bytes) {
     SimProgram p;
-    p.transfers.push_back(MakeDecl(src, dst, bytes, false, {}));
+    p.AddTransfer(MakeDecl(src, dst, bytes));
     p.tbs.push_back(MakeTb(src, {SimInstr{SimInstr::Kind::kSendSide, 0, -1, {}}}));
     p.tbs.push_back(MakeTb(dst, {SimInstr{SimInstr::Kind::kRecvSide, 0, -1, {}}}));
     return p;
@@ -82,7 +79,7 @@ TEST_F(MachineTest, ReduceTransferCostsMore) {
 TEST_F(MachineTest, RendezvousWaitCountsAsSync) {
   // The receiver arrives immediately; the sender is delayed by overhead.
   SimProgram p;
-  p.transfers.push_back(MakeDecl(0, 1, Size::MiB(1).bytes(), false, {}));
+  p.AddTransfer(MakeDecl(0, 1, Size::MiB(1).bytes()));
   SimInstr send{SimInstr::Kind::kSendSide, 0, -1, SimTime::Us(50)};
   SimInstr recv{SimInstr::Kind::kRecvSide, 0, -1, {}};
   p.tbs.push_back(MakeTb(0, {send}));
@@ -99,8 +96,8 @@ TEST_F(MachineTest, RendezvousWaitCountsAsSync) {
 TEST_F(MachineTest, DependencyOrdersTransfers) {
   // t1 (1->2) depends on t0 (0->1): a forwarding chain.
   SimProgram p;
-  p.transfers.push_back(MakeDecl(0, 1, Size::MiB(1).bytes(), false, {}));
-  p.transfers.push_back(MakeDecl(1, 2, Size::MiB(1).bytes(), false, {0}));
+  p.AddTransfer(MakeDecl(0, 1, Size::MiB(1).bytes()));
+  p.AddTransfer(MakeDecl(1, 2, Size::MiB(1).bytes()), std::vector<int>{0});
   p.tbs.push_back(MakeTb(0, {SimInstr{SimInstr::Kind::kSendSide, 0, -1, {}}}));
   p.tbs.push_back(MakeTb(1, {SimInstr{SimInstr::Kind::kRecvSide, 0, -1, {}},
                     SimInstr{SimInstr::Kind::kSendSide, 1, -1, {}}}));
@@ -112,8 +109,8 @@ TEST_F(MachineTest, DependencyOrdersTransfers) {
 
 TEST_F(MachineTest, IndependentTransfersOverlap) {
   SimProgram p;
-  p.transfers.push_back(MakeDecl(0, 1, Size::MiB(1).bytes(), false, {}));
-  p.transfers.push_back(MakeDecl(2, 3, Size::MiB(1).bytes(), false, {}));
+  p.AddTransfer(MakeDecl(0, 1, Size::MiB(1).bytes()));
+  p.AddTransfer(MakeDecl(2, 3, Size::MiB(1).bytes()));
   for (int t = 0; t < 2; ++t) {
     p.tbs.push_back(MakeTb(static_cast<Rank>(2 * t), {SimInstr{SimInstr::Kind::kSendSide, t, -1, {}}}));
     p.tbs.push_back(MakeTb(static_cast<Rank>(2 * t + 1), {SimInstr{SimInstr::Kind::kRecvSide, t, -1, {}}}));
@@ -126,7 +123,7 @@ TEST_F(MachineTest, IndependentTransfersOverlap) {
 
 TEST_F(MachineTest, BarrierSynchronizesAndAccountsSync) {
   SimProgram p;
-  p.transfers.push_back(MakeDecl(0, 1, Size::MiB(4).bytes(), false, {}));
+  p.AddTransfer(MakeDecl(0, 1, Size::MiB(4).bytes()));
   p.barrier_parties = {3};
   SimInstr barrier{SimInstr::Kind::kBarrier, -1, 0, {}};
   p.tbs.push_back(MakeTb(0, {SimInstr{SimInstr::Kind::kSendSide, 0, -1, {}}, barrier}));
@@ -142,7 +139,7 @@ TEST_F(MachineTest, BarrierSynchronizesAndAccountsSync) {
 
 TEST_F(MachineTest, MissingPeerIsDeadlockNotHang) {
   SimProgram p;
-  p.transfers.push_back(MakeDecl(0, 1, 1024, false, {}));
+  p.AddTransfer(MakeDecl(0, 1, 1024));
   p.tbs.push_back(MakeTb(0, {SimInstr{SimInstr::Kind::kSendSide, 0, -1, {}}}));
   // No receiver TB.
   SimMachine machine(topo_, cost_);
@@ -156,8 +153,8 @@ TEST_F(MachineTest, MissingPeerIsDeadlockNotHang) {
 
 TEST_F(MachineTest, UnsatisfiableDependencyIsDeadlock) {
   SimProgram p;
-  p.transfers.push_back(MakeDecl(0, 1, 1024, false, {1}));
-  p.transfers.push_back(MakeDecl(2, 3, 1024, false, {}));  // never joined by any TB
+  p.AddTransfer(MakeDecl(0, 1, 1024), std::vector<int>{1});
+  p.AddTransfer(MakeDecl(2, 3, 1024));  // never joined by any TB
   p.tbs.push_back(MakeTb(0, {SimInstr{SimInstr::Kind::kSendSide, 0, -1, {}}}));
   p.tbs.push_back(MakeTb(1, {SimInstr{SimInstr::Kind::kRecvSide, 0, -1, {}}}));
   SimMachine machine(topo_, cost_);
@@ -166,7 +163,7 @@ TEST_F(MachineTest, UnsatisfiableDependencyIsDeadlock) {
 
 TEST_F(MachineTest, WrongRankProgramRejected) {
   SimProgram p;
-  p.transfers.push_back(MakeDecl(0, 1, 1024, false, {}));
+  p.AddTransfer(MakeDecl(0, 1, 1024));
   p.tbs.push_back(MakeTb(5, {SimInstr{SimInstr::Kind::kSendSide, 0, -1, {}}}));
   p.tbs.push_back(MakeTb(1, {SimInstr{SimInstr::Kind::kRecvSide, 0, -1, {}}}));
   SimMachine machine(topo_, cost_);
@@ -175,14 +172,14 @@ TEST_F(MachineTest, WrongRankProgramRejected) {
 
 TEST_F(MachineTest, SelfLoopRejected) {
   SimProgram p;
-  p.transfers.push_back(MakeDecl(3, 3, 1024, false, {}));
+  p.AddTransfer(MakeDecl(3, 3, 1024));
   SimMachine machine(topo_, cost_);
   EXPECT_THROW((void)machine.Run(p), std::logic_error);
 }
 
 TEST_F(MachineTest, IdleRatiosComputed) {
   SimProgram p;
-  p.transfers.push_back(MakeDecl(0, 1, Size::MiB(1).bytes(), false, {}));
+  p.AddTransfer(MakeDecl(0, 1, Size::MiB(1).bytes()));
   SimInstr send{SimInstr::Kind::kSendSide, 0, -1, {}};
   SimInstr recv{SimInstr::Kind::kRecvSide, 0, -1, SimTime::Us(30)};
   p.tbs.push_back(MakeTb(0, {send}));
