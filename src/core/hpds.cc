@@ -1,7 +1,7 @@
 #include "core/hpds.h"
 
-#include <algorithm>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -48,14 +48,6 @@ Schedule HpdsScheduler::Build(const DependencyGraph& dag,
   std::vector<int> priority(static_cast<std::size_t>(nchunks), 0);
   // wave_of[t] == the current sub-pipeline's index iff t is in it.
   std::vector<int> wave_of(static_cast<std::size_t>(ntasks), -1);
-  // Wave-order sort key: step, then chunk (both non-negative, packed into
-  // one word), then source rank.
-  struct WaveKey {
-    std::uint64_t step_chunk = 0;
-    Rank src = 0;
-    TaskId task;
-  };
-  std::vector<WaveKey> sorted;
   Schedule schedule;
   WaveOccupancy occupancy(connections);
   int scheduled_total = 0;
@@ -155,30 +147,6 @@ Schedule HpdsScheduler::Build(const DependencyGraph& dag,
 
     RESCCL_CHECK_MSG(!wave.empty(),
                      "HPDS made no progress — dependency cycle in DAG?");
-    // Canonicalize the sub-pipeline's internal order along data flow: TBs
-    // issue primitives in this order, so aligning it with step order (the
-    // order data becomes available) avoids head-of-line blocking when a TB
-    // owns several of the wave's tasks. Sorting by step keeps the schedule
-    // valid — a data-dependency predecessor always has a smaller step.
-    // Keys are computed once per task, and the comparator never reads the
-    // task: std::sort's permutation depends only on comparison outcomes,
-    // so tied tasks land exactly where sorting the ids would put them.
-    sorted.clear();
-    for (TaskId t : wave) {
-      const Transfer& tr =
-          dag.nodes()[static_cast<std::size_t>(t.value)].transfer;
-      sorted.push_back({(static_cast<std::uint64_t>(tr.step) << 32) |
-                            static_cast<std::uint32_t>(tr.chunk),
-                        tr.src, t});
-    }
-    std::sort(sorted.begin(), sorted.end(),
-              [](const WaveKey& a, const WaveKey& b) {
-                if (a.step_chunk != b.step_chunk) {
-                  return a.step_chunk < b.step_chunk;
-                }
-                return a.src < b.src;
-              });
-    for (std::size_t i = 0; i < wave.size(); ++i) wave[i] = sorted[i].task;
     schedule.sub_pipelines.push_back(std::move(wave));
   }
   return schedule;

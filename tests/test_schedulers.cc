@@ -197,21 +197,6 @@ TEST_F(SchedulerBehaviourTest, LatencyClassesSplitWaves) {
   EXPECT_EQ(s.sub_pipelines[0][0], TaskId(0));
 }
 
-TEST_F(SchedulerBehaviourTest, WavesAreStepSorted) {
-  const Topology topo(presets::A100(2, 8));
-  ConnectionTable conns(topo);
-  const Algorithm algo = Make("hm_allreduce", topo);
-  DependencyGraph dag(algo, conns);
-  HpdsScheduler hpds;
-  const Schedule s = hpds.Build(dag, conns);
-  for (const auto& wave : s.sub_pipelines) {
-    for (std::size_t i = 1; i < wave.size(); ++i) {
-      EXPECT_LE(dag.node(wave[i - 1]).transfer.step,
-                dag.node(wave[i]).transfer.step);
-    }
-  }
-}
-
 TEST_F(SchedulerBehaviourTest, ValidateScheduleCatchesViolations) {
   const Algorithm algo = Make("ring_allgather", topo_);
   DependencyGraph dag(algo, conns_);
