@@ -108,8 +108,10 @@ StructureVerdict CheckStructure(const CompiledCollective& plan,
             " ranks but the topology has " + std::to_string(topo->nranks()));
     v.algo_ok = false;
   }
-  if (plan.nstages < 1) {
-    err("nstages", "plan declares " + std::to_string(plan.nstages) +
+  // StageOf divides by the stage count; every later stage read is gated on
+  // algo_ok.
+  if (PlanStages(plan) < 1) {
+    err("nstages", "plan declares " + std::to_string(PlanStages(plan)) +
                        " stages; at least one is required");
     v.algo_ok = false;
   }
@@ -159,27 +161,9 @@ StructureVerdict CheckStructure(const CompiledCollective& plan,
     }
   }
 
-  // Stage map.
-  bool stages_ok = plan.stage_of_task.size() == n;
-  if (!stages_ok) {
-    err("stages", "stage map has " + std::to_string(plan.stage_of_task.size()) +
-                      " entries for " + std::to_string(ntasks) + " tasks");
-  } else {
-    for (int t = 0; t < ntasks; ++t) {
-      const int s = plan.stage_of_task[static_cast<std::size_t>(t)];
-      if (s < 0 || s >= plan.nstages) {
-        err("task#" + std::to_string(t),
-            "stage " + std::to_string(s) + " outside [0, " +
-                std::to_string(plan.nstages) + ")");
-        stages_ok = false;
-        break;
-      }
-    }
-  }
-
   // TB plan: refs in range, endpoint ranks consistent with the algorithm,
   // stage-pure TBs under stage-level execution, assignment tables coherent.
-  v.tbs_ok = stages_ok && v.algo_ok && v.schedule_ok;
+  v.tbs_ok = v.algo_ok && v.schedule_ok;
   const std::size_t ntbs = plan.tbs.tbs.size();
   if (ntbs == 0) {
     err("tbs", "plan has no thread blocks");
@@ -226,8 +210,8 @@ StructureVerdict CheckStructure(const CompiledCollective& plan,
           v.tbs_ok = false;
         }
       }
-      if (stages_ok && plan.options.mode == ExecutionMode::kStageLevel) {
-        const int s = plan.stage_of_task[task];
+      if (v.algo_ok && plan.options.mode == ExecutionMode::kStageLevel) {
+        const int s = StageOf(plan, ref.task.value);
         if (tb_stage == -1) {
           tb_stage = s;
         } else if (s != tb_stage) {
@@ -1095,11 +1079,11 @@ void CheckTbMerge(const CompiledCollective& plan, const Topology& topo,
     bool operator==(const StreamKey&) const = default;
   };
   const auto key_of = [&](const TbTaskRef& ref) {
-    const auto task = static_cast<std::size_t>(ref.task.value);
-    const Transfer& tr = plan.algo.transfers[task];
-    return ref.dir == Direction::kSend
-               ? StreamKey{tr.dst, 0, plan.stage_of_task[task]}
-               : StreamKey{tr.src, 1, plan.stage_of_task[task]};
+    const Transfer& tr =
+        plan.algo.transfers[static_cast<std::size_t>(ref.task.value)];
+    const int stage = StageOf(plan, ref.task.value);
+    return ref.dir == Direction::kSend ? StreamKey{tr.dst, 0, stage}
+                                       : StreamKey{tr.src, 1, stage};
   };
   // Only a TB that merges two streams can overlap them; when no TB does,
   // there is nothing for the timeline to decide.
@@ -1269,25 +1253,26 @@ void CheckTbMerge(const CompiledCollective& plan, const Topology& topo,
 void CheckChannelCapacity(const CompiledCollective& plan, const Topology& topo,
                           AnalysisReport& report) {
   const int pool = topo.spec().channels_per_peer;
-  // A (rank, peer, dir) key opens at most one stream per stage, and the
-  // structure pass proved every stage lies in [0, nstages).
-  if (plan.nstages <= pool) return;
+  // A (rank, peer, dir) key opens at most one stream per stage, and every
+  // stage lies in [0, nstages).
+  if (PlanStages(plan) <= pool) return;
   // Distinct (rank, peer, dir, stage) endpoints as packed keys; sorted, they
   // group per (rank, peer, dir) in the diagnostics' (rank, peer, dir) order.
   const auto nranks = static_cast<std::uint64_t>(plan.algo.nranks);
-  const auto nstages = static_cast<std::uint64_t>(plan.nstages);
+  const auto nstages = static_cast<std::uint64_t>(PlanStages(plan));
   std::vector<std::uint64_t> keys;
   for (const TbPlan::Tb& tb : plan.tbs.tbs) {
     for (const TbTaskRef& ref : tb.refs) {
-      const auto task = static_cast<std::size_t>(ref.task.value);
-      const Transfer& tr = plan.algo.transfers[task];
+      const Transfer& tr =
+          plan.algo.transfers[static_cast<std::size_t>(ref.task.value)];
       const Rank peer = ref.dir == Direction::kSend ? tr.dst : tr.src;
       const std::uint64_t dir = ref.dir == Direction::kSend ? 0 : 1;
       const std::uint64_t stream =
           (static_cast<std::uint64_t>(tb.rank) * nranks +
            static_cast<std::uint64_t>(peer)) * 2 + dir;
-      keys.push_back(stream * nstages +
-                     static_cast<std::uint64_t>(plan.stage_of_task[task]));
+      const auto stage =
+          static_cast<std::uint64_t>(StageOf(plan, ref.task.value));
+      keys.push_back(stream * nstages + stage);
     }
   }
   std::sort(keys.begin(), keys.end());

@@ -10,25 +10,6 @@
 
 namespace resccl {
 
-namespace {
-
-// Stage (channel-instance) partition for stage-level execution: MSCCL
-// replicates the algorithm across channel instances, striping the chunks
-// (Table 2's "Instance" parameter). Each instance owns its chunks' tasks,
-// gets private TBs, and runs lazily inside while instances pipeline against
-// each other — which is also why the per-GPU TB count multiplies (§2.2's
-// "extra channels").
-std::vector<int> PartitionStages(const Algorithm& algo, int nstages) {
-  std::vector<int> stage(algo.transfers.size(), 0);
-  if (nstages <= 1) return stage;
-  for (std::size_t i = 0; i < algo.transfers.size(); ++i) {
-    stage[i] = algo.transfers[i].chunk % nstages;
-  }
-  return stage;
-}
-
-}  // namespace
-
 Result<CompiledCollective> Compile(const Algorithm& algo,
                                    const Topology& topo,
                                    const CompileOptions& options) {
@@ -85,13 +66,15 @@ Result<CompiledCollective> Compile(const Algorithm& algo,
 
   // --- Allocation: stage partition and the TB plan (Fig. 5(e)). ---
   t0 = std::chrono::steady_clock::now();
-  out.nstages = options.mode == ExecutionMode::kStageLevel ? options.nstages : 1;
-  out.stage_of_task = PartitionStages(algo, out.nstages);
+  std::vector<int> stages(algo.transfers.size());
+  for (std::size_t t = 0; t < stages.size(); ++t) {
+    stages[t] = StageOf(out, static_cast<int>(t));
+  }
   TbAllocParams alloc_params;
   alloc_params.policy = options.tb_alloc;
   alloc_params.channels_per_peer = topo.spec().channels_per_peer;
-  out.tbs = AllocateTbs(dag, out.schedule, connections, alloc_params,
-                        out.stage_of_task);
+  out.tbs =
+      AllocateTbs(dag, out.schedule, connections, alloc_params, stages);
   out.stats.allocation_us = ElapsedUs(t0);
 
   // --- Lowering: plan assembly (Fig. 5(f)). ---

@@ -80,12 +80,28 @@ struct CompiledCollective {
   CompileOptions options;
   Schedule schedule;
   std::vector<int> wave_of_task;
-  std::vector<int> stage_of_task;  // zeros unless mode == kStageLevel
-  int nstages = 1;
   std::vector<std::vector<int>> preds;  // data-dependency predecessors
   TbPlan tbs;
   CompileStats stats;
 };
+
+// Stage count of `plan`: stage-level execution cuts the algorithm into
+// options.nstages stages, every other mode runs it as one.
+[[nodiscard]] inline int PlanStages(const CompiledCollective& plan) {
+  return plan.options.mode == ExecutionMode::kStageLevel ? plan.options.nstages
+                                                         : 1;
+}
+
+// The stage `task` runs in. MSCCL replicates the algorithm across channel
+// instances, striping the chunks (Table 2's "Instance" parameter): each
+// instance owns its chunks' tasks, gets private TBs, and runs lazily inside
+// while instances pipeline against each other — which is also why the
+// per-GPU TB count multiplies (§2.2's "extra channels"). Requires a valid
+// algorithm and PlanStages(plan) >= 1.
+[[nodiscard]] inline int StageOf(const CompiledCollective& plan, int task) {
+  return plan.algo.transfers[static_cast<std::size_t>(task)].chunk %
+         PlanStages(plan);
+}
 
 // Compiles `algo` for `topo`. Throws std::logic_error on internal invariant
 // violations; invalid algorithms are rejected with the returned Status.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -352,7 +353,7 @@ TEST(AnalyzerCompleteness, ChannelPoolOverflowIsFlagged) {
   const CompiledCollective plan = CompileFor(
       algorithms::RingAllGather(topo.nranks()), topo, BackendKind::kMscclLike);
   ASSERT_EQ(plan.options.mode, ExecutionMode::kStageLevel);
-  ASSERT_GE(plan.nstages, 2);
+  ASSERT_GE(PlanStages(plan), 2);
   EXPECT_TRUE(AnalyzePlan(plan, &topo).clean());
 
   TopologySpec spec = presets::A100(2, 4);
@@ -368,6 +369,32 @@ TEST(AnalyzerCompleteness, ChannelPoolOverflowIsFlagged) {
   EXPECT_EQ(it->witness,
             "send r0->r1 opens 2 streams (one per stage) but the per-peer "
             "channel pool holds only 1");
+}
+
+// A task's stage is its chunk mod the plan's stage count, so a stage-level
+// plan with no stages is a structure diagnostic raised before any rule
+// derives a stage, and Lower refuses it with a check, never a division by
+// zero.
+TEST(AnalyzerCompleteness, StageLevelPlanWithoutStagesIsStructural) {
+  const Topology topo(presets::A100(2, 4));
+  CompiledCollective plan = CompileFor(
+      algorithms::RingAllGather(topo.nranks()), topo, BackendKind::kMscclLike);
+  ASSERT_EQ(plan.options.mode, ExecutionMode::kStageLevel);
+  plan.options.nstages = 0;
+  AnalysisReport report;
+  ASSERT_NO_THROW(report = AnalyzePlan(plan, &topo));
+  const auto it = std::find_if(
+      report.diagnostics.begin(), report.diagnostics.end(),
+      [](const Diagnostic& d) { return d.rule_id == rules::kStructure; });
+  ASSERT_NE(it, report.diagnostics.end()) << RulesOf(report);
+  EXPECT_EQ(it->location, "nstages");
+  EXPECT_EQ(it->witness, "plan declares 0 stages; at least one is required");
+
+  const CostModel cost;
+  LaunchConfig launch;
+  launch.chunk = Size::KiB(1);
+  launch.buffer = Size::KiB(2 * plan.algo.nchunks);
+  EXPECT_THROW((void)Lower(plan, cost, launch), std::logic_error);
 }
 
 // A lowered program whose dependency CSR is malformed is a structure
