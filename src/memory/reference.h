@@ -1,8 +1,8 @@
 // Reference initializers and expected results for the standard collectives.
 //
-// Tests seed buffers with InitFor(op) and compare the executed result against
-// ExpectedFor(op); payloads are small integers so sum reductions are exact in
-// double and independent of reduction order.
+// Tests seed buffers with InitForCollective(op, ...) and check the executed
+// result with VerifyCollective(op, ...); payloads are small integers so sum
+// reductions are exact in double and independent of reduction order.
 #pragma once
 
 #include <cstdint>

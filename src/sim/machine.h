@@ -256,8 +256,6 @@ class SimMachine {
                    bool is_send);
   void TryStart(std::size_t transfer, SimTime now);
   void OnTransferComplete(std::size_t transfer, SimTime now);
-  void AccumulateBusy(std::size_t tb, SimTime start, SimTime end);
-  void ReleaseTb(std::size_t tb, SimTime now);
   [[nodiscard]] DeadlockReport BuildDeadlockReport() const;
 
   const Topology& topo_;
